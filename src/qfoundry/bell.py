@@ -279,7 +279,6 @@ def imprecise_sum_grid_sup(steps: int = 101) -> tuple[float, tuple[float, float,
 
 F_MIN = Q(1, 1320)
 TWIN_MATCH_COEFFICIENT = Q(3, 33) * Q(16, 40) + Q(2, 33) * Q(24, 40)
-ALTERNATE_F_MIN = Q(1, 40)  # variant constant from the literature, not used
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Optional
@@ -45,21 +44,14 @@ class RunConfig:
     shots: int = 100_000
     fmt: str = "json"
     tolerance: Optional[float] = None
-    threads: int = 1
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        threads_env = os.environ.get("QFOUNDRY_THREADS", "1")
-        try:
-            threads = max(1, int(threads_env))
-        except ValueError as exc:
-            raise CliError(f"QFOUNDRY_THREADS must be an integer, got {threads_env!r}") from exc
         return cls(
             seed=args.seed,
             shots=args.shots,
             fmt="csv" if args.csv else "json",
             tolerance=args.tolerance,
-            threads=threads,
         )
 
 
@@ -82,7 +74,7 @@ def emit(report: dict, config: RunConfig) -> None:
         for key, value in rows:
             print(f"{key},{value}")
     else:
-        print(json.dumps(report, indent=2, default=_json_default))
+        print(json.dumps(report, indent=2, default=_json_default, allow_nan=False))
 
 
 def _json_default(obj):
@@ -113,9 +105,12 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise CliError(f"{what} needs {count} comma-separated values, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"{what} must be numeric: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _complex_matrix(payload) -> np.ndarray:
@@ -374,14 +369,14 @@ def cmd_logic_popper(args, config: RunConfig) -> int:
 
 def cmd_data_export(args, config: RunConfig) -> int:
     vset = load_vector_set(args.set)
-    payload = vset.to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        try:
+            vset.dump(args.out)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
         emit({"set": args.set, "written": args.out, "vectors": len(vset)}, config)
     else:
-        print(json.dumps(payload, indent=1))
+        print(json.dumps(vset.to_json_dict(), indent=1))
     return 0
 
 
@@ -597,25 +592,16 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
 
 
 def cmd_verify_all(args, config: RunConfig) -> int:
-    checks = _acceptance_checks(config.seed, config.shots)
     results: list[dict] = []
-
-    def run_one(item):
-        name, check = item
+    for name, check in _acceptance_checks(config.seed, config.shots):
         try:
             details = check()
-            return {"check": name, "passed": True, "details": details}
+            results.append({"check": name, "passed": True, "details": details})
         except AssertionError as exc:
-            return {"check": name, "passed": False, "error": str(exc)}
+            results.append({"check": name, "passed": False, "error": str(exc)})
         except Exception as exc:  # corrupted data, numeric failure
-            return {"check": name, "passed": False,
-                    "error": f"{type(exc).__name__}: {exc}"}
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
+            results.append({"check": name, "passed": False,
+                            "error": f"{type(exc).__name__}: {exc}"})
 
     all_passed = all(r["passed"] for r in results)
     if args.json or config.fmt == "csv":

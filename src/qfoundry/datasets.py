@@ -1,9 +1,8 @@
-"""Embedded vector tables: the 33-ray set in dimension 3 and the 18-vector
-set in dimension 4, shipped as JSON data files in the package."""
+"""Built-in vector tables: the 33-ray set in dimension 3 and the 18-vector
+set in dimension 4.  The tables below are the only definition of both sets;
+`qfoundry data export` writes them out in the JSON vector-set format."""
 
 from __future__ import annotations
-
-from importlib import resources
 
 from .exact import ExactVector, QuadScalar, VectorSet
 
@@ -89,9 +88,9 @@ def build_cabello18() -> VectorSet:
 
 
 def load_builtin(name: str) -> VectorSet:
-    """Load an embedded vector set by name ('peres33' or 'cabello18')."""
-    if name not in BUILTIN_SETS:
-        raise KeyError(f"unknown dataset {name!r}; expected one of {BUILTIN_SETS}")
-    ref = resources.files("qfoundry.data").joinpath(f"{name}.json")
-    with resources.as_file(ref) as path:
-        return VectorSet.load(path)
+    """Build a built-in vector set by name ('peres33' or 'cabello18')."""
+    if name == "peres33":
+        return build_peres33()
+    if name == "cabello18":
+        return build_cabello18()
+    raise KeyError(f"unknown dataset {name!r}; expected one of {BUILTIN_SETS}")

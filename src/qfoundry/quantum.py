@@ -182,7 +182,6 @@ def reconstruct_state(
     """
     vecs = [np.asarray(e, dtype=complex) for e in basis]
     n = len(vecs)
-    out = np.zeros((n, n), dtype=complex)
     coords = np.zeros((n, n), dtype=complex)
     for i in range(n):
         coords[i, i] = expectation(np.outer(vecs[i], vecs[i].conj()))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qfoundry import cli
+from qfoundry.datasets import build_cabello18, build_peres33
+from qfoundry.exact import VectorSet
 
 
 def run_cli(capsys, *argv):
@@ -175,13 +177,23 @@ def test_logic_popper(capsys):
     assert payload["p_distributed"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_data_export(capsys, tmp_path):
-    out_path = tmp_path / "peres.json"
-    payload = run_json(capsys, "data", "export", "--set", "peres33", "--out", str(out_path))
-    assert payload["vectors"] == 33
-    exported = json.loads(out_path.read_text())
-    assert exported["dimension"] == 3
-    assert len(exported["vectors"]) == 33
+@pytest.mark.parametrize(
+    "name, build",
+    [("peres33", build_peres33), ("cabello18", build_cabello18)],
+    ids=["peres33", "cabello18"],
+)
+def test_data_export(capsys, tmp_path, name, build):
+    table = build()
+    out_path = tmp_path / f"{name}.json"
+    payload = run_json(capsys, "data", "export", "--set", name, "--out", str(out_path))
+    assert payload["vectors"] == len(table)
+    exported = VectorSet.load(out_path)
+    assert exported.dimension == table.dimension
+    assert [v.label for v in exported.vectors] == [v.label for v in table.vectors]
+    assert [v.ray_key() for v in exported.vectors] == [v.ray_key() for v in table.vectors]
+    code, out, _ = run_cli(capsys, "data", "export", "--set", name)
+    assert code == 0
+    assert out == out_path.read_text()
 
 
 def test_mkc_simulate_program(capsys, tmp_path):
@@ -265,13 +277,23 @@ def test_verify_all_corrupted_dataset(capsys, monkeypatch):
     assert "[FAIL] ks-uncolorability" in out
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("QFOUNDRY_THREADS", "many")
-    code, _, err = run_cli(capsys, "fwt", "counts")
-    assert code == 2
-    assert "QFOUNDRY_THREADS" in err
-
-
 def test_seed_accepts_hex(capsys):
     payload = run_json(capsys, "quantum", "reconstruct", "--dim", "2", "--seed", "0xC0FFEE")
     assert payload["seed"] == 0xC0FFEE
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (["data", "export", "--set", "peres33", "--out", "/nonexistent/x.json"],
+         2, "cannot write /nonexistent/x.json"),
+        (["bell", "chsh", "--angles", "0,nan,1,2"], 2, "must be finite"),
+    ],
+    ids=["unwritable-out", "nan-angle"],
+)
+def test_usage_errors(capsys, argv, code, fragment):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert fragment in err
+    assert err.startswith("error: ")

@@ -62,21 +62,20 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 def chsh_grid_max(step_degrees: int = GRID_STEP_DEGREES) -> float:
     """Maximum CHSH value over the uniform four-angle grid.
 
-    The value depends on the four angles only through pairwise differences,
-    and the uniform grid is closed under differences mod 2pi, so the sweep
-    reduces exactly to three difference angles u = t1-t2, v = t1-t2',
-    w = t1'-t2 (then t1'-t2' = w + v - u).
+    The value depends only on u = t1-t2, v = t1-t2' and w = t1'-t2 (then
+    t1'-t2' = w + v - u), and a grid whose step divides 360 degrees is closed
+    under differences mod 2pi.  With d = v - u the first term depends only on
+    (u, d) and the second only on (w, d), so the maximum is
+    max_d [max_u |cos u - cos(u+d)| + max_w |cos w + cos(w+d)|].
     """
-    grid = np.deg2rad(np.arange(0, 360, step_degrees))
-    m = len(grid)
-    best = 0.0
-    cos_u = np.cos(grid)
-    for iu, u in enumerate(grid):
-        v = grid[:, None]
-        w = grid[None, :]
-        value = np.abs(cos_u[iu] - np.cos(v)) + np.abs(np.cos(w) + np.cos(w + v - u))
-        best = max(best, float(value.max()))
-    return best
+    if 360 % step_degrees:
+        raise ValueError(f"grid step {step_degrees} does not divide 360 degrees")
+    cos = np.cos(np.deg2rad(np.arange(0, 360, step_degrees)))
+    m = len(cos)
+    shifted = cos[np.add.outer(np.arange(m), np.arange(m)) % m]  # [a, d] -> cos(a + d)
+    first = np.abs(cos[:, None] - shifted).max(axis=0)
+    second = np.abs(cos[:, None] + shifted).max(axis=0)
+    return float((first + second).max())
 
 
 @dataclass(frozen=True)

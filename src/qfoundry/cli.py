@@ -113,13 +113,79 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     return values
 
 
-def _complex_matrix(payload) -> np.ndarray:
+def _bounded(convert: Callable, option: str, low=-math.inf, high=math.inf) -> Callable:
+    """Argument type: a finite number in [low, high]."""
+
+    def checked(text: str):
+        value = convert(text)
+        if not low <= value <= high or value in (-math.inf, math.inf):
+            raise CliError(f"{option} must lie in [{low}, {high}], got {text}")
+        return value
+
+    checked.__name__ = convert.__name__  # argparse names the type in parse errors
+    return checked
+
+
+def _ginibre_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random density matrix G G* / Tr(G G*) from a complex Gaussian G."""
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    state = raw @ raw.conj().T
+    return state / np.trace(state).real
+
+
+def _complex_array(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A complex array of the given shape from nested [re, im] number pairs."""
     try:
-        return np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in payload]
-        )
-    except (TypeError, IndexError) as exc:
-        raise CliError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+        pairs = np.array(payload)
+    except ValueError as exc:  # ragged nesting
+        raise CliError(f"{what} must be nested [re, im] pairs: {exc}") from exc
+    if (pairs.dtype.kind not in "biuf" or pairs.shape != (*shape, 2)
+            or not np.isfinite(pairs).all()):
+        layout = "x".join(str(n) for n in shape)
+        raise CliError(f"{what} must hold {layout} finite [re, im] number pairs")
+    return pairs.astype(float).view(complex)[..., 0]
+
+
+def _nonzero_vector(payload, dim: int, what: str) -> np.ndarray:
+    vector = _complex_array(payload, (dim,), what)
+    if not vector.any():
+        raise CliError(f"{what} must be nonzero")
+    return vector
+
+
+def load_program(
+    path: str, dim: int, bases: int
+) -> tuple[list[np.ndarray], list[np.ndarray], qt.DensityOperator]:
+    """Observables, planted vectors and start state of an mkc program file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            program = json.load(fh)
+    except FileNotFoundError as exc:
+        raise CliError(f"program file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(program, dict) or "observables" not in program:
+        raise CliError("program file must define 'observables'")
+    observables = program["observables"]
+    include = program.get("include", [])
+    if not isinstance(observables, list) or not isinstance(include, list):
+        raise CliError("program 'observables' and 'include' must be lists")
+    if len(include) > bases:
+        raise CliError(f"program plants {len(include)} vectors in {bases} bases")
+    observables = [
+        _complex_array(m, (dim, dim), f"observable {k}") for k, m in enumerate(observables)
+    ]
+    include = [_nonzero_vector(v, dim, f"planted vector {k}") for k, v in enumerate(include)]
+    spec = program.get("state")
+    if spec is None:
+        rho = qt.DensityOperator.maximally_mixed(dim)
+    elif isinstance(spec, dict) and "pure" in spec:
+        rho = qt.DensityOperator.pure(_nonzero_vector(spec["pure"], dim, "pure state"))
+    elif isinstance(spec, dict) and "density" in spec:
+        rho = qt.DensityOperator(_complex_array(spec["density"], (dim, dim), "density state"))
+    else:
+        raise CliError("state must be given as 'pure' or 'density'")
+    return observables, include, rho
 
 
 # ---------------------------------------------------------------- subcommands
@@ -187,12 +253,7 @@ def cmd_meyer_verify(args, config: RunConfig) -> int:
 
 def cmd_quantum_reconstruct(args, config: RunConfig) -> int:
     tolerance = config.tolerance if config.tolerance is not None else qt.STRUCT_TOL
-    rng = np.random.default_rng(args.seed)
-    raw = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal(
-        (args.dim, args.dim)
-    )
-    state = raw @ raw.conj().T
-    state = state / np.trace(state).real
+    state = _ginibre_state(np.random.default_rng(args.seed), args.dim)
     basis = [np.eye(args.dim, dtype=complex)[:, k] for k in range(args.dim)]
     recovered = qt.reconstruct_state(
         lambda op: float(np.trace(state @ op).real), basis
@@ -224,33 +285,8 @@ def cmd_quantum_generator(args, config: RunConfig) -> int:
 
 
 def cmd_mkc_simulate(args, config: RunConfig) -> int:
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            program = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliError(f"program file not found: {args.program}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {args.program}: {exc}") from exc
-    try:
-        observables = [_complex_matrix(m) for m in program["observables"]]
-    except KeyError as exc:
-        raise CliError("program file must define 'observables'") from exc
-    include = [
-        np.array([complex(re, im) for re, im in vec])
-        for vec in program.get("include", [])
-    ]
+    observables, include, rho = load_program(args.program, args.dim, args.bases)
     family = mkc.generate_basis_family(args.dim, args.bases, args.seed, include=include)
-    if "state" in program:
-        spec = program["state"]
-        if "pure" in spec:
-            vec = np.array([complex(re, im) for re, im in spec["pure"]])
-            rho = qt.DensityOperator.pure(vec)
-        elif "density" in spec:
-            rho = qt.DensityOperator(_complex_matrix(spec["density"]))
-        else:
-            raise CliError("state must be given as 'pure' or 'density'")
-    else:
-        rho = qt.DensityOperator.maximally_mixed(args.dim)
     report = mkc.simulate_sequence(rho, observables, family, args.seed, args.shots)
     emit(
         {
@@ -334,14 +370,8 @@ def cmd_fwt_counts(args, config: RunConfig) -> int:
 
 def cmd_logic_heyting(args, config: RunConfig) -> int:
     rng = np.random.default_rng(args.seed)
-    bases = []
-    for _ in range(args.bases):
-        raw = rng.standard_normal((args.dim, args.dim)) + 1j * rng.standard_normal(
-            (args.dim, args.dim)
-        )
-        q, r = np.linalg.qr(raw)
-        bases.append((q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T)
-    poset = logic.poset_from_bases(bases, include_intermediate=args.dim >= 3)
+    bases = [mkc.random_unitary(rng, args.dim).T for _ in range(args.bases)]
+    poset = logic.poset_from_bases(bases)
     report = logic.check_heyting_laws(
         poset, args.variant, exhaustive=args.exhaustive, seed=args.seed
     )
@@ -457,9 +487,7 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
 
     def mkc_statistics() -> dict:
         family = mkc.generate_basis_family(3, 16, seed)
-        rng = np.random.default_rng((seed, 0xA))
-        raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = qt.DensityOperator(raw @ raw.conj().T / np.trace(raw @ raw.conj().T).real)
+        rho = qt.DensityOperator(_ginibre_state(np.random.default_rng((seed, 0xA)), 3))
         worst = 0.0
         for m in range(4):
             choices = mkc.sample_choices(rho, family, m, shots, seed)
@@ -508,12 +536,7 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
         for dim in (2, 3, 4):
             basis = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
             for trial in range(100):
-                rng = np.random.default_rng((seed, dim, trial))
-                raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
-                    (dim, dim)
-                )
-                state = raw @ raw.conj().T
-                state = state / np.trace(state).real
+                state = _ginibre_state(np.random.default_rng((seed, dim, trial)), dim)
                 recovered = qt.reconstruct_state(
                     lambda op: float(np.trace(state @ op).real), basis
                 )
@@ -628,10 +651,10 @@ def _common_options(defaults: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     suppress = argparse.SUPPRESS
 
-    common.add_argument("--seed", type=lambda s: int(s, 0),
+    common.add_argument("--seed", type=_bounded(lambda s: int(s, 0), "--seed", 0),
                         default=DEFAULT_SEED if defaults else suppress,
                         help="RNG seed (default 0xC0FFEE)")
-    common.add_argument("--shots", type=int,
+    common.add_argument("--shots", type=_bounded(int, "--shots", 1),
                         default=100_000 if defaults else suppress,
                         help="Monte Carlo sample count (default 100000)")
     common.add_argument("--json", action="store_true",
@@ -640,7 +663,7 @@ def _common_options(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true",
                         default=False if defaults else suppress,
                         help="flat key,value output")
-    common.add_argument("--tolerance", type=float,
+    common.add_argument("--tolerance", type=_bounded(float, "--tolerance"),
                         default=None if defaults else suppress,
                         help="override the pass tolerance of verification commands")
     return common
@@ -674,23 +697,23 @@ def build_parser() -> argparse.ArgumentParser:
     meyer_parser = sub.add_parser("meyer", help="rational-sphere coloring")
     meyer_sub = meyer_parser.add_subparsers(dest="subcommand", required=True)
     mv = meyer_sub.add_parser("verify", parents=[local], help="check the three coloring conditions")
-    mv.add_argument("--max-n", type=int, default=25)
+    mv.add_argument("--max-n", type=_bounded(int, "--max-n", 1), default=25)
     mv.set_defaults(func=cmd_meyer_verify)
 
     quantum_parser = sub.add_parser("quantum", help="dense linear-algebra checks")
     quantum_sub = quantum_parser.add_subparsers(dest="subcommand", required=True)
     qr = quantum_sub.add_parser("reconstruct", parents=[local], help="state reconstruction round-trip")
-    qr.add_argument("--dim", type=int, default=3)
+    qr.add_argument("--dim", type=_bounded(int, "--dim", 1), default=3)
     qr.set_defaults(func=cmd_quantum_reconstruct)
     qg = quantum_sub.add_parser("generator", parents=[local], help="single-generator residuals")
-    qg.add_argument("--n", type=int, default=3)
+    qg.add_argument("--n", type=_bounded(int, "--n", 1, qt.MAX_GENERATOR_TUPLE), default=3)
     qg.set_defaults(func=cmd_quantum_generator)
 
     mkc_parser = sub.add_parser("mkc", help="hidden-variable simulator")
     mkc_sub = mkc_parser.add_subparsers(dest="subcommand", required=True)
     ms = mkc_sub.add_parser("simulate", parents=[local], help="run a measurement program")
-    ms.add_argument("--dim", type=int, default=3)
-    ms.add_argument("--bases", type=int, default=16)
+    ms.add_argument("--dim", type=_bounded(int, "--dim", 2, 4), default=3)
+    ms.add_argument("--bases", type=_bounded(int, "--bases", 1, mkc.MAX_FAMILY_SIZE), default=16)
     ms.add_argument("--program", required=True, help="JSON program file")
     ms.set_defaults(func=cmd_mkc_simulate)
 
@@ -708,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     fwt_parser = sub.add_parser("fwt", help="free-will robustness bounds")
     fwt_sub = fwt_parser.add_subparsers(dest="subcommand", required=True)
     fb = fwt_sub.add_parser("bounds", parents=[local])
-    fb.add_argument("--eps-s", type=float, required=True)
-    fb.add_argument("--eps-t", type=float, required=True)
+    fb.add_argument("--eps-s", type=_bounded(float, "--eps-s", 0, 1), required=True)
+    fb.add_argument("--eps-t", type=_bounded(float, "--eps-t", 0, 1), required=True)
     fb.set_defaults(func=cmd_fwt_bounds)
     fc = fwt_sub.add_parser("counts", parents=[local])
     fc.set_defaults(func=cmd_fwt_counts)
@@ -718,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     logic_sub = logic_parser.add_subparsers(dest="subcommand", required=True)
     lh = logic_sub.add_parser("heyting", parents=[local])
     lh.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    lh.add_argument("--bases", type=int, default=2)
+    lh.add_argument("--bases", type=_bounded(int, "--bases", 1), default=2)
     lh.add_argument("--variant", choices=("l2", "l3"), default="l3")
     lh.add_argument("--exhaustive", action="store_true")
     lh.set_defaults(func=cmd_logic_heyting)
@@ -740,8 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # argument types raise CliError for values out of range
+        args = parser.parse_args(argv)
         config = RunConfig.from_args(args)
         return args.func(args, config)
     except CliError as exc:

@@ -175,7 +175,6 @@ def _coerce(value) -> QuadScalar | None:
 
 
 ZERO = QuadScalar()
-ONE = QuadScalar(1)
 
 
 class ExactVector:
@@ -225,14 +224,6 @@ class ExactVector:
         if factor.is_zero():
             raise DegenerateInputError("cannot scale a direction by zero")
         return ExactVector(tuple(e * factor for e in self.entries), self.label)
-
-    def to_floats(self) -> list[float]:
-        return [e.to_float() for e in self.entries]
-
-    def unit_floats(self) -> list[float]:
-        floats = self.to_floats()
-        norm = math.sqrt(sum(x * x for x in floats))
-        return [x / norm for x in floats]
 
     def __repr__(self) -> str:
         body = ", ".join(str(e) for e in self.entries)

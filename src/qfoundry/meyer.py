@@ -38,9 +38,6 @@ class PythTriple:
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
-    def to_point(self) -> RationalPoint:
-        return RationalPoint(Q(self.x, self.n), Q(self.y, self.n), Q(self.z, self.n))
-
 
 @dataclass(frozen=True)
 class ConditionReport:

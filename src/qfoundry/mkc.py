@@ -3,7 +3,8 @@
 A family is a finite list of pairwise totally incompatible orthonormal
 bases; a valuation picks one marked vector per basis, lazily, with the
 trace-rule weights.  Sequential measurements re-draw the valuation from
-the collapsed state, which is the model's dynamics rule.
+the collapsed state, which is the model's dynamics rule; the sequence
+simulator samples the collapse chain, which has the same distribution.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .quantum import (
 
 INCOMPATIBILITY_THRESHOLD = 1e-8
 RESAMPLE_BUDGET = 1000
+MAX_FAMILY_SIZE = 64
 
 
 class FamilyGenerationError(RuntimeError):
@@ -89,27 +91,31 @@ class BasisFamily:
         return hits[0]
 
 
-def _boolean_projectors(basis: np.ndarray) -> list[np.ndarray]:
-    """All nontrivial projections of the maximal abelian algebra of a basis."""
+def _projectors_with_first_atom(basis: np.ndarray) -> np.ndarray:
+    """Nontrivial projections of a basis algebra containing atom 0: one per complement pair."""
     n = basis.shape[0]
-    atoms = [np.outer(basis[j], basis[j].conj()) for j in range(n)]
-    out = []
-    for r in range(1, n):
-        for subset in combinations(range(n), r):
-            out.append(sum(atoms[j] for j in subset))
-    return out
+    atoms = np.einsum("ki,kj->kij", basis, basis.conj())
+    return np.array([
+        atoms[[0, *rest]].sum(axis=0)
+        for r in range(n - 1)
+        for rest in combinations(range(1, n), r)
+    ])
 
 
 def totally_incompatible(b1: np.ndarray, b2: np.ndarray) -> bool:
-    """No nontrivial projection of one algebra commutes with one of the other."""
-    for p in _boolean_projectors(b1):
-        for q in _boolean_projectors(b2):
-            if np.linalg.norm(p @ q - q @ p, 2) <= INCOMPATIBILITY_THRESHOLD:
-                return False
-    return True
+    """No nontrivial projection of one algebra commutes with one of the other.
+
+    Since [1 - P, Q] = -[P, Q], testing the projections that contain atom 0
+    on both sides covers every pair.
+    """
+    p = _projectors_with_first_atom(b1)[:, None]
+    q = _projectors_with_first_atom(b2)[None, :]
+    norms = np.linalg.norm(p @ q - q @ p, 2, axis=(2, 3))
+    return not np.any(norms <= INCOMPATIBILITY_THRESHOLD)
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random unitary from the QR of a Ginibre matrix, phases fixed."""
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(raw)
     # fix the QR phase ambiguity for reproducibility
@@ -146,8 +152,8 @@ def generate_basis_family(
     """
     if n not in (2, 3, 4):
         raise ValueError("family dimension must be 2, 3 or 4")
-    if size > 64:
-        raise ValueError("family size capped at 64")
+    if size > MAX_FAMILY_SIZE:
+        raise ValueError(f"family size capped at {MAX_FAMILY_SIZE}")
     if len(include) > size:
         raise ValueError("more planted vectors than bases")
     rng = np.random.default_rng(seed)
@@ -167,7 +173,7 @@ def generate_basis_family(
         attempts += 1
         if attempts > RESAMPLE_BUDGET:
             raise FamilyGenerationError("resample budget exhausted")
-        basis = _random_unitary(rng, n).T  # rows = basis vectors
+        basis = random_unitary(rng, n).T  # rows = basis vectors
         if all(totally_incompatible(basis, prev) for prev in accepted):
             accepted.append(basis)
     return BasisFamily(dimension=n, bases=tuple(accepted), seed=seed)
@@ -300,73 +306,53 @@ def simulate_sequence(
     seed: int,
     shots: int,
 ) -> SequenceReport:
-    """Monte Carlo over sequential measurements with valuation re-draws.
+    """Monte Carlo over sequential measurements along the collapse chain.
 
-    Each intended observable is first realized in the family; per shot the
-    current valuation supplies the outcome, the state collapses onto the
-    outcome's eigenspace, and later valuations are drawn from the collapsed
-    state.  Outcome distributions over the whole sequence are exact functions
-    of the collapse chain, so the per-prefix branch probabilities are
-    precomputed once and shots reduce to categorical sampling.
+    Each intended observable is first realized in the family.  Each step's
+    outcome is drawn from the trace-rule weights of the current state, which
+    then collapses onto the outcome's eigenspace; this chain has the same
+    distribution as the model's valuation re-draws on the collapsed state.
+    One depth-first walk of the chain sums each leaf's exact probability and
+    routes the shots: the shots reaching a node pick its branch by
+    categorical sampling of their uniform for that step.
     """
     realized = []
     distances = []
     for obs in observables:
-        matrix, m, dist = nearest_family_observable(obs, family)
-        groups = spectral_projectors(matrix)
-        realized.append((m, groups))
+        matrix, _, dist = nearest_family_observable(obs, family)
+        realized.append(spectral_projectors(matrix))
         distances.append(dist)
 
-    # branch tree: outcome-index prefix -> (cumulative weights, branch indices),
-    # with zero-probability branches dropped so samples always land on a branch
-    tree: dict[tuple[int, ...], tuple[np.ndarray, list[int], list[float]]] = {}
+    rng = np.random.default_rng((seed, 0x5EC))
+    uniforms = rng.random((shots, len(realized)))
+    counts: dict[tuple[float, ...], int] = {}
+    exact: dict[tuple[float, ...], float] = {}
 
-    def expand(prefix: tuple[int, ...], state: DensityOperator) -> None:
-        if len(prefix) == len(realized):
+    def expand(
+        state: DensityOperator, rows: np.ndarray, acc: float, values: tuple[float, ...]
+    ) -> None:
+        step = len(values)
+        if step == len(realized):
+            exact[values] = exact.get(values, 0.0) + acc
+            counts[values] = counts.get(values, 0) + len(rows)
             return
-        _, groups = realized[len(prefix)]
+        groups = realized[step]
         probs = np.array(
             [max(0.0, np.trace(state.matrix @ proj).real) for _, proj in groups]
         )
         total = probs.sum()
         probs = probs / total if total > 0 else probs
+        # zero-probability branches are dropped so samples always land on a branch
         live = [k for k in range(len(groups)) if probs[k] > 1e-12]
-        tree[prefix] = (np.cumsum(probs[live]), live, [float(probs[k]) for k in live])
+        picks = np.searchsorted(np.cumsum(probs[live]), uniforms[rows, step], side="right")
+        branch = np.asarray(live)[np.minimum(picks, len(live) - 1)]
         for k in live:
-            expand(prefix + (k,), collapse(state, groups[k][1]))
+            value = round(groups[k][0], 12) + 0.0  # +0.0 kills -0.0
+            child = collapse(state, groups[k][1])
+            expand(child, rows[branch == k], acc * float(probs[k]), values + (value,))
 
-    expand((), rho0)
-
-    rng = np.random.default_rng((seed, 0x5EC))
-    uniforms = rng.random((shots, len(realized)))
-    counts: dict[tuple[float, ...], int] = {}
-    for s in range(shots):
-        prefix: tuple[int, ...] = ()
-        values = []
-        for step, (_, groups) in enumerate(realized):
-            cum, live, _ = tree[prefix]
-            pick = min(int(np.searchsorted(cum, uniforms[s, step], side="right")), len(live) - 1)
-            k = live[pick]
-            values.append(round(groups[k][0], 12) + 0.0)  # +0.0 kills -0.0
-            prefix = prefix + (k,)
-        key = tuple(values)
-        counts[key] = counts.get(key, 0) + 1
-
-    frequencies = {k: v / shots for k, v in sorted(counts.items())}
-
-    exact: dict[tuple[float, ...], float] = {}
-
-    def walk(prefix: tuple[int, ...], acc: float, values: tuple[float, ...]) -> None:
-        if len(prefix) == len(realized):
-            exact[values] = exact.get(values, 0.0) + acc
-            return
-        _, live, probs = tree[prefix]
-        _, groups = realized[len(prefix)]
-        for k, p in zip(live, probs):
-            value = groups[k][0]
-            walk(prefix + (k,), acc * p, values + (round(value, 12) + 0.0,))
-
-    walk((), 1.0, ())
+    expand(rho0, np.arange(shots), 1.0, ())
+    frequencies = {k: v / shots for k, v in sorted(counts.items()) if v}
 
     return SequenceReport(
         frequencies=frequencies,

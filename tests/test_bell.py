@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as Q
+from itertools import product
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def test_chsh_equal_angles():
 def test_chsh_grid_never_exceeds_tsirelson():
     # coarser grid here; the acceptance suite sweeps the 1-degree grid
     assert bell.chsh_grid_max(step_degrees=3) <= bell.TSIRELSON + 1e-12
+
+
+def test_chsh_grid_max_matches_brute_force():
+    # every four-angle tuple of the 30-degree grid, one chsh_value each
+    grid = [math.radians(a) for a in range(0, 360, 30)]
+    brute = max(bell.chsh_value(*angles) for angles in product(grid, repeat=4))
+    assert abs(bell.chsh_grid_max(30) - brute) <= 1e-12
+
+
+def test_chsh_grid_step_must_divide_360():
+    with pytest.raises(ValueError, match="does not divide 360"):
+        bell.chsh_grid_max(7)
 
 
 def test_chsh_random_angles_below_tsirelson():

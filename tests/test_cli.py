@@ -288,12 +288,57 @@ def test_seed_accepts_hex(capsys):
         (["data", "export", "--set", "peres33", "--out", "/nonexistent/x.json"],
          2, "cannot write /nonexistent/x.json"),
         (["bell", "chsh", "--angles", "0,nan,1,2"], 2, "must be finite"),
+        (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, inf], got 0"),
+        (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, inf]"),
+        (["quantum", "generator", "--n", "0"], 2, "--n must lie in [1, 5]"),
+        (["mkc", "simulate", "--bases", "65", "--program", "p.json"], 2,
+         "--bases must lie in [1, 64]"),
+        (["mkc", "simulate", "--shots", "-5", "--program", "p.json"], 2, "--shots must lie"),
+        (["fwt", "bounds", "--eps-s", "nan", "--eps-t", "0"], 2, "--eps-s must lie in [0, 1]"),
+        (["--tolerance", "nan", "quantum", "reconstruct"], 2, "--tolerance must lie"),
+        (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, inf]"),
+        (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf]"),
+        (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
+        (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
     ],
-    ids=["unwritable-out", "nan-angle"],
+    ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "zero-generator-n",
+         "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
+         "negative-seed", "inf-eps", "infinite-tolerance"],
 )
 def test_usage_errors(capsys, argv, code, fragment):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
+    assert out == ""
+    assert fragment in err
+    assert err.startswith("error: ")
+
+
+OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "program, fragment",
+    [
+        ({"include": [[1, 2]], "observables": [OBSERVABLE3]},
+         "planted vector 0 must hold 3 finite [re, im] number pairs"),
+        ({"observables": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+         "observable 0 must hold 3x3 finite [re, im] number pairs"),
+        ({"include": [[[0, 0], [0, 0], [0, 0]]], "observables": [OBSERVABLE3]},
+         "planted vector 0 must be nonzero"),
+        ({"include": [[[1, 0], [0, 0], [0, 0]]] * 17, "observables": [OBSERVABLE3]},
+         "plants 17 vectors in 16 bases"),
+        ({"state": {"pure": [[0, 0], [1, 0]]}, "observables": [OBSERVABLE3]},
+         "pure state must hold 3 finite"),
+        ([OBSERVABLE3], "must define 'observables'"),
+    ],
+    ids=["include-not-pairs", "dimension-mismatch", "zero-include", "too-many-includes",
+         "short-pure-state", "not-an-object"],
+)
+def test_program_usage_errors(capsys, tmp_path, program, fragment):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(program))
+    got, out, err = run_cli(capsys, "mkc", "simulate", "--dim", "3", "--program", str(path))
+    assert got == 2
     assert out == ""
     assert fragment in err
     assert err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Hidden-variable simulator: families, valuations, sequential dynamics."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,6 +44,61 @@ def test_random_family_pairwise_incompatible():
     pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     assert len(pairs) == 45
     assert all(mkc.totally_incompatible(family.bases[i], family.bases[j]) for i, j in pairs)
+
+
+def _all_subsets_incompatible(b1, b2):
+    """Reference: every nontrivial projection of one basis against the other's."""
+
+    def projections(basis):
+        n = basis.shape[0]
+        return [
+            sum(np.outer(basis[j], basis[j].conj()) for j in subset)
+            for r in range(1, n)
+            for subset in combinations(range(n), r)
+        ]
+
+    return all(
+        np.linalg.norm(p @ q - q @ p, 2) > mkc.INCOMPATIBILITY_THRESHOLD
+        for p in projections(b1)
+        for q in projections(b2)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shared_vector_is_not_totally_incompatible(n):
+    rng = np.random.default_rng(n)
+    b1 = mkc.random_unitary(rng, n).T
+    b2 = mkc._basis_containing(rng, b1[1])
+    assert not mkc.totally_incompatible(b1, b2)
+    assert not mkc.totally_incompatible(b2, b1)
+
+
+def _block_rotated(rng, basis):
+    """The basis with rows (0, 1) and (2, 3) rotated within their planes."""
+    out = basis.copy()
+    for lo in range(0, basis.shape[0] - 1, 2):
+        out[lo : lo + 2] = mkc.random_unitary(rng, 2) @ basis[lo : lo + 2]
+    return out
+
+
+@pytest.mark.parametrize("n, rejected", [(2, 10), (3, 20), (4, 20)])
+def test_totally_incompatible_matches_all_subsets(n, rejected):
+    # pairs cycle through a shared vector, shared planes (in d=4 a rank-2
+    # projection commutes although no two atoms do) and independent draws
+    rng = np.random.default_rng(100 + n)
+    verdicts = []
+    for trial in range(30):
+        b1 = mkc.random_unitary(rng, n).T
+        if trial % 3 == 0:
+            b2 = mkc._basis_containing(rng, b1[-1])
+        elif trial % 3 == 1:
+            b2 = _block_rotated(rng, b1)
+        else:
+            b2 = mkc.random_unitary(rng, n).T
+        expected = _all_subsets_incompatible(b1, b2)
+        assert mkc.totally_incompatible(b1, b2) == expected
+        verdicts.append(expected)
+    assert verdicts.count(False) == rejected
 
 
 def test_family_reproducible_and_prefix_stable():
@@ -180,6 +236,36 @@ def test_sequence_small_overlap_small_joint():
     sigma = math.sqrt(overlap * (1 - overlap) / 50_000)
     assert abs(joint - overlap) <= 4 * sigma
     assert joint < 0.05
+
+
+def test_sequence_matches_per_shot_walk(family3, rho3):
+    """Frequencies equal a walk that collapses the state shot by shot."""
+    observables = [family3.projector(0, 0), np.diag([1.0, 2.0, 3.0]), family3.projector(5, 2)]
+    seed, shots = 23, 3000
+    steps = [
+        qt.spectral_projectors(mkc.nearest_family_observable(obs, family3)[0])
+        for obs in observables
+    ]
+    uniforms = np.random.default_rng((seed, 0x5EC)).random((shots, len(steps)))
+    counts = {}
+    for row in uniforms:
+        state, values = rho3, []
+        for u, groups in zip(row, steps):
+            probs = np.array([max(0.0, np.trace(state.matrix @ p).real) for _, p in groups])
+            probs = probs / probs.sum()
+            live = [k for k in range(len(groups)) if probs[k] > 1e-12]
+            pick = np.searchsorted(np.cumsum(probs[live]), u, side="right")
+            k = live[min(int(pick), len(live) - 1)]
+            values.append(round(groups[k][0], 12) + 0.0)
+            state = qt.collapse(state, groups[k][1])
+        counts[tuple(values)] = counts.get(tuple(values), 0) + 1
+    expected = {key: n / shots for key, n in sorted(counts.items())}
+
+    report = mkc.simulate_sequence(rho3, observables, family3, seed, shots)
+    assert report.frequencies == expected
+    assert list(report.frequencies) == list(expected)
+    assert set(report.frequencies) <= set(report.exact_probabilities)
+    assert sum(report.exact_probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sequence_cabello_one_ninth():

@@ -175,6 +175,9 @@ def load_program(
     observables = [
         _complex_array(m, (dim, dim), f"observable {k}") for k, m in enumerate(observables)
     ]
+    for k, mat in enumerate(observables):
+        if np.abs(mat - mat.conj().T).max() > qt.STRUCT_TOL:
+            raise CliError(f"observable {k} must be Hermitian")
     include = [_nonzero_vector(v, dim, f"planted vector {k}") for k, v in enumerate(include)]
     spec = program.get("state")
     if spec is None:
@@ -182,7 +185,11 @@ def load_program(
     elif isinstance(spec, dict) and "pure" in spec:
         rho = qt.DensityOperator.pure(_nonzero_vector(spec["pure"], dim, "pure state"))
     elif isinstance(spec, dict) and "density" in spec:
-        rho = qt.DensityOperator(_complex_array(spec["density"], (dim, dim), "density state"))
+        matrix = _complex_array(spec["density"], (dim, dim), "density state")
+        try:
+            rho = qt.DensityOperator(matrix)
+        except ValueError as exc:
+            raise CliError(f"density state: {exc}") from exc
     else:
         raise CliError("state must be given as 'pure' or 'density'")
     return observables, include, rho
@@ -429,9 +436,7 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
             assert not result.colorable, f"{name} unexpectedly colorable"
             assert elapsed < 5.0, f"{name} search took {elapsed:.2f}s"
             out[name] = {"nodes": result.nodes_explored}
-        witness = ks.cabello_parity_witness(
-            ks.build_orth_structure(load_builtin("cabello18"))
-        )
+        witness = ks.cabello_parity_witness(structure)  # the loop ends on cabello18
         assert witness.bases_count == 9 and witness.bases_parity_odd
         assert set(witness.membership_counts) == {2}
         out["parity"] = {"bases": witness.bases_count, "memberships": 2}

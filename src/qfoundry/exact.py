@@ -1,9 +1,10 @@
 """Exact arithmetic in the ring generated by sqrt(2) and sqrt(3).
 
 Scalars are stored as a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational
-coefficients, so orthogonality of the embedded vector tables is decided
-exactly, never through floating point.  Direction vectors are kept
-unnormalized; ray identity and orthogonality are scale invariant.
+coefficients.  Direction vectors are kept unnormalized, and each carries a
+primitive ray key: its entries scaled by a nonzero field element to integer
+coefficients over (1, sqrt2, sqrt3, sqrt6).  Ray identity and orthogonality
+are integer computations on that key, never floating point.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction as Q
-from functools import reduce
 from typing import Iterable, Sequence
 
 SQRT2_F = math.sqrt(2.0)
@@ -103,37 +103,17 @@ class QuadScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.coefficients()
-        a2, b2, c2, d2 = other.coefficients()
-        # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
-        return QuadScalar(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        return QuadScalar(*_mul(self.coefficients(), other.coefficients()))
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "QuadScalar":
-        """Conjugate sending sqrt2 -> -sqrt2 (also flips sqrt6)."""
-        return QuadScalar(self.a, -self.b, self.c, -self.d)
-
-    def conj_sqrt3(self) -> "QuadScalar":
-        """Conjugate sending sqrt3 -> -sqrt3 (also flips sqrt6)."""
-        return QuadScalar(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "QuadScalar":
-        """Multiplicative inverse; Q(sqrt2, sqrt3) is a field."""
+        """Multiplicative inverse, the adjugate over the field norm."""
         if self.is_zero():
             raise ZeroDivisionError("zero element of Q(sqrt2, sqrt3)")
-        # x * conj2(x) lies in Q(sqrt3); rationalize once more over sqrt3.
-        partial = self * self.conj_sqrt2()
-        norm = partial * partial.conj_sqrt3()
-        assert not (norm.b or norm.c or norm.d)
-        scale = 1 / norm.a
-        out = self.conj_sqrt2() * partial.conj_sqrt3()
-        return QuadScalar(out.a * scale, out.b * scale, out.c * scale, out.d * scale)
+        adj = _adjugate(self.coefficients())
+        norm = _mul(self.coefficients(), adj)[0]
+        return QuadScalar(*(coef / norm for coef in adj))
 
     def __truediv__(self, other) -> "QuadScalar":
         other = _coerce(other)
@@ -166,6 +146,25 @@ class QuadScalar:
         return "".join(parts) if parts else "0"
 
 
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two coefficient 4-tuples over (1, sqrt2, sqrt3, sqrt6)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    # sqrt2*sqrt3 = sqrt6, sqrt2*sqrt6 = 2*sqrt3, sqrt3*sqrt6 = 3*sqrt2
+    return (
+        a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+        a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def _adjugate(x: tuple) -> tuple:
+    """Product of the three other conjugates of x, so x * _adjugate(x) is rational."""
+    a, b, c, d = x
+    return _mul(_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+
+
 def _coerce(value) -> QuadScalar | None:
     if isinstance(value, QuadScalar):
         return value
@@ -181,9 +180,9 @@ class ExactVector:
     """An unnormalized direction vector with entries in Q(sqrt2, sqrt3).
 
     Vectors on the same ray (scalar multiples over the field, either sign)
-    compare equal and hash equal.  The canonical form divides by the first
-    nonzero entry and rescales to a primitive integer-coefficient tuple, so
-    ray identity is a plain tuple comparison.
+    compare equal and hash equal.  The ray key scales the entries so that the
+    first nonzero one becomes a positive integer and all coefficients are
+    coprime integers, so ray identity is a plain tuple comparison.
     """
 
     __slots__ = ("entries", "label", "_key")
@@ -206,11 +205,6 @@ class ExactVector:
         """Canonical primitive coefficient tuple identifying the ray."""
         return self._key
 
-    def canonical(self) -> "ExactVector":
-        """The canonical representative of this vector's ray."""
-        entries = tuple(QuadScalar(*coeffs) for coeffs in self._key)
-        return ExactVector(entries, self.label)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactVector):
             return NotImplemented
@@ -232,35 +226,36 @@ class ExactVector:
 
 
 def _ray_key(entries: tuple[QuadScalar, ...]) -> tuple:
-    lead = next(e for e in entries if not e.is_zero())
-    scaled = [e * lead.inverse() for e in entries]
-    denom_lcm = reduce(
-        math.lcm, (coef.denominator for e in scaled for coef in e.coefficients()), 1
-    )
-    ints = [
-        [coef.numerator * (denom_lcm // coef.denominator) for coef in e.coefficients()]
-        for e in scaled
-    ]
-    common = reduce(math.gcd, (abs(x) for row in ints for x in row), 0)
-    # first nonzero entry became 1, then denom_lcm/common > 0: leading
-    # rational coefficient is automatically positive.
+    coefs = [e.coefficients() for e in entries]
+    denom_lcm = math.lcm(*(c.denominator for row in coefs for c in row))
+    ints = [[c.numerator * (denom_lcm // c.denominator) for c in row] for row in coefs]
+    # times its adjugate, the first nonzero entry becomes a nonzero integer
+    adj = _adjugate(next(row for row in ints if any(row)))
+    ints = [_mul(row, adj) for row in ints]
+    lead = next(row[0] for row in ints if any(row))
+    common = math.gcd(*(x for row in ints for x in row)) * (1 if lead > 0 else -1)
     return tuple(tuple(x // common for x in row) for row in ints)
+
+
+def _check_dimensions(u: ExactVector, v: ExactVector) -> None:
+    if u.dimension != v.dimension:
+        raise DimensionMismatchError(f"dimension mismatch: {u.dimension} vs {v.dimension}")
 
 
 def inner_product(u: ExactVector, v: ExactVector) -> QuadScalar:
     """Exact real inner product of two unnormalized vectors."""
-    if u.dimension != v.dimension:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {u.dimension} vs {v.dimension}"
-        )
-    out = ZERO
-    for x, y in zip(u.entries, v.entries):
-        out = out + x * y
-    return out
+    _check_dimensions(u, v)
+    return sum((x * y for x, y in zip(u.entries, v.entries)), ZERO)
 
 
 def orthogonal(u: ExactVector, v: ExactVector) -> bool:
-    return inner_product(u, v).is_zero()
+    """Exact orthogonality test on the integer ray keys.
+
+    Each key is a nonzero field multiple of its vector, so the key inner
+    product vanishes exactly when the vectors' inner product does.
+    """
+    _check_dimensions(u, v)
+    return not any(map(sum, zip(*map(_mul, u._key, v._key))))
 
 
 def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:

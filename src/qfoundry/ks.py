@@ -108,32 +108,30 @@ def build_orth_structure(vset: VectorSet) -> OrthStructure:
 
     n = len(vectors)
     dim = vset.dimension
-    orth = [[False] * n for _ in range(n)]
+    # orth[i] has bit j set for every later vector j orthogonal to vector i
+    orth = [0] * n
     for i, j in combinations(range(n), 2):
         if orthogonal(vectors[i], vectors[j]):
-            orth[i][j] = orth[j][i] = True
+            orth[i] |= 1 << j
 
     bases: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: list[int]) -> None:
+    def extend(clique: list[int], candidates: int) -> None:
+        """Grow the clique by later vectors orthogonal to all its members."""
         if len(clique) == dim:
             bases.append(tuple(clique))
             return
-        for idx, cand in enumerate(candidates):
-            if all(orth[cand][member] for member in clique):
-                extend(clique + [cand], candidates[idx + 1 :])
+        while candidates:
+            cand = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            extend(clique + [cand], candidates & orth[cand])
 
-    extend([], list(range(n)))
+    extend([], (1 << n) - 1)
 
-    in_basis = set()
     for basis in bases:
         for i, j in combinations(basis, 2):
-            in_basis.add((i, j))
-    pairs = tuple(
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if orth[i][j] and (i, j) not in in_basis
-    )
+            orth[i] &= ~(1 << j)
+    pairs = tuple((i, j) for i, j in combinations(range(n), 2) if orth[i] >> j & 1)
     return OrthStructure(vectors, tuple(bases), pairs)
 
 

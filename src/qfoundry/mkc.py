@@ -156,11 +156,13 @@ def generate_basis_family(
         raise ValueError(f"family size capped at {MAX_FAMILY_SIZE}")
     if len(include) > size:
         raise ValueError("more planted vectors than bases")
+    include = [np.asarray(vec, dtype=complex) for vec in include]
+    if not all(np.isfinite(v).all() and v.any() for v in include):
+        raise ValueError("planted vectors must be finite and nonzero")
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     attempts = 0
-    for vec in include:
-        v = np.asarray(vec, dtype=complex)
+    for v in include:
         while True:
             attempts += 1
             if attempts > RESAMPLE_BUDGET:

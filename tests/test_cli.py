@@ -330,9 +330,15 @@ OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for
         ({"state": {"pure": [[0, 0], [1, 0]]}, "observables": [OBSERVABLE3]},
          "pure state must hold 3 finite"),
         ([OBSERVABLE3], "must define 'observables'"),
+        ({"observables": [[[[0, 0], [1, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]]},
+         "observable 0 must be Hermitian"),
+        ({"state": {"density": [[[2, 0] if i == j == 0 else [0, 0] for j in range(3)]
+                                for i in range(3)]},
+          "observables": [OBSERVABLE3]},
+         "density state: density operator must have unit trace"),
     ],
     ids=["include-not-pairs", "dimension-mismatch", "zero-include", "too-many-includes",
-         "short-pure-state", "not-an-object"],
+         "short-pure-state", "not-an-object", "non-hermitian-observable", "trace-two-density"],
 )
 def test_program_usage_errors(capsys, tmp_path, program, fragment):
     path = tmp_path / "program.json"

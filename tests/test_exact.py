@@ -1,9 +1,14 @@
 """Exact scalar and vector arithmetic."""
 
+import math
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import product
 
+import numpy as np
 import pytest
 
+from qfoundry.datasets import load_builtin
 from qfoundry.exact import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -104,6 +109,8 @@ def test_inner_product_symmetry_random():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         inner_product(ExactVector([1, 0]), ExactVector([1, 0, 0]))
+    with pytest.raises(DimensionMismatchError):
+        orthogonal(ExactVector([1, 0]), ExactVector([0, 0, 1]))
 
 
 def test_cross_product_examples():
@@ -200,3 +207,73 @@ def test_orthogonality_scale_invariant():
     v = ExactVector([R2, QuadScalar(-1), QuadScalar(1)])
     assert orthogonal(u, v)
     assert orthogonal(u.scaled(R3), v.scaled(Q(-5, 2)))
+
+
+def _division_ray_key(vector):
+    """Reference ray key through the field inverse: divide every entry by the
+    first nonzero one, clear denominators, then divide out the common factor."""
+    lead = next(e for e in vector.entries if not e.is_zero())
+    scaled = [e * lead.inverse() for e in vector.entries]
+    denom_lcm = reduce(
+        math.lcm, (coef.denominator for e in scaled for coef in e.coefficients()), 1
+    )
+    ints = [
+        [coef.numerator * (denom_lcm // coef.denominator) for coef in e.coefficients()]
+        for e in scaled
+    ]
+    common = reduce(math.gcd, (abs(x) for row in ints for x in row), 0)
+    return tuple(tuple(x // common for x in row) for row in ints)
+
+
+def _sparse_scalar(rng):
+    """A random scalar with each coefficient zeroed with probability 1/2."""
+    coefs = _random_scalar(rng).coefficients()
+    return QuadScalar(*(c if rng.random() < 0.5 else 0 for c in coefs))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ray_key_matches_division_reference(dim):
+    rng = np.random.default_rng(100 + dim)
+    checked = 0
+    while checked < 150:
+        entries = [_sparse_scalar(rng) for _ in range(dim)]
+        factor = _random_scalar(rng) if checked % 2 else _sparse_scalar(rng)
+        if all(e.is_zero() for e in entries) or factor.is_zero():
+            continue
+        v = ExactVector(entries)
+        w = v.scaled(factor)
+        assert v.ray_key() == _division_ray_key(v)
+        assert w.ray_key() == _division_ray_key(w) == v.ray_key()
+        lead = next(row for row in v.ray_key() if any(row))
+        assert lead[0] > 0 and not any(lead[1:])
+        checked += 1
+
+
+@pytest.mark.parametrize("name", ["peres33", "cabello18"])
+def test_orthogonal_matches_inner_product_on_builtin_sets(name):
+    vectors = load_builtin(name).vectors
+    hits = 0
+    for u, v in product(vectors, vectors):
+        assert orthogonal(u, v) == inner_product(u, v).is_zero()
+        hits += orthogonal(u, v)
+    assert hits > 0
+
+
+def test_orthogonal_matches_inner_product_random():
+    rng = np.random.default_rng(41)
+    hits = 0
+    for _ in range(150):
+        dim = int(rng.integers(2, 5))
+        u = ExactVector([_sparse_scalar(rng) + QuadScalar(1) for _ in range(dim)])
+        v = ExactVector([_sparse_scalar(rng) for _ in range(dim - 1)] + [QuadScalar(1)])
+        pairs = [(u, v)]
+        if dim == 3:
+            try:
+                w = cross_product(u, v).scaled(_random_scalar(rng) + QuadScalar(1, 1))
+                pairs += [(u, w), (w, v.scaled(_sparse_scalar(rng) + R3))]
+            except DegenerateInputError:
+                continue
+        for x, y in pairs:
+            assert orthogonal(x, y) == inner_product(x, y).is_zero()
+            hits += orthogonal(x, y)
+    assert hits > 50

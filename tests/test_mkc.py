@@ -293,6 +293,13 @@ def test_family_generation_validation():
         mkc.generate_basis_family(3, 65, seed=0)
 
 
+@pytest.mark.parametrize("vector", [np.zeros(3), np.array([1.0, np.nan, 0.0])], ids=["zero", "nan"])
+def test_planted_vector_must_be_finite_and_nonzero(vector):
+    # unchecked, a zero vector normalises to NaN and the basis completion never ends
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        mkc.generate_basis_family(3, 4, 0, include=[vector])
+
+
 def test_composite_family_not_factorizable():
     # a one-sided observable realized in a dim-4 family is generically
     # non-local: its realization is far from every X (x) 1

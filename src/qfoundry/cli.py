@@ -379,9 +379,12 @@ def cmd_logic_heyting(args, config: RunConfig) -> int:
     rng = np.random.default_rng(args.seed)
     bases = [mkc.random_unitary(rng, args.dim).T for _ in range(args.bases)]
     poset = logic.poset_from_bases(bases)
-    report = logic.check_heyting_laws(
-        poset, args.variant, exhaustive=args.exhaustive, seed=args.seed
-    )
+    try:
+        report = logic.check_heyting_laws(
+            poset, args.variant, exhaustive=args.exhaustive, seed=args.seed
+        )
+    except logic.ExhaustiveLimitError as exc:
+        raise CliError(str(exc)) from exc
     emit(
         {
             "dim": args.dim,

@@ -11,8 +11,10 @@ projections are related across contexts.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -178,20 +180,25 @@ class Context:
 class ContextPoset:
     """A finite poset of contexts ordered by algebra inclusion.
 
-    Always contains the trivial context.  Inclusion i <= j means every atom
-    of context j refines into (lies below) an atom of context i; refinement
-    maps are precomputed so lattice elements are pure bitmask data.
+    Always contains the trivial context first, and each algebra once (later
+    copies are dropped), so inclusion is antisymmetric.  Inclusion i <= j
+    means every atom of context j refines into (lies below) an atom of
+    context i; refinement maps are precomputed so lattice elements are pure
+    bitmask data.
     """
 
     def __init__(self, contexts: Iterable[Context]) -> None:
         contexts = list(contexts)
         dim = contexts[0].atoms[0].shape[0]
         trivial = Context(atoms=(np.eye(dim, dtype=complex),), name="trivial")
-        self.contexts: list[Context] = [trivial]
-        for ctx in contexts:
-            if ctx.size == 1:
-                continue  # another copy of the trivial context
-            self.contexts.append(ctx)
+        self.contexts: list[Context] = []
+        seen_keys: set[frozenset] = set()
+        for ctx in [trivial, *contexts]:
+            # order-independent algebra fingerprint (+0.0 normalizes signed zeros)
+            key = frozenset((np.round(a, 9) + 0.0).tobytes() for a in ctx.atoms)
+            if key not in seen_keys:
+                seen_keys.add(key)
+                self.contexts.append(ctx)
         n = len(self.contexts)
         self.dimension = dim
         # refine[i][j][k] = index of the atom of context i containing atom k
@@ -245,28 +252,19 @@ def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
 
     Each basis contributes its maximal abelian algebra; in dimension >= 3
     the two-block algebras {P_i, 1 - P_i} are included as intermediate
-    contexts.  Duplicate algebras are merged.
+    contexts.  Duplicate algebras are merged by ContextPoset.
     """
     contexts: list[Context] = []
-    seen_keys: set[frozenset] = set()
-
-    def add(atoms: tuple[np.ndarray, ...], name: str) -> None:
-        # order-independent algebra fingerprint (+0.0 normalizes signed zeros)
-        key = frozenset((np.round(a, 9) + 0.0).tobytes() for a in atoms)
-        if key in seen_keys:
-            return
-        seen_keys.add(key)
-        contexts.append(Context(atoms=atoms, name=name))
-
     for b_idx, basis in enumerate(bases):
         basis = np.asarray(basis, dtype=complex)
         dim = basis.shape[0]
         atoms = tuple(np.outer(basis[k], basis[k].conj()) for k in range(dim))
-        add(atoms, f"basis{b_idx}")
+        contexts.append(Context(atoms=atoms, name=f"basis{b_idx}"))
         if dim >= 3:
             eye = np.eye(dim, dtype=complex)
             for k in range(dim):
-                add((atoms[k], eye - atoms[k]), f"basis{b_idx}:block{k}")
+                block = (atoms[k], eye - atoms[k])
+                contexts.append(Context(atoms=block, name=f"basis{b_idx}:block{k}"))
     return ContextPoset(contexts)
 
 
@@ -295,23 +293,35 @@ VARIANT_DOWN = "l3"  # finer contexts carry smaller projections
 VARIANT_UP = "l2"  # finer contexts carry larger projections
 
 
+def _mask_bounds(poset, masks, i, variant) -> tuple[int, int]:
+    """(forced, allowed) atom masks of context i given its coarser contexts'
+    masks: a monotone element has forced <= masks[i] <= allowed there."""
+    coarser = [poset.expand_mask(d, i, masks[d]) for d in poset.sub_contexts(i) if d != i]
+    if variant == VARIANT_DOWN:  # S(fine) <= S(coarse)
+        return 0, reduce(operator.and_, coarser, poset.full_mask(i))
+    if variant == VARIANT_UP:  # S(coarse) <= S(fine)
+        return reduce(operator.or_, coarser, 0), poset.full_mask(i)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _walk(poset: ContextPoset, variant: str, choices) -> list[list[int]]:
+    """Monotone mask lists, filled coarse to fine along a linear extension:
+    each context takes every mask that choices(forced, allowed) returns."""
+    partial = [[0] * len(poset.contexts)]
+    for i in sorted(range(len(poset.contexts)), key=lambda c: len(poset.sub_contexts(c))):
+        partial = [
+            masks[:i] + [mask] + masks[i + 1 :]
+            for masks in partial
+            for mask in choices(*_mask_bounds(poset, masks, i, variant))
+        ]
+    return partial
+
+
 def is_monotone(poset: ContextPoset, element: ContextFunction, variant: str) -> bool:
-    n = len(poset.contexts)
-    for i in range(n):
-        for j in range(n):
-            if i == j or not poset.included(i, j):
-                continue
-            coarse_in_fine = poset.expand_mask(i, j, element.masks[i])
-            if variant == VARIANT_DOWN:
-                # S(fine) <= S(coarse)
-                if element.masks[j] & ~coarse_in_fine:
-                    return False
-            elif variant == VARIANT_UP:
-                # S(coarse) <= S(fine)
-                if coarse_in_fine & ~element.masks[j]:
-                    return False
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
+    for i, mask in enumerate(element.masks):
+        forced, allowed = _mask_bounds(poset, element.masks, i, variant)
+        if forced & ~mask or mask & ~allowed:
+            return False
     return True
 
 
@@ -365,21 +375,14 @@ def l2_implication(
 ) -> ContextFunction:
     """Largest context projection below every finer complement-join."""
     _require_monotone(poset, (s1, s2), VARIANT_UP)
+    target = [(poset.full_mask(d) & ~a) | b for d, (a, b) in enumerate(zip(s1.masks, s2.masks))]
     masks = []
-    for c in range(len(poset.contexts)):
-        size = poset.contexts[c].size
-        out = 0
-        for atom in range(size):
-            bit = 1 << atom
-            ok = True
-            for d in poset.super_contexts(c):
-                target = (poset.full_mask(d) & ~s1.masks[d]) | s2.masks[d]
-                if poset.expand_mask(c, d, bit) & ~target:
-                    ok = False
-                    break
-            if ok:
-                out |= bit
-        masks.append(out)
+    for c, ctx in enumerate(poset.contexts):
+        finer = poset.super_contexts(c)
+        masks.append(sum(
+            1 << k for k in range(ctx.size)
+            if all(not poset.expand_mask(c, d, 1 << k) & ~target[d] for d in finer)
+        ))
     return ContextFunction(masks)
 
 
@@ -396,62 +399,43 @@ def embed_projection(poset: ContextPoset, projection) -> ContextFunction:
     return element
 
 
+class ExhaustiveLimitError(ValueError):
+    """More candidate assignments than exhaustive checking takes."""
+
+
 def enumerate_elements(poset: ContextPoset, variant: str) -> list[ContextFunction]:
-    """All monotone elements, by filtered product over per-context masks."""
-    sizes = [1 << ctx.size for ctx in poset.contexts]
-    total = 1
-    for s in sizes:
-        total *= s
+    """All monotone elements, in lexicographic order of their mask tuples.
+
+    Refuses posets with over MAX_EXHAUSTIVE_ELEMENTS candidate assignments
+    (the product of 2^size over the contexts); the walk then offers each
+    context every mask between its forced and allowed masks.
+    """
+    total = math.prod(1 << ctx.size for ctx in poset.contexts)
     if total > MAX_EXHAUSTIVE_ELEMENTS:
-        raise ValueError(
+        raise ExhaustiveLimitError(
             f"poset has {total} candidate assignments, over the exhaustive "
             f"limit of {MAX_EXHAUSTIVE_ELEMENTS}"
         )
-    out = []
-    for masks in product(*(range(s) for s in sizes)):
-        el = ContextFunction(masks)
-        if is_monotone(poset, el, variant):
-            out.append(el)
-    return out
+
+    def every(forced, allowed):
+        return [m for m in range(allowed + 1) if not (forced & ~m or m & ~allowed)]
+
+    return [ContextFunction(masks) for masks in sorted(_walk(poset, variant, every))]
 
 
 def sample_elements(
     poset: ContextPoset, variant: str, count: int, seed: int
 ) -> list[ContextFunction]:
-    """Seeded random monotone elements, built along a linear extension."""
+    """Seeded random monotone elements: each context keeps its forced atoms
+    and draws each other allowed atom, in ascending order, with chance 1/2."""
     rng = np.random.default_rng(seed)
-    order = sorted(
-        range(len(poset.contexts)), key=lambda i: len(poset.sub_contexts(i))
-    )
-    out = []
-    for _ in range(count):
-        masks = [0] * len(poset.contexts)
-        for i in order:
-            if variant == VARIANT_DOWN:
-                bound = poset.full_mask(i)
-                for d in poset.sub_contexts(i):
-                    if d == i:
-                        continue
-                    bound &= poset.expand_mask(d, i, masks[d])
-                allowed = [k for k in range(poset.contexts[i].size) if bound >> k & 1]
-                mask = 0
-                for k in allowed:
-                    if rng.random() < 0.5:
-                        mask |= 1 << k
-                masks[i] = mask
-            else:
-                forced = 0
-                for d in poset.sub_contexts(i):
-                    if d == i:
-                        continue
-                    forced |= poset.expand_mask(d, i, masks[d])
-                mask = forced
-                for k in range(poset.contexts[i].size):
-                    if not (forced >> k & 1) and rng.random() < 0.5:
-                        mask |= 1 << k
-                masks[i] = mask
-        out.append(ContextFunction(masks))
-    return out
+
+    def draw(forced, allowed):
+        free = allowed & ~forced
+        return [forced | sum(1 << k for k in range(free.bit_length())
+                             if free >> k & 1 and rng.random() < 0.5)]
+
+    return [ContextFunction(_walk(poset, variant, draw)[0]) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -474,10 +458,17 @@ def check_heyting_laws(
     sample_count: int = 12,
     seed: int = 0,
 ) -> LawReport:
-    """Verify lattice axioms, distributivity and the implication adjunction.
+    """Verify lattice axioms, distributivity, the implication adjunction and
+    closure of the monotone elements under join, meet and implication.
 
-    Runs over all element triples when exhaustive, otherwise over a seeded
-    sample, and reports every counterexample found.
+    The elements (all when exhaustive, else a seeded sample plus bottom and
+    top) form an (E, C) mask array m, so join and meet are `|` and `&`.
+    Idempotence is checked over E elements; commutativity, absorption and
+    closure (is_monotone of join, meet and implication) over E x E pairs;
+    both associativities, both distributivities and the adjunction
+    s & t <= r <=> s <= (t -> r) over E^3 triples, one (E, E) comparison
+    per s.  Violations are listed by s, then law, then (t, r) (pairs by law,
+    then (s, t), before the triples); the report keeps the first 16.
     """
     if exhaustive:
         elements = enumerate_elements(poset, variant)
@@ -486,36 +477,41 @@ def check_heyting_laws(
         elements.extend([bottom(poset), top(poset)])
         elements = list(dict.fromkeys(elements))
 
-    implication = l3_implication if variant == VARIANT_DOWN else l2_implication
-    arrows = {(t, r): implication(poset, t, r) for t, r in product(elements, repeat=2)}
+    implication = {VARIANT_DOWN: l3_implication, VARIANT_UP: l2_implication}[variant]
+    arrow = np.array([[implication(poset, t, r).masks for r in elements] for t in elements])
+    m = np.array([el.masks for el in elements])
+    join, meet = m[:, None] | m, m[:, None] & m  # join[t, r] = t | r
+    distinct, inverse = np.unique(
+        np.concatenate([join, meet, arrow]).reshape(-1, m.shape[1]), axis=0, return_inverse=True
+    )
+    closed = [is_monotone(poset, ContextFunction(row), variant) for row in distinct.tolist()]
     violations: list[str] = []
-    checked = 0
-    for s in elements:
-        if cf_join(s, s) != s or cf_meet(s, s) != s:
-            violations.append(f"idempotence fails at {s}")
-    for s, t in product(elements, repeat=2):
-        if cf_join(s, t) != cf_join(t, s) or cf_meet(s, t) != cf_meet(t, s):
-            violations.append(f"commutativity fails at {s}, {t}")
-        if cf_join(s, cf_meet(s, t)) != s or cf_meet(s, cf_join(s, t)) != s:
-            violations.append(f"absorption fails at {s}, {t}")
-    for s, t, r in product(elements, repeat=3):
-        checked += 1
-        if cf_join(s, cf_join(t, r)) != cf_join(cf_join(s, t), r):
-            violations.append(f"join associativity fails at {s}, {t}, {r}")
-        if cf_meet(s, cf_meet(t, r)) != cf_meet(cf_meet(s, t), r):
-            violations.append(f"meet associativity fails at {s}, {t}, {r}")
-        if cf_meet(s, cf_join(t, r)) != cf_join(cf_meet(s, t), cf_meet(s, r)):
-            violations.append(f"meet-over-join distributivity fails at {s}, {t}, {r}")
-        if cf_join(s, cf_meet(t, r)) != cf_meet(cf_join(s, t), cf_join(s, r)):
-            violations.append(f"join-over-meet distributivity fails at {s}, {t}, {r}")
-        if (cf_leq(cf_meet(s, t), r)) != cf_leq(s, arrows[t, r]):
-            violations.append(f"adjunction fails at {s}, {t}, {r}")
+
+    def equal(a, b):
+        return (a == b).all(axis=-1)
+
+    def note(law, holds, *fixed):
+        for at in np.argwhere(~holds)[: 16 - len(violations)]:
+            where = ", ".join(str(elements[k]) for k in (*fixed, *at))
+            violations.append(f"{law} fails at {where}")
+
+    note("idempotence", equal(m | m, m) & equal(m & m, m))
+    note("commutativity", equal(join, join.swapaxes(0, 1)) & equal(meet, meet.swapaxes(0, 1)))
+    note("absorption", equal(m[:, None] | meet, m[:, None]) & equal(m[:, None] & join, m[:, None]))
+    note("closure", np.array(closed)[inverse].reshape(3, *join.shape[:2]).all(axis=0))
+    for s in range(len(elements)):
+        note("join associativity", equal(m[s] | join, join[s, :, None] | m), s)
+        note("meet associativity", equal(m[s] & meet, meet[s, :, None] & m), s)
+        note("meet-over-join distributivity", equal(m[s] & join, meet[s, :, None] | meet[s]), s)
+        note("join-over-meet distributivity", equal(m[s] | meet, join[s, :, None] & join[s]), s)
+        adjoint = equal(m[s] & arrow, m[s])  # s <= (t -> r)
+        note("adjunction", equal(meet[s, :, None] & m, meet[s, :, None]) == adjoint, s)
     return LawReport(
         variant=variant,
         element_count=len(elements),
-        triples_checked=checked,
+        triples_checked=len(elements) ** 3,
         exhaustive=exhaustive,
-        violations=tuple(violations[:16]),
+        violations=tuple(violations),
     )
 
 

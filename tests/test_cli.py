@@ -171,6 +171,17 @@ def test_logic_heyting_l2_variant(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_logic_heyting_dim3_exhaustive(capsys, variant):
+    payload = run_json(
+        capsys, "logic", "heyting", "--dim", "3", "--bases", "1",
+        "--variant", variant, "--exhaustive",
+    )
+    assert payload["passed"] is True
+    assert payload["elements"] == 96
+    assert payload["triples_checked"] == 96**3 == 884736
+
+
 def test_logic_popper(capsys):
     payload = run_json(capsys, "logic", "popper")
     assert payload["p_undistributed"] == pytest.approx(0.5, abs=1e-12)
@@ -300,10 +311,12 @@ def test_seed_accepts_hex(capsys):
         (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf]"),
         (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
+        (["logic", "heyting", "--dim", "3", "--bases", "2", "--exhaustive"], 2,
+         "poset has 524288 candidate assignments, over the exhaustive limit of 4096"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "zero-generator-n",
          "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
-         "negative-seed", "inf-eps", "infinite-tolerance"],
+         "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit"],
 )
 def test_usage_errors(capsys, argv, code, fragment):
     got, out, err = run_cli(capsys, *argv)

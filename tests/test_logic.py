@@ -238,3 +238,164 @@ def test_dim3_l3_sampled_laws():
     poset = logic.poset_from_bases([q1.T, q2.T])
     report = logic.check_heyting_laws(poset, "l3", exhaustive=False, sample_count=8, seed=2)
     assert report.passed
+
+
+# Reference versions of the element enumeration, the sampler and the law
+# checker as one loop per candidate, element and triple, kept to pin down
+# the mask-array implementations.
+
+
+def _reference_is_monotone(poset, masks, variant):
+    for i, j in product(range(len(poset.contexts)), repeat=2):
+        if i == j or not poset.included(i, j):
+            continue
+        coarse_in_fine = poset.expand_mask(i, j, masks[i])
+        if variant == "l3" and masks[j] & ~coarse_in_fine:
+            return False
+        if variant == "l2" and coarse_in_fine & ~masks[j]:
+            return False
+    return True
+
+
+def _reference_enumerate(poset, variant):
+    sizes = [1 << ctx.size for ctx in poset.contexts]
+    return [
+        logic.ContextFunction(masks)
+        for masks in product(*(range(s) for s in sizes))
+        if _reference_is_monotone(poset, masks, variant)
+    ]
+
+
+def _reference_sample(poset, variant, count, seed):
+    rng = np.random.default_rng(seed)
+    order = sorted(range(len(poset.contexts)), key=lambda i: len(poset.sub_contexts(i)))
+    out = []
+    for _ in range(count):
+        masks = [0] * len(poset.contexts)
+        for i in order:
+            coarser = [poset.expand_mask(d, i, masks[d]) for d in poset.sub_contexts(i) if d != i]
+            if variant == "l3":
+                allowed = poset.full_mask(i)
+                for c in coarser:
+                    allowed &= c
+                masks[i] = 0
+                for k in range(poset.contexts[i].size):
+                    if allowed >> k & 1 and rng.random() < 0.5:
+                        masks[i] |= 1 << k
+            else:
+                masks[i] = 0
+                for c in coarser:
+                    masks[i] |= c
+                for k in range(poset.contexts[i].size):
+                    if not masks[i] >> k & 1 and rng.random() < 0.5:
+                        masks[i] |= 1 << k
+        out.append(logic.ContextFunction(masks))
+    return out
+
+
+def _reference_check(poset, variant):
+    join, meet, leq = logic.cf_join, logic.cf_meet, logic.cf_leq
+    elements = _reference_enumerate(poset, variant)
+    implication = logic.l3_implication if variant == "l3" else logic.l2_implication
+    arrows = {(t, r): implication(poset, t, r) for t, r in product(elements, repeat=2)}
+    violations = []
+    for s in elements:
+        if join(s, s) != s or meet(s, s) != s:
+            violations.append(f"idempotence fails at {s}")
+    for s, t in product(elements, repeat=2):
+        if join(s, t) != join(t, s) or meet(s, t) != meet(t, s):
+            violations.append(f"commutativity fails at {s}, {t}")
+        if join(s, meet(s, t)) != s or meet(s, join(s, t)) != s:
+            violations.append(f"absorption fails at {s}, {t}")
+    checked = 0
+    for s, t, r in product(elements, repeat=3):
+        checked += 1
+        if join(s, join(t, r)) != join(join(s, t), r):
+            violations.append(f"join associativity fails at {s}, {t}, {r}")
+        if meet(s, meet(t, r)) != meet(meet(s, t), r):
+            violations.append(f"meet associativity fails at {s}, {t}, {r}")
+        if meet(s, join(t, r)) != join(meet(s, t), meet(s, r)):
+            violations.append(f"meet-over-join distributivity fails at {s}, {t}, {r}")
+        if join(s, meet(t, r)) != meet(join(s, t), join(s, r)):
+            violations.append(f"join-over-meet distributivity fails at {s}, {t}, {r}")
+        if leq(meet(s, t), r) != leq(s, arrows[t, r]):
+            violations.append(f"adjunction fails at {s}, {t}, {r}")
+    return len(elements), checked, tuple(violations[:16])
+
+
+def _random_bases(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    bases = []
+    for _ in range(count):
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        bases.append(np.linalg.qr(raw)[0].T)
+    return bases
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_law_report_matches_per_triple_reference(m2_poset, variant):
+    report = logic.check_heyting_laws(m2_poset, variant, exhaustive=True)
+    count, checked, violations = _reference_check(m2_poset, variant)
+    assert (report.element_count, report.triples_checked) == (count, checked)
+    assert report.passed and not violations
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_broken_adjunction_matches_per_triple_reference(m2_poset, variant, monkeypatch):
+    # top is monotone, so only the adjunction fails, in the same order
+    monkeypatch.setattr(logic, f"{variant}_implication", lambda poset, t, r: logic.top(poset))
+    report = logic.check_heyting_laws(m2_poset, variant, exhaustive=True)
+    count, checked, violations = _reference_check(m2_poset, variant)
+    assert (report.element_count, report.triples_checked) == (count, checked)
+    assert len(report.violations) == 16
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_enumeration_matches_product_filter(dim, count, variant):
+    poset = logic.poset_from_bases(_random_bases(dim + count, dim, count))
+    assert logic.enumerate_elements(poset, variant) == _reference_enumerate(poset, variant)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_sampling_matches_reference(seed, variant):
+    poset = logic.poset_from_bases(_random_bases(seed, 3, 2))
+    assert logic.sample_elements(poset, variant, 12, seed) == _reference_sample(
+        poset, variant, 12, seed
+    )
+
+
+def test_non_monotone_implication_fails_closure(m2_poset, monkeypatch):
+    real = logic.l3_implication
+    bottom = logic.bottom(m2_poset)
+    # (0, 1, 0) lies above no element but bottom, so the adjunction still
+    # holds, but it is not l3-monotone: the trivial context says bottom
+    leaky = logic.ContextFunction((0, 1, 0))
+    assert not logic.is_monotone(m2_poset, leaky, "l3")
+
+    def implication(poset, t, r):
+        arrow = real(poset, t, r)
+        return leaky if arrow == bottom else arrow
+
+    monkeypatch.setattr(logic, "l3_implication", implication)
+    report = logic.check_heyting_laws(m2_poset, "l3", exhaustive=True)
+    assert not report.passed
+    assert report.violations
+    assert all(v.startswith("closure fails at ") for v in report.violations)
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_duplicate_algebras_are_merged(variant):
+    atoms = tuple(np.diag(row).astype(complex) for row in np.eye(2))
+    contexts = [
+        logic.Context(atoms=atoms, name="a"),
+        logic.Context(atoms=atoms[::-1], name="a permuted"),
+        logic.Context(atoms=(np.eye(2, dtype=complex),), name="another trivial"),
+        logic.Context(atoms=atoms, name="a again"),
+    ]
+    poset = logic.ContextPoset(contexts)
+    assert [ctx.name for ctx in poset.contexts] == ["trivial", "a"]
+    # the coarse-to-fine walk needs antisymmetric inclusion to match the filter
+    assert logic.enumerate_elements(poset, variant) == _reference_enumerate(poset, variant)

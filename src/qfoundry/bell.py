@@ -268,7 +268,7 @@ def imprecise_sum_grid_sup(steps: int = 101) -> tuple[float, tuple[float, float,
     """Grid supremum of P[sum = 2] over the rounded-rule-violating region."""
     axis = np.linspace(0.0, 1.0, steps)
     p1, p2, p3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    value = (1 - p1) * p2 * p3 + p1 * (1 - p2) * p3 + p1 * p2 * (1 - p3)
+    value = prob_sum_is_two(p1, p2, p3)
     violating = ((p1 >= 0.5).astype(int) + (p2 >= 0.5) + (p3 >= 0.5)) != 2
     value = np.where(violating, value, -np.inf)
     flat = int(np.argmax(value))

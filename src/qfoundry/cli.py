@@ -24,7 +24,7 @@ from . import DEFAULT_SEED, __version__
 from . import bell, ks, logic, meyer, mkc
 from . import quantum as qt
 from .datasets import BUILTIN_SETS, load_builtin
-from .exact import VectorSet
+from .exact import DegenerateInputError, VectorSet
 
 SCHEMA = "qfoundry/1"
 
@@ -95,9 +95,19 @@ def load_vector_set(name: str) -> VectorSet:
             raise CliError(f"vector-set file not found: {name}")
         try:
             return VectorSet.load(name)
+        except OSError as exc:
+            raise CliError(f"cannot read {name}: {exc}") from exc
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     raise CliError(f"unknown dataset {name!r}; expected one of {BUILTIN_SETS} or a .json path")
+
+
+def load_structure(name: str) -> ks.OrthStructure:
+    """Orthogonality structure of a set; a duplicate ray is a usage error."""
+    try:
+        return ks.build_orth_structure(load_vector_set(name))
+    except DegenerateInputError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
@@ -199,13 +209,14 @@ def load_program(
 
 
 def cmd_ks_check(args, config: RunConfig) -> int:
-    structure = ks.build_orth_structure(load_vector_set(args.set))
-    if args.complete_pairs:
-        structure = ks.build_orth_structure(ks.complete_pairs_to_triads(structure))
+    structure = load_structure(args.set)
+    try:
+        if args.complete_pairs:
+            structure = ks.build_orth_structure(ks.complete_pairs_to_triads(structure))
+        colorings = ks.count_colorings(structure) if args.count else None
+    except ks.NotApplicableError as exc:  # the set does not meet the option's precondition
+        raise CliError(str(exc)) from exc
     result = ks.search_coloring(structure)
-    colorings = None
-    if args.count:
-        colorings = ks.count_colorings(structure)
     emit(
         {
             "set": args.set,
@@ -222,7 +233,7 @@ def cmd_ks_check(args, config: RunConfig) -> int:
 
 
 def cmd_ks_parity(args, config: RunConfig) -> int:
-    structure = ks.build_orth_structure(load_vector_set(args.set))
+    structure = load_structure(args.set)
     try:
         witness = ks.cabello_parity_witness(structure)
     except ks.NotApplicableError as exc:

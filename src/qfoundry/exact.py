@@ -301,6 +301,15 @@ class RationalPoint:
         return f"RationalPoint({self.x}, {self.y}, {self.z})"
 
 
+def _is_coordinate(coeffs) -> bool:
+    """Whether coeffs is four [num, den] integer pairs with nonzero den."""
+    return (isinstance(coeffs, list) and len(coeffs) == 4 and all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(type(x) is int for x in pair) and pair[1] != 0
+        for pair in coeffs
+    ))
+
+
 class VectorSet:
     """A labelled set of exact direction vectors sharing one dimension."""
 
@@ -335,19 +344,29 @@ class VectorSet:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "VectorSet":
-        try:
-            dimension = int(payload["dimension"])
-            raw = payload["vectors"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed vector-set payload: {exc}") from exc
+    def from_json_dict(cls, payload) -> "VectorSet":
+        """Parse the vector-set JSON format; ValueError names the first fault."""
+        dimension = payload.get("dimension") if isinstance(payload, dict) else None
+        if type(dimension) is not int or dimension < 1:
+            raise ValueError("vector set needs a positive integer 'dimension'")
+        raw = payload.get("vectors")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("vector set needs a nonempty 'vectors' list")
         vectors = []
-        for item in raw:
-            entries = [
-                QuadScalar(*(Q(num, den) for num, den in coeffs))
-                for coeffs in item["entries"]
-            ]
-            vectors.append(ExactVector(entries, item.get("label", "")))
+        for k, item in enumerate(raw):
+            if not isinstance(item, dict) or not isinstance(item.get("entries"), list):
+                raise ValueError(f"vector {k} needs an 'entries' list")
+            label = item.get("label", "")
+            if not isinstance(label, str):
+                raise ValueError(f"vector {k} has a non-string label")
+            entries = []
+            for i, coeffs in enumerate(item["entries"]):
+                if not _is_coordinate(coeffs):
+                    raise ValueError(
+                        f"vector {k} entry {i} must be four [num, den] integer pairs, den != 0"
+                    )
+                entries.append(QuadScalar(*(Q(num, den) for num, den in coeffs)))
+            vectors.append(ExactVector(entries, label))
         return cls(dimension, vectors)
 
     def dump(self, path) -> None:

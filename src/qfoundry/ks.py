@@ -3,7 +3,10 @@
 A coloring assigns 1 to exactly one vector of every full orthogonal basis
 and at most one vector of every remaining orthogonal pair.  The search is
 complete backtracking with unit propagation, so a negative answer is an
-exhaustion certificate.
+exhaustion certificate.  Its state is two int bitsets over the vectors,
+those fixed to 1 and those fixed to 0, passed down the recursion; each
+basis is one mask, and propagation visits only the bases of a changed
+vector.
 """
 
 from __future__ import annotations
@@ -38,18 +41,6 @@ class OrthStructure:
     @property
     def dimension(self) -> int:
         return self.vectors[0].dimension
-
-    def adjacency(self) -> list[set[int]]:
-        """Orthogonality graph over all basis and pair constraints."""
-        adj: list[set[int]] = [set() for _ in self.vectors]
-        for basis in self.bases:
-            for i, j in combinations(basis, 2):
-                adj[i].add(j)
-                adj[j].add(i)
-        for i, j in self.pairs:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -153,110 +144,89 @@ def complete_pairs_to_triads(structure: OrthStructure) -> VectorSet:
     return VectorSet(3, vectors)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Search:
-    UNSET = -1
+    """Backtracking over two int bitsets: the vectors fixed to 1 and to 0."""
 
     def __init__(self, structure: OrthStructure):
-        self.structure = structure
         self.n = len(structure.vectors)
-        self.adj = [sorted(s) for s in structure.adjacency()]
-        self.degree = [len(s) for s in self.adj]
-        self.bases = structure.bases
+        self.basis_masks = [sum(1 << v for v in basis) for basis in structure.bases]
+        # incident[v]: indices of the bases holding v; orth[v]: v's neighbours
+        self.incident: list[list[int]] = [[] for _ in range(self.n)]
+        self.orth = [0] * self.n
+        for b, basis in enumerate(structure.bases):
+            for v in basis:
+                self.incident[v].append(b)
+                self.orth[v] |= self.basis_masks[b] & ~(1 << v)
+        for i, j in structure.pairs:
+            self.orth[i] |= 1 << j
+            self.orth[j] |= 1 << i
         self.nodes = 0
+        self.solutions: list[tuple[int, ...]] = []
+
+    def propagate(self, ones: int, zeros: int, queue: list[int]) -> Optional[tuple[int, int]]:
+        """Close (ones, zeros) under the forcing rules; None on contradiction.
+
+        A 1 forces its neighbours to 0.  A basis with no 1 forces its only
+        open member to 1, and is violated when it has none.
+        """
+        while queue:
+            v = queue.pop()
+            if ones >> v & 1:
+                if self.orth[v] & ones:
+                    return None
+                new = self.orth[v] & ~zeros
+                zeros |= new
+                queue.extend(_bits(new))
+            for b in self.incident[v]:
+                if self.basis_masks[b] & ones:
+                    continue
+                open_ = self.basis_masks[b] & ~zeros
+                if not open_:
+                    return None
+                if not open_ & (open_ - 1):
+                    ones |= open_
+                    queue.append(open_.bit_length() - 1)
+        return ones, zeros
+
+    def branch(self, ones: int, zeros: int, count_all: bool) -> bool:
+        """Depth-first search; returns True to stop early (decision mode)."""
+        self.nodes += 1
+        # the first basis with no 1 and the fewest open members
+        basis = min((m for m in self.basis_masks if not m & ones),
+                    key=lambda m: (m & ~zeros).bit_count(), default=None)
+        if basis is not None:
+            # highest orthogonality degree first, ties by ascending index
+            for u in sorted(_bits(basis & ~zeros),
+                            key=lambda u: (-self.orth[u].bit_count(), u)):
+                state = self.propagate(ones | 1 << u, zeros, [u])
+                if state and self.branch(*state, count_all):
+                    return True
+            return False
+        # all bases satisfied: branch the remaining pair-only vectors, 1 first
+        free = ~(ones | zeros) & ((1 << self.n) - 1)
+        if not free:
+            self.solutions.append(tuple(ones >> v & 1 for v in range(self.n)))
+            return not count_all
+        v = (free & -free).bit_length() - 1
+        for state in ((ones | 1 << v, zeros), (ones, zeros | 1 << v)):
+            state = self.propagate(*state, [v])
+            if state and self.branch(*state, count_all):
+                return True
+        return False
 
     def run(self, count_all: bool) -> tuple[list[tuple[int, ...]], int]:
-        solutions: list[tuple[int, ...]] = []
-        assignment = [self.UNSET] * self.n
-
-        def propagate(trail: list[int], seeds: list[int]) -> bool:
-            """Push forced values; returns False on contradiction."""
-            queue = list(seeds)
-            while queue:
-                v = queue.pop()
-                if assignment[v] == 1:
-                    for u in self.adj[v]:
-                        if assignment[u] == 1:
-                            return False
-                        if assignment[u] == self.UNSET:
-                            assignment[u] = 0
-                            trail.append(u)
-                            queue.append(u)
-                # a basis with all-but-one 0 forces its last member to 1
-                for basis in self.bases:
-                    if v not in basis:
-                        continue
-                    unset = [u for u in basis if assignment[u] == self.UNSET]
-                    ones = sum(1 for u in basis if assignment[u] == 1)
-                    if ones == 0:
-                        if not unset:
-                            return False
-                        if len(unset) == 1:
-                            last = unset[0]
-                            assignment[last] = 1
-                            trail.append(last)
-                            queue.append(last)
-                    elif ones > 1:
-                        return False
-            return True
-
-        def undo(trail: list[int]) -> None:
-            for v in trail:
-                assignment[v] = self.UNSET
-
-        def pick_basis() -> Optional[tuple[int, ...]]:
-            best = None
-            best_open = None
-            for basis in self.bases:
-                if any(assignment[u] == 1 for u in basis):
-                    continue
-                open_count = sum(1 for u in basis if assignment[u] == self.UNSET)
-                if best is None or open_count < best_open:
-                    best, best_open = basis, open_count
-            return best
-
-        def branch() -> bool:
-            """Depth-first search; returns True to stop early (decision mode)."""
-            self.nodes += 1
-            basis = pick_basis()
-            if basis is not None:
-                candidates = [u for u in basis if assignment[u] == self.UNSET]
-                # highest orthogonality degree first, ties by ascending index
-                candidates.sort(key=lambda u: (-self.degree[u], u))
-                for u in candidates:
-                    assignment[u] = 1
-                    trail = [u]
-                    if propagate(trail, [u]) and branch():
-                        return True
-                    undo(trail)
-                return False
-            # all bases satisfied: branch the remaining pair-only vectors
-            free = next(
-                (v for v in range(self.n) if assignment[v] == self.UNSET), None
-            )
-            if free is None:
-                solutions.append(tuple(assignment))
-                return not count_all
-            for value in (1, 0):
-                assignment[free] = value
-                trail = [free]
-                if propagate(trail, [free]) and branch():
-                    return True
-                undo(trail)
-            return False
-
-        trail0: list[int] = []
-        # seed propagation handles single-member bases (dimension 1 corner)
-        ok = True
-        for basis in self.bases:
-            if len(basis) == 1 and assignment[basis[0]] == self.UNSET:
-                assignment[basis[0]] = 1
-                trail0.append(basis[0])
-                ok = propagate(trail0, [basis[0]])
-                if not ok:
-                    break
-        if ok:
-            branch()
-        return solutions, self.nodes
+        state = self.propagate(0, 0, list(range(self.n)))
+        if state:
+            self.branch(*state, count_all)
+        return self.solutions, self.nodes
 
 
 def search_coloring(structure: OrthStructure) -> SearchResult:

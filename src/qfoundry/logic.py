@@ -209,6 +209,8 @@ class ContextPoset:
         for i in range(n):
             for j in range(n):
                 self.refine[i][j] = self._refinement(self.contexts[i], self.contexts[j])
+        self._subs = [tuple(i for i in range(n) if self.included(i, j)) for j in range(n)]
+        self._supers = [tuple(j for j in range(n) if self.included(i, j)) for i in range(n)]
 
     @staticmethod
     def _refinement(coarse: Context, fine: Context) -> Optional[list[int]]:
@@ -228,11 +230,13 @@ class ContextPoset:
         """Whether context i's algebra is contained in context j's."""
         return self.refine[i][j] is not None
 
-    def sub_contexts(self, j: int) -> list[int]:
-        return [i for i in range(len(self.contexts)) if self.included(i, j)]
+    def sub_contexts(self, j: int) -> tuple[int, ...]:
+        """Contexts included in context j (j among them), ascending."""
+        return self._subs[j]
 
-    def super_contexts(self, i: int) -> list[int]:
-        return [j for j in range(len(self.contexts)) if self.included(i, j)]
+    def super_contexts(self, i: int) -> tuple[int, ...]:
+        """Contexts that include context i (i among them), ascending."""
+        return self._supers[i]
 
     def expand_mask(self, i: int, j: int, mask: int) -> int:
         """Re-express a projection of context i as an atom mask of finer j."""

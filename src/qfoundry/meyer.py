@@ -76,8 +76,7 @@ def to_primitive_pyth(p: RationalPoint) -> PythTriple:
 
 def meyer_color(p: RationalPoint) -> int:
     """0 when the primitive triple's third coordinate is odd, else 1."""
-    triple = to_primitive_pyth(p)
-    return 0 if triple.z % 2 else 1
+    return _triple_color(to_primitive_pyth(p).coords())
 
 
 def _triple_color(t: tuple[int, int, int]) -> int:
@@ -139,8 +138,7 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
 
     antipodal_violations = []
     for p in points:
-        neg = RationalPoint(-p.x, -p.y, -p.z)
-        if meyer_color(p) != meyer_color(neg):
+        if meyer_color(p) != meyer_color(-p):
             antipodal_violations.append(p.coords())
 
     colors = {r: _triple_color(r) for r in rays}

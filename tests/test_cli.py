@@ -78,6 +78,15 @@ def test_ks_check_malformed_file(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_ks_check_directory_path(capsys, tmp_path):
+    path = tmp_path / "sets.json"
+    path.mkdir()
+    code, out, err = run_cli(capsys, "ks", "check", "--set", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}")
+
+
 def test_ks_parity(capsys):
     payload = run_json(capsys, "ks", "parity", "--set", "cabello18")
     assert payload["bases"] == 9
@@ -293,6 +302,23 @@ def test_seed_accepts_hex(capsys):
     assert payload["seed"] == 0xC0FFEE
 
 
+class _VectorFile(dict):
+    """A vector-set payload that test_usage_errors writes to a .json file."""
+
+    def __init__(self, vectors, dimension=1):
+        super().__init__(dimension=dimension, vectors=vectors)
+
+    def write(self, directory):
+        path = directory / "vectors.json"
+        path.write_text(json.dumps(self))
+        return path
+
+
+def _coord(num, den=1):
+    """The coordinate num/den as four [num, den] pairs over 1, √2, √3, √6."""
+    return [[num, den], [0, 1], [0, 1], [0, 1]]
+
+
 @pytest.mark.parametrize(
     "argv, code, fragment",
     [
@@ -313,12 +339,37 @@ def test_seed_accepts_hex(capsys):
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
         (["logic", "heyting", "--dim", "3", "--bases", "2", "--exhaustive"], 2,
          "poset has 524288 candidate assignments, over the exhaustive limit of 4096"),
+        (["ks", "check", "--set", _VectorFile([{"label": "x"}])], 2,
+         "vector 0 needs an 'entries' list"),
+        (["ks", "check", "--set", _VectorFile([{"entries": [_coord(1, 0)]}])], 2,
+         "vector 0 entry 0 must be four [num, den] integer pairs, den != 0"),
+        (["ks", "check", "--set", _VectorFile([{"entries": [_coord("1")]}])], 2,
+         "vector 0 entry 0 must be four [num, den] integer pairs"),
+        (["ks", "check", "--set", _VectorFile([{"entries": [[[1, 1]]]}])], 2,
+         "vector 0 entry 0 must be four [num, den] integer pairs"),
+        (["ks", "check", "--set", _VectorFile([], dimension=0)], 2,
+         "vector set needs a positive integer 'dimension'"),
+        (["ks", "check", "--complete-pairs", "--set", _VectorFile([], dimension=3)], 2,
+         "vector set needs a nonempty 'vectors' list"),
+        (["ks", "check", "--count", "--set", _VectorFile(
+            [{"entries": [_coord(1), _coord(k)]} for k in range(65)], dimension=2)], 2,
+         "structure has 65 vectors, over the enumeration limit of 64"),
+        (["ks", "check", "--set", "cabello18", "--complete-pairs"], 2,
+         "pair completion requires dimension 3"),
+        (["ks", "check", "--set", _VectorFile([{"entries": [_coord(1)]},
+                                                {"entries": [_coord(-2)]}])], 2,
+         "duplicate ray"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "zero-generator-n",
          "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
-         "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit"],
+         "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
+         "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
+         "zero-dimension", "empty-vector-list", "count-over-limit",
+         "complete-pairs-in-dimension-4", "duplicate-ray"],
 )
-def test_usage_errors(capsys, argv, code, fragment):
+def test_usage_errors(capsys, tmp_path, argv, code, fragment):
+    # a _VectorFile argument is written to tmp_path and replaced by its path
+    argv = [str(arg.write(tmp_path)) if isinstance(arg, _VectorFile) else arg for arg in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""

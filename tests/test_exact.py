@@ -1,6 +1,7 @@
 """Exact scalar and vector arithmetic."""
 
 import math
+import re
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
@@ -277,3 +278,25 @@ def test_orthogonal_matches_inner_product_random():
             assert orthogonal(x, y) == inner_product(x, y).is_zero()
             hits += orthogonal(x, y)
     assert hits > 50
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        ([], "positive integer 'dimension'"),
+        ({"dimension": 2.5, "vectors": []}, "positive integer 'dimension'"),
+        ({"dimension": True, "vectors": []}, "positive integer 'dimension'"),
+        ({"dimension": 3, "vectors": []}, "nonempty 'vectors' list"),
+        ({"dimension": 3, "vectors": {"entries": []}}, "nonempty 'vectors' list"),
+        ({"dimension": 1, "vectors": ["x"]}, "vector 0 needs an 'entries' list"),
+        ({"dimension": 1, "vectors": [{"label": 7, "entries": [[[1, 1]] * 4]}]},
+         "vector 0 has a non-string label"),
+        ({"dimension": 1, "vectors": [{"entries": [[[1.5, 1]] * 4]}]}, "vector 0 entry 0"),
+        ({"dimension": 1, "vectors": [{"entries": [[[1, 1, 1]] * 4]}]}, "vector 0 entry 0"),
+        ({"dimension": 2, "vectors": [{"entries": [[[1, 1]] * 4]}]}, "expected 2"),
+        ({"dimension": 1, "vectors": [{"entries": [[[0, 1]] * 4]}]}, "zero vector"),
+    ],
+)
+def test_vector_set_payload_faults(payload, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        VectorSet.from_json_dict(payload)

@@ -1,5 +1,7 @@
 """Orthogonality structures and coloring search."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qfoundry.datasets import build_cabello18, build_peres33
 from qfoundry.exact import DegenerateInputError, ExactVector, VectorSet, orthogonal
 from qfoundry.ks import (
     NotApplicableError,
+    _Search,
     build_orth_structure,
     cabello_parity_witness,
     complete_pairs_to_triads,
@@ -16,6 +19,10 @@ from qfoundry.ks import (
 )
 
 REDUCED_PERES_COLORINGS = 48  # frozen from an independent product-enumeration oracle
+# the first coloring the search finds for peres33 without g_2^2 and g_2^3;
+# pinned so that a change of tie-break or candidate order shows
+REDUCED_PERES_FIRST = (1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1,
+                       0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +88,135 @@ def test_count_single_basis_dim_n():
         assert count_colorings(s) == dim
 
 
-def test_count_reduced_peres():
+def _reduced_peres():
     keep = [v for v in build_peres33() if v.label not in ("g_2^2", "g_2^3")]
-    s = build_orth_structure(VectorSet(3, keep))
+    return build_orth_structure(VectorSet(3, keep))
+
+
+def test_count_reduced_peres():
+    s = _reduced_peres()
     assert len(s.vectors) == 31
     assert count_colorings(s) == REDUCED_PERES_COLORINGS
+
+
+def test_search_nodes_are_frozen(peres, cabello):
+    # node counts are fixed by the basis choice and the candidate order
+    completed = build_orth_structure(complete_pairs_to_triads(peres))
+    assert [search_coloring(s).nodes_explored for s in (peres, cabello, completed)] == [16, 13, 16]
+    result = search_coloring(_reduced_peres())
+    assert result.nodes_explored == 7
+    assert result.coloring.assignment == REDUCED_PERES_FIRST
+
+
+def _trail_search(structure, count_all):
+    """Reference search on an assignment array with a trail, undone on backtrack.
+
+    Same rules and tie-breaks as ks._Search; returns (solutions, nodes).
+    """
+    n, unset = len(structure.vectors), -1
+    adj = [set() for _ in range(n)]
+    for group in [*structure.bases, *structure.pairs]:
+        for i, j in combinations(group, 2):
+            adj[i].add(j)
+            adj[j].add(i)
+    assignment, solutions, nodes = [unset] * n, [], [0]
+
+    def propagate(trail, queue):
+        while queue:
+            v = queue.pop()
+            if assignment[v] == 1:
+                for u in adj[v]:
+                    if assignment[u] == 1:
+                        return False
+                    if assignment[u] == unset:
+                        assignment[u] = 0
+                        trail.append(u)
+                        queue.append(u)
+            for basis in structure.bases:
+                if v not in basis:
+                    continue
+                ones = sum(assignment[u] == 1 for u in basis)
+                open_ = [u for u in basis if assignment[u] == unset]
+                if ones > 1 or ones == 0 and not open_:
+                    return False
+                if ones == 0 and len(open_) == 1:
+                    assignment[open_[0]] = 1
+                    trail.append(open_[0])
+                    queue.append(open_[0])
+        return True
+
+    def attempt(v, value):
+        assignment[v] = value
+        trail = [v]
+        stop = propagate(trail, [v]) and branch()
+        for u in trail:
+            assignment[u] = unset
+        return stop
+
+    def branch():
+        nodes[0] += 1
+        open_bases = [[u for u in b if assignment[u] == unset] for b in structure.bases
+                      if all(assignment[u] != 1 for u in b)]
+        if open_bases:
+            basis = min(open_bases, key=len)
+            return any(attempt(u, 1) for u in sorted(basis, key=lambda u: (-len(adj[u]), u)))
+        if unset not in assignment:
+            solutions.append(tuple(assignment))
+            return not count_all
+        v = assignment.index(unset)
+        return attempt(v, 1) or attempt(v, 0)
+
+    def seed():
+        """Force the member of every single-member basis (dimension 1) to 1."""
+        for basis in structure.bases:
+            if len(basis) == 1 and assignment[basis[0]] == unset:
+                assignment[basis[0]] = 1
+                if not propagate([], [basis[0]]):
+                    return False
+        return True
+
+    if seed():
+        branch()
+    return solutions, nodes[0]
+
+
+def test_search_matches_trail_reference(peres, cabello):
+    rng = np.random.default_rng(5)
+    completed = build_orth_structure(complete_pairs_to_triads(peres))
+    cases = [peres, cabello, completed, _reduced_peres()]
+    for full in (peres, cabello, completed):
+        for _ in range(6):
+            drop = set(rng.choice(len(full.vectors), int(rng.integers(1, 8)), replace=False))
+            kept = [v for i, v in enumerate(full.vectors) if i not in drop]
+            cases.append(build_orth_structure(VectorSet(full.dimension, kept)))
+    cases += [build_orth_structure(_random_structure(rng)) for _ in range(10)]
+    for structure in cases:
+        for count_all in (False, True):
+            assert _Search(structure).run(count_all) == _trail_search(structure, count_all)
+
+
+def _e8_rays() -> VectorSet:
+    """The 240 E8 roots (±2,±2,0^6) and (±1)^8 with an even number of minus
+    signs, taken up to sign: 120 rays in dimension 8."""
+    roots = []
+    for i, j in combinations(range(8), 2):
+        for si, sj in product((2, -2), repeat=2):
+            root = [0] * 8
+            root[i], root[j] = si, sj
+            roots.append(root)
+    roots += [list(signs) for signs in product((1, -1), repeat=8) if signs.count(-1) % 2 == 0]
+    rays = [r for r in roots if next(x for x in r if x) > 0]
+    return VectorSet(8, [ExactVector(r, f"e8_{k}") for k, r in enumerate(rays)])
+
+
+def test_e8_uncolorable():
+    s = build_orth_structure(_e8_rays())
+    assert len(s.vectors) == 120
+    assert len(s.bases) == 2025
+    assert len(s.pairs) == 0
+    result = search_coloring(s)
+    assert not result.colorable
+    assert result.nodes_explored == 41
 
 
 def _random_structure(rng) -> VectorSet:

@@ -143,6 +143,26 @@ def _ginibre_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return state / np.trace(state).real
 
 
+def _reconstruction_error(rng: np.random.Generator, dim: int) -> float:
+    """Max entry error of a Ginibre state rebuilt from its expectation
+    values on the standard basis."""
+    state = _ginibre_state(rng, dim)
+    basis = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
+    recovered = qt.reconstruct_state(lambda op: float(np.trace(state @ op).real), basis)
+    return float(np.abs(recovered - state).max())
+
+
+def _generator_residuals(rng: np.random.Generator, n: int) -> tuple[list, list]:
+    """Alphas and residuals of the single generator of the projections onto
+    the first n columns of a random unitary of dimension max(n, 3)."""
+    dim = max(n, 3)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    projections = [qt.ProjectionOp.onto(unitary[:, k]) for k in range(n)]
+    _, alphas, residuals = qt.ks_single_generator(projections)
+    return alphas, residuals
+
+
 def _complex_array(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A complex array of the given shape from nested [re, im] number pairs."""
     try:
@@ -271,12 +291,7 @@ def cmd_meyer_verify(args, config: RunConfig) -> int:
 
 def cmd_quantum_reconstruct(args, config: RunConfig) -> int:
     tolerance = config.tolerance if config.tolerance is not None else qt.STRUCT_TOL
-    state = _ginibre_state(np.random.default_rng(args.seed), args.dim)
-    basis = [np.eye(args.dim, dtype=complex)[:, k] for k in range(args.dim)]
-    recovered = qt.reconstruct_state(
-        lambda op: float(np.trace(state @ op).real), basis
-    )
-    error = float(np.abs(recovered - state).max())
+    error = _reconstruction_error(np.random.default_rng(args.seed), args.dim)
     emit(
         {"dim": args.dim, "seed": args.seed, "max_entry_error": error,
          "tolerance": tolerance, "passed": error < tolerance},
@@ -287,12 +302,7 @@ def cmd_quantum_reconstruct(args, config: RunConfig) -> int:
 
 def cmd_quantum_generator(args, config: RunConfig) -> int:
     tolerance = config.tolerance if config.tolerance is not None else qt.VERIFY_TOL
-    dim = max(args.n, 3)
-    rng = np.random.default_rng(args.seed)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    unitary, _ = np.linalg.qr(raw)
-    projections = [qt.ProjectionOp.onto(unitary[:, k]) for k in range(args.n)]
-    _, alphas, residuals = qt.ks_single_generator(projections)
+    alphas, residuals = _generator_residuals(np.random.default_rng(args.seed), args.n)
     worst = max(residuals)
     emit(
         {"n": args.n, "alpha": alphas, "max_residual": worst,
@@ -551,25 +561,15 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
         }
 
     def reconstruction() -> dict:
-        worst = 0.0
-        for dim in (2, 3, 4):
-            basis = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
-            for trial in range(100):
-                state = _ginibre_state(np.random.default_rng((seed, dim, trial)), dim)
-                recovered = qt.reconstruct_state(
-                    lambda op: float(np.trace(state @ op).real), basis
-                )
-                worst = max(worst, float(np.abs(recovered - state).max()))
+        worst = max(
+            _reconstruction_error(np.random.default_rng((seed, dim, trial)), dim)
+            for dim in (2, 3, 4) for trial in range(100)
+        )
         assert worst < 1e-10, f"reconstruction error {worst}"
-        gen_worst = 0.0
-        for n in range(1, 6):
-            dim = max(n, 3)
-            rng = np.random.default_rng((seed, n))
-            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            unitary, _ = np.linalg.qr(raw)
-            projections = [qt.ProjectionOp.onto(unitary[:, k]) for k in range(n)]
-            _, _, residuals = qt.ks_single_generator(projections)
-            gen_worst = max(gen_worst, max(residuals))
+        gen_worst = max(
+            max(_generator_residuals(np.random.default_rng((seed, n)), n)[1])
+            for n in range(1, qt.MAX_GENERATOR_TUPLE + 1)
+        )
         assert gen_worst < 1e-8, f"generator residual {gen_worst}"
         return {"max_entry_error": worst, "max_generator_residual": gen_worst}
 
@@ -722,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     quantum_parser = sub.add_parser("quantum", help="dense linear-algebra checks")
     quantum_sub = quantum_parser.add_subparsers(dest="subcommand", required=True)
     qr = quantum_sub.add_parser("reconstruct", parents=[local], help="state reconstruction round-trip")
-    qr.add_argument("--dim", type=_bounded(int, "--dim", 1), default=3)
+    qr.add_argument("--dim", type=_bounded(int, "--dim", 1, qt.MAX_DIM), default=3)
     qr.set_defaults(func=cmd_quantum_reconstruct)
     qg = quantum_sub.add_parser("generator", parents=[local], help="single-generator residuals")
     qg.add_argument("--n", type=_bounded(int, "--n", 1, qt.MAX_GENERATOR_TUPLE), default=3)

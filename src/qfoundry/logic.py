@@ -238,14 +238,10 @@ class ContextPoset:
         """Contexts that include context i (i among them), ascending."""
         return self._supers[i]
 
-    def expand_mask(self, i: int, j: int, mask: int) -> int:
-        """Re-express a projection of context i as an atom mask of finer j."""
-        mapping = self.refine[i][j]
-        out = 0
-        for k, parent in enumerate(mapping):
-            if mask >> parent & 1:
-                out |= 1 << k
-        return out
+    def expand_mask(self, i: int, j: int, mask):
+        """Re-express a projection of context i as an atom mask of finer j
+        (mask may be an int or an int array)."""
+        return sum((mask >> parent & 1) << k for k, parent in enumerate(self.refine[i][j]))
 
     def full_mask(self, i: int) -> int:
         return (1 << self.contexts[i].size) - 1
@@ -355,19 +351,29 @@ def _require_monotone(poset, elements, variant):
             raise ValueError(f"element {el} violates {variant} monotonicity")
 
 
+def _arrow(poset: ContextPoset, variant: str, a, b) -> np.ndarray:
+    """The implication a -> b of (..., C) int mask arrays that broadcast
+    together, from the complement-join t = ~a | b at each context."""
+    contexts = range(len(poset.contexts))
+    t = [(poset.full_mask(d) & ~a[..., d]) | b[..., d] for d in contexts]
+    if variant == VARIANT_DOWN:  # the meet of t over the coarser contexts
+        cols = [reduce(operator.and_, [poset.expand_mask(d, c, t[d])
+                                       for d in poset.sub_contexts(c)]) for c in contexts]
+    elif variant == VARIANT_UP:  # the atoms that lie below t at every finer context
+        cols = [sum(reduce(operator.and_, [poset.expand_mask(c, d, 1 << k) & ~t[d] == 0
+                                           for d in poset.super_contexts(c)]) << k
+                    for k in range(poset.contexts[c].size)) for c in contexts]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return np.stack(cols, axis=-1)
+
+
 def l3_implication(
     poset: ContextPoset, s1: ContextFunction, s2: ContextFunction
 ) -> ContextFunction:
     """Pointwise meet of complement-joins over all coarser contexts."""
     _require_monotone(poset, (s1, s2), VARIANT_DOWN)
-    masks = []
-    for c in range(len(poset.contexts)):
-        acc = poset.full_mask(c)
-        for d in poset.sub_contexts(c):
-            local = (poset.full_mask(d) & ~s1.masks[d]) | s2.masks[d]
-            acc &= poset.expand_mask(d, c, local)
-        masks.append(acc)
-    return ContextFunction(masks)
+    return ContextFunction(_arrow(poset, VARIANT_DOWN, *np.array([s1.masks, s2.masks])).tolist())
 
 
 def l3_negation(poset: ContextPoset, s: ContextFunction) -> ContextFunction:
@@ -379,15 +385,7 @@ def l2_implication(
 ) -> ContextFunction:
     """Largest context projection below every finer complement-join."""
     _require_monotone(poset, (s1, s2), VARIANT_UP)
-    target = [(poset.full_mask(d) & ~a) | b for d, (a, b) in enumerate(zip(s1.masks, s2.masks))]
-    masks = []
-    for c, ctx in enumerate(poset.contexts):
-        finer = poset.super_contexts(c)
-        masks.append(sum(
-            1 << k for k in range(ctx.size)
-            if all(not poset.expand_mask(c, d, 1 << k) & ~target[d] for d in finer)
-        ))
-    return ContextFunction(masks)
+    return ContextFunction(_arrow(poset, VARIANT_UP, *np.array([s1.masks, s2.masks])).tolist())
 
 
 def embed_projection(poset: ContextPoset, projection) -> ContextFunction:
@@ -466,7 +464,9 @@ def check_heyting_laws(
     closure of the monotone elements under join, meet and implication.
 
     The elements (all when exhaustive, else a seeded sample plus bottom and
-    top) form an (E, C) mask array m, so join and meet are `|` and `&`.
+    top) form an (E, C) mask array m, so join and meet are `|` and `&`,
+    and the (E, E, C) arrow table is one _arrow call on m against itself
+    (the elements are monotone by construction, so it checks no input).
     Idempotence is checked over E elements; commutativity, absorption and
     closure (is_monotone of join, meet and implication) over E x E pairs;
     both associativities, both distributivities and the adjunction
@@ -481,9 +481,8 @@ def check_heyting_laws(
         elements.extend([bottom(poset), top(poset)])
         elements = list(dict.fromkeys(elements))
 
-    implication = {VARIANT_DOWN: l3_implication, VARIANT_UP: l2_implication}[variant]
-    arrow = np.array([[implication(poset, t, r).masks for r in elements] for t in elements])
     m = np.array([el.masks for el in elements])
+    arrow = _arrow(poset, variant, m[:, None], m)  # arrow[t, r] = t -> r
     join, meet = m[:, None] | m, m[:, None] & m  # join[t, r] = t | r
     distinct, inverse = np.unique(
         np.concatenate([join, meet, arrow]).reshape(-1, m.shape[1]), axis=0, return_inverse=True

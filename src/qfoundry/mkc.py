@@ -162,20 +162,14 @@ def generate_basis_family(
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     attempts = 0
-    for v in include:
-        while True:
-            attempts += 1
-            if attempts > RESAMPLE_BUDGET:
-                raise FamilyGenerationError("resample budget exhausted")
-            basis = _basis_containing(rng, v)
-            if all(totally_incompatible(basis, prev) for prev in accepted):
-                accepted.append(basis)
-                break
-    while len(accepted) < size:
+    while (k := len(accepted)) < size:
         attempts += 1
         if attempts > RESAMPLE_BUDGET:
             raise FamilyGenerationError("resample budget exhausted")
-        basis = random_unitary(rng, n).T  # rows = basis vectors
+        if k < len(include):
+            basis = _basis_containing(rng, include[k])
+        else:
+            basis = random_unitary(rng, n).T  # rows = basis vectors
         if all(totally_incompatible(basis, prev) for prev in accepted):
             accepted.append(basis)
     return BasisFamily(dimension=n, bases=tuple(accepted), seed=seed)

@@ -328,6 +328,7 @@ def _coord(num, den=1):
         (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, inf], got 0"),
         (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, inf]"),
         (["quantum", "generator", "--n", "0"], 2, "--n must lie in [1, 5]"),
+        (["quantum", "reconstruct", "--dim", "17"], 2, "--dim must lie in [1, 16], got 17"),
         (["mkc", "simulate", "--bases", "65", "--program", "p.json"], 2,
          "--bases must lie in [1, 64]"),
         (["mkc", "simulate", "--shots", "-5", "--program", "p.json"], 2, "--shots must lie"),
@@ -361,6 +362,7 @@ def _coord(num, den=1):
          "duplicate ray"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "zero-generator-n",
+         "reconstruct-dim-over-cap",
          "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",

@@ -194,6 +194,13 @@ def test_l3_rejects_non_monotone_input(m2_poset):
         logic.l3_implication(m2_poset, bad, logic.bottom(m2_poset))
 
 
+def test_l2_rejects_non_monotone_input(m2_poset):
+    bad = logic.ContextFunction((1, 0, 3))  # trivial says top, basis says bottom
+    assert not logic.is_monotone(m2_poset, bad, "l2")
+    with pytest.raises(ValueError, match="violates l2 monotonicity"):
+        logic.l2_implication(m2_poset, bad, logic.top(m2_poset))
+
+
 def test_l2_exhaustive_laws(m2_poset):
     report = logic.check_heyting_laws(m2_poset, "l2", exhaustive=True)
     assert report.passed
@@ -343,7 +350,10 @@ def test_law_report_matches_per_triple_reference(m2_poset, variant):
 @pytest.mark.parametrize("variant", ["l2", "l3"])
 def test_broken_adjunction_matches_per_triple_reference(m2_poset, variant, monkeypatch):
     # top is monotone, so only the adjunction fails, in the same order
-    monkeypatch.setattr(logic, f"{variant}_implication", lambda poset, t, r: logic.top(poset))
+    def arrow(poset, _variant, a, b):
+        return np.broadcast_to(logic.top(poset).masks, np.broadcast(a, b).shape)
+
+    monkeypatch.setattr(logic, "_arrow", arrow)
     report = logic.check_heyting_laws(m2_poset, variant, exhaustive=True)
     count, checked, violations = _reference_check(m2_poset, variant)
     assert (report.element_count, report.triples_checked) == (count, checked)
@@ -358,6 +368,36 @@ def test_enumeration_matches_product_filter(dim, count, variant):
     assert logic.enumerate_elements(poset, variant) == _reference_enumerate(poset, variant)
 
 
+def _reference_implication(poset, variant, s1, s2):
+    full = [poset.full_mask(d) for d in range(len(poset.contexts))]
+    target = [(f & ~a) | b for f, a, b in zip(full, s1.masks, s2.masks)]
+    masks = []
+    for c, ctx in enumerate(poset.contexts):
+        if variant == "l3":
+            acc = full[c]
+            for d in poset.sub_contexts(c):
+                acc &= poset.expand_mask(d, c, target[d])
+            masks.append(acc)
+        else:
+            masks.append(sum(
+                1 << k for k in range(ctx.size)
+                if all(not poset.expand_mask(c, d, 1 << k) & ~target[d]
+                       for d in poset.super_contexts(c))
+            ))
+    return masks
+
+
+@pytest.mark.parametrize("dim, count", [(2, 1), (2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_arrow_table_matches_per_pair_reference(dim, count, variant):
+    poset = logic.poset_from_bases(_random_bases(dim + count, dim, count))
+    elements = logic.enumerate_elements(poset, variant)
+    m = np.array([el.masks for el in elements])
+    table = logic._arrow(poset, variant, m[:, None], m).tolist()
+    for (i, t), (j, r) in product(enumerate(elements), repeat=2):
+        assert table[i][j] == _reference_implication(poset, variant, t, r)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("variant", ["l2", "l3"])
 def test_sampling_matches_reference(seed, variant):
@@ -368,18 +408,17 @@ def test_sampling_matches_reference(seed, variant):
 
 
 def test_non_monotone_implication_fails_closure(m2_poset, monkeypatch):
-    real = logic.l3_implication
-    bottom = logic.bottom(m2_poset)
+    real = logic._arrow
     # (0, 1, 0) lies above no element but bottom, so the adjunction still
     # holds, but it is not l3-monotone: the trivial context says bottom
     leaky = logic.ContextFunction((0, 1, 0))
     assert not logic.is_monotone(m2_poset, leaky, "l3")
 
-    def implication(poset, t, r):
-        arrow = real(poset, t, r)
-        return leaky if arrow == bottom else arrow
+    def arrow(poset, variant, a, b):
+        out = real(poset, variant, a, b)
+        return np.where((out == 0).all(axis=-1, keepdims=True), leaky.masks, out)
 
-    monkeypatch.setattr(logic, "l3_implication", implication)
+    monkeypatch.setattr(logic, "_arrow", arrow)
     report = logic.check_heyting_laws(m2_poset, "l3", exhaustive=True)
     assert not report.passed
     assert report.violations

@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     meyer_parser = sub.add_parser("meyer", help="rational-sphere coloring")
     meyer_sub = meyer_parser.add_subparsers(dest="subcommand", required=True)
     mv = meyer_sub.add_parser("verify", parents=[local], help="check the three coloring conditions")
-    mv.add_argument("--max-n", type=_bounded(int, "--max-n", 1), default=25)
+    mv.add_argument("--max-n", type=_bounded(int, "--max-n", 1, meyer.MAX_N), default=25)
     mv.set_defaults(func=cmd_meyer_verify)
 
     quantum_parser = sub.add_parser("quantum", help="dense linear-algebra checks")

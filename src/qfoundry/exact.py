@@ -287,7 +287,10 @@ class RationalPoint:
         return (self.x, self.y, self.z)
 
     def __neg__(self) -> "RationalPoint":
-        return RationalPoint(-self.x, -self.y, -self.z)
+        # negation keeps x^2 + y^2 + z^2 = 1, so the check of __init__ is skipped
+        point = object.__new__(RationalPoint)
+        point.x, point.y, point.z = -self.x, -self.y, -self.z
+        return point
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoint):

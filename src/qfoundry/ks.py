@@ -12,8 +12,8 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, islice
+from typing import Iterator, Optional
 
 from .exact import (
     DegenerateInputError,
@@ -169,7 +169,6 @@ class _Search:
             self.orth[i] |= 1 << j
             self.orth[j] |= 1 << i
         self.nodes = 0
-        self.solutions: list[tuple[int, ...]] = []
 
     def propagate(self, ones: int, zeros: int, queue: list[int]) -> Optional[tuple[int, int]]:
         """Close (ones, zeros) under the forcing rules; None on contradiction.
@@ -196,8 +195,8 @@ class _Search:
                     queue.append(open_.bit_length() - 1)
         return ones, zeros
 
-    def branch(self, ones: int, zeros: int, count_all: bool) -> bool:
-        """Depth-first search; returns True to stop early (decision mode)."""
+    def colorings(self, ones: int, zeros: int) -> Iterator[int]:
+        """Depth-first search; yields the `ones` mask of each coloring found."""
         self.nodes += 1
         # the first basis with no 1 and the fewest open members
         basis = min((m for m in self.basis_masks if not m & ones),
@@ -207,26 +206,31 @@ class _Search:
             for u in sorted(_bits(basis & ~zeros),
                             key=lambda u: (-self.orth[u].bit_count(), u)):
                 state = self.propagate(ones | 1 << u, zeros, [u])
-                if state and self.branch(*state, count_all):
-                    return True
-            return False
+                if state:
+                    yield from self.colorings(*state)
+            return
         # all bases satisfied: branch the remaining pair-only vectors, 1 first
         free = ~(ones | zeros) & ((1 << self.n) - 1)
         if not free:
-            self.solutions.append(tuple(ones >> v & 1 for v in range(self.n)))
-            return not count_all
+            yield ones
+            return
         v = (free & -free).bit_length() - 1
         for state in ((ones | 1 << v, zeros), (ones, zeros | 1 << v)):
             state = self.propagate(*state, [v])
-            if state and self.branch(*state, count_all):
-                return True
-        return False
+            if state:
+                yield from self.colorings(*state)
+
+    def solutions(self) -> Iterator[int]:
+        """Every coloring's `ones` mask, lazily: the search stops when the
+        caller does, so `nodes` counts only the nodes visited so far."""
+        state = self.propagate(0, 0, list(range(self.n)))
+        return self.colorings(*state) if state else iter(())
 
     def run(self, count_all: bool) -> tuple[list[tuple[int, ...]], int]:
-        state = self.propagate(0, 0, list(range(self.n)))
-        if state:
-            self.branch(*state, count_all)
-        return self.solutions, self.nodes
+        """All colorings, or only the first, as 0/1 tuples; and the nodes."""
+        found = islice(self.solutions(), None if count_all else 1)
+        solutions = [tuple(ones >> v & 1 for v in range(self.n)) for ones in found]
+        return solutions, self.nodes
 
 
 def search_coloring(structure: OrthStructure) -> SearchResult:
@@ -244,8 +248,7 @@ def count_colorings(structure: OrthStructure) -> int:
             f"structure has {len(structure.vectors)} vectors, over the "
             f"enumeration limit of {COUNT_LIMIT}"
         )
-    solutions, _ = _Search(structure).run(count_all=True)
-    return len(solutions)
+    return sum(1 for _ in _Search(structure).solutions())
 
 
 def is_valid_coloring(structure: OrthStructure, coloring: Coloring) -> bool:

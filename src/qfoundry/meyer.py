@@ -3,7 +3,8 @@
 Every rational point of S^2 lies on the axis of a primitive integer triple
 (x, y, z) with x^2 + y^2 + z^2 = n^2.  The color is decided by the parity
 of the third coordinate of that primitive triple: odd maps to 0, even to 1.
-All orthogonality checks run on exact integer dot products.
+All orthogonality checks run on exact integer dot products, in int64 row
+blocks for the exhaustive pair scan.
 """
 
 from __future__ import annotations
@@ -12,9 +13,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import reduce
-from itertools import combinations
+
+import numpy as np
 
 from .exact import DegenerateInputError, RationalPoint
+
+# largest `meyer verify --max-n`; the O(R^2) pair scan takes seconds there
+MAX_N = 200
+# int64 dot and cross products of rays with coordinates up to 2^30 are exact
+MAX_COORDINATE = 1 << 30
+# entries of one block of the pair scan's dot-product matrix
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ def to_primitive_pyth(p: RationalPoint) -> PythTriple:
     the resulting integer coordinates.
     """
     lcm = reduce(math.lcm, (c.denominator for c in p.coords()), 1)
-    ints = [int(c * lcm) for c in p.coords()]
+    ints = [c.numerator * (lcm // c.denominator) for c in p.coords()]
     if not any(ints):
         raise DegenerateInputError("zero vector has no axis")
     g = math.gcd(*ints)
@@ -79,8 +88,9 @@ def meyer_color(p: RationalPoint) -> int:
     return _triple_color(to_primitive_pyth(p).coords())
 
 
-def _triple_color(t: tuple[int, int, int]) -> int:
-    return 0 if t[2] % 2 else 1
+def _triple_color(t):
+    """The color rule on a triple, or on the rows of a (3, R) int array."""
+    return 1 - t[2] % 2
 
 
 def _canonical_ray(x: int, y: int, z: int) -> tuple[int, int, int]:
@@ -128,52 +138,61 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     """Check antipodal invariance, the pair rule and the triad sum rule.
 
     Works on primitive triples with exact integer dot products; points on
-    the same axis are merged first.
+    the same axis are merged first.  Orthogonal pairs come from one scan of
+    the upper triangle of the ray Gram matrix in int64 row blocks, triads
+    from the reduced cross products of those pairs; both are listed in
+    sorted ray order.  Raises ValueError when a primitive coordinate
+    exceeds MAX_COORDINATE, where int64 products could overflow.
+
+    Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
+    or 1 mod 4, so the number of odd coordinates of x^2 + y^2 + z^2 = n^2
+    is 0 or 1 mod 4; a primitive triple has some odd coordinate, so it has
+    exactly one (and n is odd).  Two orthogonal primitive rays have their
+    odd coordinate in different places, since otherwise their dot product
+    is odd.  So an orthogonal pair holds at most one ray with odd z
+    (color 0), and a triad, whose three odd places are distinct, exactly
+    one: every pair sum is at least 1 and every triad sum is 2.  The scan
+    still checks each pair and triad; the lemma explains its result.
     """
-    triples = {}
-    for p in points:
-        t = to_primitive_pyth(p)
-        triples[_canonical_ray(*t.coords())] = None
-    rays = sorted(triples)
+    triples = [to_primitive_pyth(p).coords() for p in points]
+    rays = sorted({_canonical_ray(*t) for t in triples})
+    if any(abs(c) > MAX_COORDINATE for ray in rays for c in ray):
+        raise ValueError(f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound")
 
-    antipodal_violations = []
-    for p in points:
-        if meyer_color(p) != meyer_color(-p):
-            antipodal_violations.append(p.coords())
-
-    colors = {r: _triple_color(r) for r in rays}
-
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    pair_violations = []
-    orth_pairs = [
-        (u, v) for u, v in combinations(rays, 2) if dot(u, v) == 0
+    antipodal_violations = [
+        p.coords() for p, t in zip(points, triples) if _triple_color(t) != meyer_color(-p)
     ]
-    for u, v in orth_pairs:
-        if colors[u] + colors[v] < 1:
-            pair_violations.append((u, v))
 
-    triad_violations = []
-    ray_set = set(rays)
-    triads = set()
-    for u, v in orth_pairs:
-        w = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        g = math.gcd(*w)
-        w = _canonical_ray(w[0] // g, w[1] // g, w[2] // g)
-        if w in ray_set:
-            triads.add(tuple(sorted((u, v, w))))
-    for u, v, w in sorted(triads):
-        if colors[u] + colors[v] + colors[w] != 2:
-            triad_violations.append((u, v, w))
+    a = np.array(rays, dtype=np.int64).reshape(-1, 3)
+    colors = _triple_color(a.T).tolist()
+    block = max(1, _BLOCK_ENTRIES // max(1, len(rays)))
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(rays), block):
+        i, j = np.nonzero(a[lo:lo + block] @ a[lo:].T == 0)
+        upper = j > i
+        rows.append(i[upper] + lo)
+        cols.append(j[upper] + lo)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+
+    w = np.cross(a[i], a[j])
+    w //= np.gcd.reduce(w, axis=1, keepdims=True)
+    index = {ray: k for k, ray in enumerate(rays)}
+    pair_violations, triads = [], set()
+    for u, v, t in zip(i.tolist(), j.tolist(), w.tolist()):
+        if colors[u] + colors[v] < 1:
+            pair_violations.append((rays[u], rays[v]))
+        k = index.get(_canonical_ray(*t))
+        if k is not None:
+            triads.add(tuple(sorted((u, v, k))))
+    triad_violations = [
+        (rays[u], rays[v], rays[k])
+        for u, v, k in sorted(triads)
+        if colors[u] + colors[v] + colors[k] != 2
+    ]
 
     return ConditionReport(
         rays=len(rays),
-        pairs=len(orth_pairs),
+        pairs=len(i),
         triads=len(triads),
         antipodal_violations=tuple(antipodal_violations),
         pair_violations=tuple(pair_violations),

@@ -326,7 +326,8 @@ def _coord(num, den=1):
          2, "cannot write /nonexistent/x.json"),
         (["bell", "chsh", "--angles", "0,nan,1,2"], 2, "must be finite"),
         (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, inf], got 0"),
-        (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, inf]"),
+        (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, 200], got 0"),
+        (["meyer", "verify", "--max-n", "201"], 2, "--max-n must lie in [1, 200], got 201"),
         (["quantum", "generator", "--n", "0"], 2, "--n must lie in [1, 5]"),
         (["quantum", "reconstruct", "--dim", "17"], 2, "--dim must lie in [1, 16], got 17"),
         (["mkc", "simulate", "--bases", "65", "--program", "p.json"], 2,
@@ -361,7 +362,8 @@ def _coord(num, den=1):
                                                 {"entries": [_coord(-2)]}])], 2,
          "duplicate ray"),
     ],
-    ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "zero-generator-n",
+    ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "max-n-over-cap",
+         "zero-generator-n",
          "reconstruct-dim-over-cap",
          "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",

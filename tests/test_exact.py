@@ -180,6 +180,15 @@ def test_rational_point_validation():
         RationalPoint(Q(1, 2), Q(1, 2), 0)
 
 
+def test_rational_point_negation():
+    p = RationalPoint(Q(2, 3), Q(-2, 3), Q(1, 3))
+    q = -p
+    assert q == RationalPoint(Q(-2, 3), Q(2, 3), Q(-1, 3))
+    assert hash(q) == hash(RationalPoint(Q(-2, 3), Q(2, 3), Q(-1, 3)))
+    assert all(isinstance(c, Q) for c in q.coords())
+    assert -q == p
+
+
 def test_vector_set_json_roundtrip(tmp_path):
     vset = VectorSet(
         3,

@@ -1,5 +1,6 @@
 """Orthogonality structures and coloring search."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -97,6 +98,27 @@ def test_count_reduced_peres():
     s = _reduced_peres()
     assert len(s.vectors) == 31
     assert count_colorings(s) == REDUCED_PERES_COLORINGS
+
+
+def _free_rays(count):
+    """`count` pairwise non-orthogonal rays (1, k) in d = 2: no basis and no
+    pair, so every one of the 2^count assignments is a coloring."""
+    return build_orth_structure(VectorSet(2, [ExactVector([1, k]) for k in range(count)]))
+
+
+def test_count_does_not_store_colorings():
+    assert count_colorings(_free_rays(16)) == 1 << 16
+    # a count that kept each coloring would hold 8192 tuples (about 1.2 MB);
+    # 13 rays rather than 16 because tracemalloc slows the search 15-fold
+    structure = _free_rays(13)
+    tracemalloc.start()
+    try:
+        count = count_colorings(structure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1 << 13
+    assert peak < 1 << 18
 
 
 def test_search_nodes_are_frozen(peres, cabello):

@@ -2,11 +2,14 @@
 
 import math
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
+from qfoundry import meyer
 from qfoundry.exact import RationalPoint
 from qfoundry.meyer import (
+    ConditionReport,
     PythTriple,
     enumerate_pyth_points,
     meyer_color,
@@ -129,3 +132,81 @@ def test_report_structure_small():
     assert report.violations == 0
     assert report.rays >= 3
     assert report.triads >= 1
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _combinations_reference(points):
+    """The pair scan as plain Python: every pair of sorted primitive rays,
+    exact dot products, triads from the gcd-reduced cross products."""
+    rays = sorted({meyer._canonical_ray(*to_primitive_pyth(p).coords()) for p in points})
+    antipodal = tuple(p.coords() for p in points if meyer_color(p) != meyer_color(-p))
+    colors = {r: meyer._triple_color(r) for r in rays}
+    orth = [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]
+    triads = set()
+    for u, v in orth:
+        w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        g = math.gcd(*w)
+        w = meyer._canonical_ray(*(c // g for c in w))
+        if w in colors:
+            triads.add(tuple(sorted((u, v, w))))
+    return ConditionReport(
+        rays=len(rays),
+        pairs=len(orth),
+        triads=len(triads),
+        antipodal_violations=antipodal,
+        pair_violations=tuple((u, v) for u, v in orth if colors[u] + colors[v] < 1),
+        triad_violations=tuple(t for t in sorted(triads) if sum(colors[r] for r in t) != 2),
+    )
+
+
+@pytest.mark.parametrize("max_n", [25, 40])
+def test_block_scan_matches_combinations_reference(max_n):
+    points = enumerate_pyth_points(max_n)
+    assert verify_meyer_conditions(points) == _combinations_reference(points)
+
+
+def test_wrong_color_rule_reported_like_reference(monkeypatch):
+    # the inverted rule (odd z maps to 1) puts exactly one 1 in each triad and
+    # two 0s in each pair of even-z rays (parity of any other axis would pass
+    # by the same lemma); the block scan must name the same violations as
+    # the reference, in the same order
+    monkeypatch.setattr(meyer, "_triple_color", lambda t: t[2] % 2)
+    points = enumerate_pyth_points(25)
+    report = verify_meyer_conditions(points)
+    assert report.pair_violations and report.triad_violations
+    assert report == _combinations_reference(points)
+
+
+def test_coordinate_over_int64_bound_rejected():
+    # (2m, m^2 - 1, 0) / (m^2 + 1) is primitive with a coordinate of 2^32 - 1
+    m = 1 << 16
+    far = RationalPoint(Q(2 * m, m * m + 1), Q(m * m - 1, m * m + 1), 0)
+    assert to_primitive_pyth(far).is_primitive()
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_meyer_conditions([RationalPoint(0, 0, 1), far])
+
+
+def test_parity_lemma_max_n_25():
+    """Why the check finds no violation: each primitive ray has exactly one
+    odd coordinate, orthogonal rays have it in different places, so every
+    triad holds exactly one ray with odd z (color 0)."""
+    rays = [to_primitive_pyth(p).coords() for p in enumerate_pyth_points(25)]
+
+    def odd_place(r):
+        (place,) = [k for k, c in enumerate(r) if c % 2]
+        return place
+
+    places = {r: odd_place(r) for r in rays}
+    # the census is symmetric in the three axes
+    assert [list(places.values()).count(k) for k in range(3)] == [RAYS_25 // 3] * 3
+    orth = [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]
+    assert len(orth) == PAIRS_25
+    assert all(places[u] != places[v] for u, v in orth)
+    orth_set = set(orth)
+    triads = [(u, v, w) for u, v in orth for w in rays
+              if w > v and (u, w) in orth_set and (v, w) in orth_set]
+    assert len(triads) == TRIADS_25
+    assert all(sum(r[2] % 2 for r in t) == 1 for t in triads)

@@ -279,18 +279,18 @@ class RationalPoint:
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike) -> None:
-        self.x, self.y, self.z = Q(x), Q(y), Q(z)
-        if self.x * self.x + self.y * self.y + self.z * self.z != 1:
+        self.x, self.y, self.z = (c if type(c) is Q else Q(c) for c in (x, y, z))
+        # x^2 + y^2 + z^2 = 1 in integers: sum (a * (l // b))^2 = l^2 over the
+        # coordinates a / b, with l the lcm of the denominators
+        lcm = math.lcm(self.x.denominator, self.y.denominator, self.z.denominator)
+        if sum((c.numerator * (lcm // c.denominator)) ** 2 for c in self.coords()) != lcm * lcm:
             raise ValueError(f"({self.x}, {self.y}, {self.z}) is not on the unit sphere")
 
     def coords(self) -> tuple[Q, Q, Q]:
         return (self.x, self.y, self.z)
 
     def __neg__(self) -> "RationalPoint":
-        # negation keeps x^2 + y^2 + z^2 = 1, so the check of __init__ is skipped
-        point = object.__new__(RationalPoint)
-        point.x, point.y, point.z = -self.x, -self.y, -self.z
-        return point
+        return RationalPoint(-self.x, -self.y, -self.z)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoint):

@@ -11,6 +11,7 @@ vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Optional
@@ -241,14 +242,41 @@ def search_coloring(structure: OrthStructure) -> SearchResult:
     return SearchResult(None, ExhaustionCertificate(nodes), nodes)
 
 
+def _components(structure: OrthStructure) -> Iterator[OrthStructure]:
+    """The connected parts of the structure: vectors linked by a shared
+    basis or pair, with their bases and pairs renumbered."""
+    n = len(structure.vectors)
+    linked = [1 << v for v in range(n)]
+    for group in (*structure.bases, *structure.pairs):
+        mask = sum(1 << v for v in group)
+        for v in group:
+            linked[v] |= mask
+    left = (1 << n) - 1
+    while left:
+        part, grown = 0, left & -left
+        while grown != part:
+            part = grown
+            for v in _bits(part):
+                grown |= linked[v]
+        left &= ~part
+        index = {v: k for k, v in enumerate(_bits(part))}
+        yield OrthStructure(
+            tuple(structure.vectors[v] for v in index),
+            tuple(tuple(index[v] for v in b) for b in structure.bases if b[0] in index),
+            tuple((index[i], index[j]) for i, j in structure.pairs if i in index),
+        )
+
+
 def count_colorings(structure: OrthStructure) -> int:
-    """Exact number of valid colorings by complete backtracking enumeration."""
+    """Exact number of valid colorings: the product over the connected
+    parts of the counts by complete backtracking enumeration (a vector in
+    no basis and no pair is a part with 2 colorings)."""
     if len(structure.vectors) > COUNT_LIMIT:
         raise NotApplicableError(
             f"structure has {len(structure.vectors)} vectors, over the "
             f"enumeration limit of {COUNT_LIMIT}"
         )
-    return sum(1 for _ in _Search(structure).solutions())
+    return math.prod(sum(1 for _ in _Search(part).solutions()) for part in _components(structure))
 
 
 def is_valid_coloring(structure: OrthStructure, coloring: Coloring) -> bool:

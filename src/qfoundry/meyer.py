@@ -3,8 +3,10 @@
 Every rational point of S^2 lies on the axis of a primitive integer triple
 (x, y, z) with x^2 + y^2 + z^2 = n^2.  The color is decided by the parity
 of the third coordinate of that primitive triple: odd maps to 0, even to 1.
-All orthogonality checks run on exact integer dot products, in int64 row
-blocks for the exhaustive pair scan.
+The enumeration and the check run on int64 arrays of triples, with exact
+integer dot and cross products; only the violations come back as tuples.
+The primitive-triple and canonical-sign rules are written once, on arrays;
+their scalar forms run the same code on one row of Python ints.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import reduce
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .exact import DegenerateInputError, RationalPoint
 MAX_N = 200
 # int64 dot and cross products of rays with coordinates up to 2^30 are exact
 MAX_COORDINATE = 1 << 30
-# entries of one block of the pair scan's dot-product matrix
+# entries of one enumeration slab and of one block of the pair scan
 _BLOCK_ENTRIES = 1 << 15
+# rows of a scan block at least, so that above 2^15 rays a block is not one row
+_MIN_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,35 @@ class ConditionReport:
         )
 
 
-def to_primitive_pyth(p: RationalPoint) -> PythTriple:
-    """Primitive integer triple on the same axis as a rational sphere point.
+def _primitive_rows(num, den):
+    """Primitive integer triples on the axes of rows of rational coordinates.
 
-    Multiplies by the lcm of the denominators and divides out the gcd of
-    the resulting integer coordinates.
+    num and den hold numerators and denominators, one point per row.  Each
+    row is scaled by the lcm of its denominators and divided by the gcd of
+    the result; returns the triples and their hypotenuses.
     """
-    lcm = reduce(math.lcm, (c.denominator for c in p.coords()), 1)
-    ints = [c.numerator * (lcm // c.denominator) for c in p.coords()]
-    if not any(ints):
-        raise DegenerateInputError("zero vector has no axis")
-    g = math.gcd(*ints)
-    x, y, z = (v // g for v in ints)
-    return PythTriple(x, y, z, lcm // g)
+    lcm = np.lcm.reduce(den, axis=1, keepdims=True)
+    ints = num * (lcm // den)
+    g = np.gcd.reduce(ints, axis=1, keepdims=True)
+    return ints // g, (lcm // g)[:, 0]
+
+
+def _first_nonzero(t):
+    """The first nonzero entry of each row (0 for a zero row)."""
+    return t[np.arange(len(t)), np.argmax(t != 0, axis=1)]
+
+
+def _canonical_rows(t):
+    """One representative per axis: flip each row whose first nonzero is negative."""
+    return np.where(_first_nonzero(t)[:, None] < 0, -t, t)
+
+
+def to_primitive_pyth(p: RationalPoint) -> PythTriple:
+    """Primitive integer triple on the same axis as a rational sphere point."""
+    coords = p.coords()
+    (t,), (n,) = _primitive_rows(np.array([[c.numerator for c in coords]], dtype=object),
+                                 np.array([[c.denominator for c in coords]], dtype=object))
+    return PythTriple(*t, n)
 
 
 def meyer_color(p: RationalPoint) -> int:
@@ -94,55 +113,65 @@ def _triple_color(t):
 
 
 def _canonical_ray(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """One representative per axis: flip sign so the first nonzero is positive."""
-    for v in (x, y, z):
-        if v:
-            return (x, y, z) if v > 0 else (-x, -y, -z)
-    raise DegenerateInputError("zero vector has no axis")
+    """The canonical representative of one axis."""
+    if not (x or y or z):
+        raise DegenerateInputError("zero vector has no axis")
+    return tuple(_canonical_rows(np.array([[x, y, z]], dtype=object))[0])
+
+
+def _ray_keys(t, bound: int):
+    """One integer per row with entries in [-bound, bound], increasing in
+    the rows' lexicographic order; Python ints where int64 could overflow."""
+    base = 2 * bound + 1
+    if base**3 > 1 << 63:
+        t = t.astype(object)
+    t = t + bound
+    return (t[:, 0] * base + t[:, 1]) * base + t[:, 2]
 
 
 def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
     """All primitive Pythagorean rays with hypotenuse at most max_n.
 
-    Returns one rational sphere point per axis, in deterministic order.
+    Scans the integer points of the half cube x >= 0 of [-max_n, max_n]^3
+    in int64 slabs of at most _BLOCK_ENTRIES points, in (x, y, z) order,
+    and keeps those with x^2 + y^2 + z^2 = n^2 for an integer
+    0 < n <= max_n, coprime coordinates and a positive first nonzero
+    coordinate.  Returns one rational sphere point per axis, built through
+    the checking constructor, in sorted ray order.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    rays: set[tuple[int, int, int]] = set()
-    for n in range(1, max_n + 1):
-        nn = n * n
-        for x in range(-n, n + 1):
-            xx = x * x
-            for y in range(-n, n + 1):
-                rest = nn - xx - y * y
-                if rest < 0:
-                    continue
-                z = math.isqrt(rest)
-                if z * z != rest:
-                    continue
-                for zz in ({z, -z} if z else {0}):
-                    if x == y == zz == 0:
-                        continue
-                    if math.gcd(x, y, zz) != 1:
-                        continue
-                    rays.add(_canonical_ray(x, y, zz))
-    ordered = sorted(rays)
-    points = []
-    for x, y, z in ordered:
-        n = math.isqrt(x * x + y * y + z * z)
-        points.append(RationalPoint(Q(x, n), Q(y, n), Q(z, n)))
-    return points
+    line = np.arange(-max_n, max_n + 1, dtype=np.int64)
+    # the (x, y) rows of the half cube, each holding every z of the line
+    xs, ys = np.repeat(line[max_n:], len(line)), np.tile(line, max_n + 1)
+    xy2, z2 = xs * xs + ys * ys, line * line
+    # root[s] = n where s = n^2 for 0 < n <= max_n, else 0; s past the
+    # table reads its last entry
+    root = np.zeros(max_n * max_n + 2, dtype=np.int64)
+    root[z2[max_n:]] = line[max_n:]
+    step = max(1, _BLOCK_ENTRIES // len(line))
+    found = []
+    for lo in range(0, len(xs), step):
+        s = xy2[lo:lo + step, None] + z2
+        n = root[np.minimum(s, len(root) - 1, out=s)]
+        r, c = np.nonzero(n)
+        t = np.column_stack([xs[lo + r], ys[lo + r], line[c]])
+        keep = (np.gcd.reduce(t, axis=1) == 1) & (_first_nonzero(t) > 0)
+        found.append(np.column_stack([t[keep], n[r, c][keep]]))
+    return [RationalPoint(Q(x, n), Q(y, n), Q(z, n))
+            for x, y, z, n in np.concatenate(found).tolist()]
 
 
 def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     """Check antipodal invariance, the pair rule and the triad sum rule.
 
-    Works on primitive triples with exact integer dot products; points on
-    the same axis are merged first.  Orthogonal pairs come from one scan of
-    the upper triangle of the ray Gram matrix in int64 row blocks, triads
-    from the reduced cross products of those pairs; both are listed in
-    sorted ray order.  Raises ValueError when a primitive coordinate
-    exceeds MAX_COORDINATE, where int64 products could overflow.
+    Works on int64 arrays of primitive triples, those of the points and of
+    their antipodes; points on the same axis are merged.  Orthogonal pairs
+    come from one scan of the upper triangle of the ray Gram matrix in
+    row blocks, triads from looking up the reduced cross products of those
+    pairs among the rays' integer keys; both are listed in sorted ray
+    order.  Raises ValueError when a primitive coordinate exceeds
+    MAX_COORDINATE, where int64 products could overflow.
 
     Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
     or 1 mod 4, so the number of odd coordinates of x^2 + y^2 + z^2 = n^2
@@ -154,47 +183,61 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     one: every pair sum is at least 1 and every triad sum is 2.  The scan
     still checks each pair and triad; the lemma explains its result.
     """
-    triples = [to_primitive_pyth(p).coords() for p in points]
-    rays = sorted({_canonical_ray(*t) for t in triples})
-    if any(abs(c) > MAX_COORDINATE for ray in rays for c in ray):
-        raise ValueError(f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound")
+    fractions = [(x.numerator, y.numerator, z.numerator, x.denominator, y.denominator,
+                  z.denominator) for x, y, z in (p.coords() for p in points)]
+    too_large = f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound"
+    # the lcm of a point's denominators is its hypotenuse n, and n^2 <= 3 c^2
+    # for its largest coordinate c, so over 2 * MAX_COORDINATE c is over the
+    # bound too; below it no entry of the int64 arrays exceeds n
+    if any(math.lcm(*row[3:]) > 2 * MAX_COORDINATE for row in fractions):
+        raise ValueError(too_large)
+    fractions = np.array(fractions, dtype=np.int64).reshape(-1, 6)
+    num, den = fractions[:, :3], fractions[:, 3:]
+    triples, _ = _primitive_rows(np.concatenate([num, -num]), np.concatenate([den, den]))
+    if np.abs(triples).max(initial=0) > MAX_COORDINATE:
+        raise ValueError(too_large)
 
-    antipodal_violations = [
-        p.coords() for p, t in zip(points, triples) if _triple_color(t) != meyer_color(-p)
-    ]
+    colors = _triple_color(triples.T)
+    antipodal = np.flatnonzero(colors[:len(points)] != colors[len(points):])
+    antipodal_violations = tuple(points[k].coords() for k in antipodal.tolist())
 
-    a = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    colors = _triple_color(a.T).tolist()
-    block = max(1, _BLOCK_ENTRIES // max(1, len(rays)))
+    a = np.unique(_canonical_rows(triples[:len(points)]), axis=0)
+    block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(1, len(a)))
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(rays), block):
+    for lo in range(0, len(a), block):
         i, j = np.nonzero(a[lo:lo + block] @ a[lo:].T == 0)
         upper = j > i
         rows.append(i[upper] + lo)
         cols.append(j[upper] + lo)
     i, j = np.concatenate(rows), np.concatenate(cols)
+    pairs = len(i)
 
+    def rays_at(index):
+        return map(tuple, a[index].tolist())
+
+    colors = _triple_color(a.T)
+    bad = colors[i] + colors[j] < 1
+    pair_violations = tuple(zip(rays_at(i[bad]), rays_at(j[bad])))
+
+    # the canonical reduced cross product of each pair, looked up among the
+    # rays; entries beyond the rays' bound are clipped to a key no ray has
     w = np.cross(a[i], a[j])
-    w //= np.gcd.reduce(w, axis=1, keepdims=True)
-    index = {ray: k for k, ray in enumerate(rays)}
-    pair_violations, triads = [], set()
-    for u, v, t in zip(i.tolist(), j.tolist(), w.tolist()):
-        if colors[u] + colors[v] < 1:
-            pair_violations.append((rays[u], rays[v]))
-        k = index.get(_canonical_ray(*t))
-        if k is not None:
-            triads.add(tuple(sorted((u, v, k))))
-    triad_violations = [
-        (rays[u], rays[v], rays[k])
-        for u, v, k in sorted(triads)
-        if colors[u] + colors[v] + colors[k] != 2
-    ]
+    w = _canonical_rows(w // np.gcd.reduce(w, axis=1, keepdims=True))
+    bound = int(np.abs(a).max(initial=0)) + 1
+    keys = _ray_keys(a, bound)
+    wanted = _ray_keys(np.clip(w, -bound, bound), bound)
+    k = np.searchsorted(keys, wanted)
+    # each triad once, from its first two rays, so in sorted order
+    third = (k > j) & (keys[np.minimum(k, len(a) - 1)] == wanted)
+    i, j, k = i[third], j[third], k[third]
+    bad = colors[i] + colors[j] + colors[k] != 2
+    triad_violations = tuple(zip(rays_at(i[bad]), rays_at(j[bad]), rays_at(k[bad])))
 
     return ConditionReport(
-        rays=len(rays),
-        pairs=len(i),
-        triads=len(triads),
-        antipodal_violations=tuple(antipodal_violations),
-        pair_violations=tuple(pair_violations),
-        triad_violations=tuple(triad_violations),
+        rays=len(a),
+        pairs=pairs,
+        triads=len(i),
+        antipodal_violations=antipodal_violations,
+        pair_violations=pair_violations,
+        triad_violations=triad_violations,
     )

@@ -180,6 +180,19 @@ def test_rational_point_validation():
         RationalPoint(Q(1, 2), Q(1, 2), 0)
 
 
+@pytest.mark.parametrize("coords", [
+    (1, 1, 0),
+    (Q(2, 3), Q(2, 3), Q(2, 3)),
+    (Q(3, 5), Q(4, 7), 0),
+    # a sphere point (2m, m^2 - 1, 0) / n, n = m^2 + 1 with m = 2^40, and z = 1 / n:
+    # the square sum is 1 + 1 / n^2
+    (Q(2 << 40, (1 << 80) + 1), Q((1 << 80) - 1, (1 << 80) + 1), Q(1, (1 << 80) + 1)),
+])
+def test_rational_point_rejects_off_sphere(coords):
+    with pytest.raises(ValueError, match="not on the unit sphere"):
+        RationalPoint(*coords)
+
+
 def test_rational_point_negation():
     p = RationalPoint(Q(2, 3), Q(-2, 3), Q(1, 3))
     q = -p

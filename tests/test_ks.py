@@ -1,5 +1,6 @@
 """Orthogonality structures and coloring search."""
 
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -103,22 +104,60 @@ def test_count_reduced_peres():
 def _free_rays(count):
     """`count` pairwise non-orthogonal rays (1, k) in d = 2: no basis and no
     pair, so every one of the 2^count assignments is a coloring."""
-    return build_orth_structure(VectorSet(2, [ExactVector([1, k]) for k in range(count)]))
+    return build_orth_structure(VectorSet(2, [ExactVector([1, k]) for k in range(1, count + 1)]))
 
 
-def test_count_does_not_store_colorings():
+def test_count_does_not_store_colorings(peres):
     assert count_colorings(_free_rays(16)) == 1 << 16
-    # a count that kept each coloring would hold 8192 tuples (about 1.2 MB);
-    # 13 rays rather than 16 because tracemalloc slows the search 15-fold
-    structure = _free_rays(13)
+    # one connected part of 55 vectors with 2048 colorings: a count that kept
+    # each coloring would hold 2048 tuples of 55 entries (about 1 MB)
+    vectors = complete_pairs_to_triads(peres).vectors[2:]
+    structure = build_orth_structure(VectorSet(3, vectors))
     tracemalloc.start()
     try:
         count = count_colorings(structure)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 1 << 13
+    assert count == 2048
     assert peak < 1 << 18
+
+
+@pytest.mark.parametrize("count", [16, 40])
+def test_count_multiplies_independent_parts(count):
+    # each unconstrained ray is its own part with 2 colorings; a walk over
+    # every coloring would take days at 40 rays
+    structure = _free_rays(count)
+    started = time.perf_counter()
+    assert count_colorings(structure) == 1 << count
+    assert time.perf_counter() - started < 1.0
+
+
+def test_count_multiplies_parts_with_bases():
+    # two bases of d = 2 that share no vector, and a ray in neither
+    rays = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 2]]
+    structure = build_orth_structure(VectorSet(2, [ExactVector(r) for r in rays]))
+    assert len(structure.bases) == 2
+    assert count_colorings(structure) == _naive_count(structure) == 2 * 2 * 2
+
+
+def _unsplit_count(structure):
+    return sum(1 for _ in _Search(structure).solutions())
+
+
+@pytest.mark.parametrize("base, dropped, expected", [
+    # the subsets of the exhaustive benchmark workload at seed 0xC0FFEE
+    ("peres33", [8], 16),
+    ("peres33", [15], 16),
+    ("peres33", [30], 16),
+    ("completed57", [2, 24], 778),
+    ("completed57", [0, 1], 2048),
+])
+def test_count_on_benchmark_subsets_unchanged(peres, base, dropped, expected):
+    vectors = peres.vectors if base == "peres33" else complete_pairs_to_triads(peres).vectors
+    structure = build_orth_structure(
+        VectorSet(3, [v for i, v in enumerate(vectors) if i not in dropped]))
+    assert count_colorings(structure) == _unsplit_count(structure) == expected
 
 
 def test_search_nodes_are_frozen(peres, cabello):

@@ -1,6 +1,7 @@
 """Pythagorean coloring of the rational sphere."""
 
 import math
+import random
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -123,8 +124,11 @@ def test_ray_count_oracle_n12():
                             t = tuple(-c for c in t)
                         break
                 rays.add(t)
-    expected = len(rays)
-    assert len(enumerate_pyth_points(max_n)) == expected
+    points = enumerate_pyth_points(max_n)
+    assert [to_primitive_pyth(p).coords() for p in points] == sorted(rays)
+    for p in points:
+        t = to_primitive_pyth(p)
+        assert p == RationalPoint(Q(t.x, t.n), Q(t.y, t.n), Q(t.z, t.n))
 
 
 def test_report_structure_small():
@@ -168,6 +172,27 @@ def test_block_scan_matches_combinations_reference(max_n):
     assert verify_meyer_conditions(points) == _combinations_reference(points)
 
 
+def _mixed_points(max_n, seed):
+    """The corpus with some antipodes and duplicates added, shuffled."""
+    rng = random.Random(seed)
+    points = enumerate_pyth_points(max_n)
+    mixed = points + [-p for p in rng.sample(points, len(points) // 3)]
+    mixed += rng.sample(points, len(points) // 4)
+    rng.shuffle(mixed)
+    return mixed
+
+
+def test_shuffled_antipodes_and_duplicates_match_reference():
+    points = _mixed_points(25, 1)
+    report = verify_meyer_conditions(points)
+    assert report == _combinations_reference(points)
+    assert (report.rays, report.pairs, report.triads) == (RAYS_25, PAIRS_25, TRIADS_25)
+
+
+def test_empty_point_list():
+    assert verify_meyer_conditions([]) == ConditionReport(0, 0, 0, (), (), ())
+
+
 def test_wrong_color_rule_reported_like_reference(monkeypatch):
     # the inverted rule (odd z maps to 1) puts exactly one 1 in each triad and
     # two 0s in each pair of even-z rays (parity of any other axis would pass
@@ -180,11 +205,52 @@ def test_wrong_color_rule_reported_like_reference(monkeypatch):
     assert report == _combinations_reference(points)
 
 
+def test_sign_dependent_rule_reports_antipodes_in_input_order(monkeypatch):
+    # odd z = 1 mod 4 differs between a ray and its antipode, so every input
+    # point with odd z is an antipodal violation, listed in input order
+    monkeypatch.setattr(meyer, "_triple_color", lambda t: (t[2] % 4 == 1) * 1)
+    points = _mixed_points(10, 2)
+    report = verify_meyer_conditions(points)
+    assert report.antipodal_violations
+    assert report == _combinations_reference(points)
+
+
 def test_coordinate_over_int64_bound_rejected():
     # (2m, m^2 - 1, 0) / (m^2 + 1) is primitive with a coordinate of 2^32 - 1
     m = 1 << 16
     far = RationalPoint(Q(2 * m, m * m + 1), Q(m * m - 1, m * m + 1), 0)
     assert to_primitive_pyth(far).is_primitive()
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_meyer_conditions([RationalPoint(0, 0, 1), far])
+
+
+def test_triad_of_large_rays_found():
+    # coordinates near 2^28: (2m + 1)^3 passes 2^63, so the ray keys are
+    # Python ints; the triad through the z axis must still be found
+    m = 1 << 14
+    n = m * m + 1
+    points = [RationalPoint(0, 0, 1), RationalPoint(Q(2 * m, n), Q(m * m - 1, n), 0),
+              RationalPoint(Q(m * m - 1, n), Q(-2 * m, n), 0), RationalPoint(Q(3, 5), Q(4, 5), 0)]
+    report = verify_meyer_conditions(points)
+    assert (report.rays, report.pairs, report.triads) == (4, 4, 1)
+    assert report == _combinations_reference(points)
+
+
+def test_cross_product_past_ray_bound_is_no_ray():
+    # the rays' entries lie in [-24, 24]; (0, 4, 3) x (12, 3, -4) reduces to
+    # (25, -36, 48), whose base-51 key, unclipped, equals that of the ray
+    # (24, 16, -3): it must not count as a triad
+    points = [RationalPoint(Q(x, n), Q(y, n), Q(z, n)) for x, y, z, n in
+              ((0, 4, 3, 5), (0, 7, -24, 25), (12, 3, -4, 13), (24, 16, -3, 29))]
+    report = verify_meyer_conditions(points)
+    assert (report.pairs, report.triads) == (1, 0)
+    assert report == _combinations_reference(points)
+
+
+def test_denominators_over_int64_rejected_before_conversion():
+    # the same axis family at m = 2^40: numerators and denominators near 2^80
+    m = 1 << 40
+    far = RationalPoint(Q(2 * m, m * m + 1), Q(m * m - 1, m * m + 1), 0)
     with pytest.raises(ValueError, match="exceeds"):
         verify_meyer_conditions([RationalPoint(0, 0, 1), far])
 

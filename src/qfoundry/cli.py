@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Optional
 
@@ -30,29 +29,11 @@ SCHEMA = "qfoundry/1"
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+MAX_SHOTS = 10**7  # verify-all and mkc simulate allocate arrays of this length
 
 
 class CliError(Exception):
     """Usage-level error: bad dataset name, malformed file, bad arguments."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved global options for one invocation."""
-
-    seed: int = DEFAULT_SEED
-    shots: int = 100_000
-    fmt: str = "json"
-    tolerance: Optional[float] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            seed=args.seed,
-            shots=args.shots,
-            fmt="csv" if args.csv else "json",
-            tolerance=args.tolerance,
-        )
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
@@ -66,9 +47,9 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, repr(value) if isinstance(value, float) else str(value)))
 
 
-def emit(report: dict, config: RunConfig) -> None:
+def emit(report: dict, args: argparse.Namespace) -> None:
     report = {"schema": SCHEMA, **report}
-    if config.fmt == "csv":
+    if args.csv:
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
         for key, value in rows:
@@ -228,7 +209,7 @@ def load_program(
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_ks_check(args, config: RunConfig) -> int:
+def cmd_ks_check(args) -> int:
     structure = load_structure(args.set)
     try:
         if args.complete_pairs:
@@ -247,17 +228,17 @@ def cmd_ks_check(args, config: RunConfig) -> int:
             "colorings": colorings,
             "nodes_explored": result.nodes_explored,
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_ks_parity(args, config: RunConfig) -> int:
+def cmd_ks_parity(args) -> int:
     structure = load_structure(args.set)
     try:
         witness = ks.cabello_parity_witness(structure)
     except ks.NotApplicableError as exc:
-        emit({"set": args.set, "applicable": False, "reason": str(exc)}, config)
+        emit({"set": args.set, "applicable": False, "reason": str(exc)}, args)
         return CHECK_FAILURE
     emit(
         {
@@ -268,12 +249,12 @@ def cmd_ks_parity(args, config: RunConfig) -> int:
             "membership_counts": sorted(set(witness.membership_counts)),
             "uncolorable": witness.uncolorable,
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_meyer_verify(args, config: RunConfig) -> int:
+def cmd_meyer_verify(args) -> int:
     points = meyer.enumerate_pyth_points(args.max_n)
     report = meyer.verify_meyer_conditions(points)
     emit(
@@ -284,35 +265,35 @@ def cmd_meyer_verify(args, config: RunConfig) -> int:
             "pairs": report.pairs,
             "violations": report.violations,
         },
-        config,
+        args,
     )
     return 0 if report.violations == 0 else CHECK_FAILURE
 
 
-def cmd_quantum_reconstruct(args, config: RunConfig) -> int:
-    tolerance = config.tolerance if config.tolerance is not None else qt.STRUCT_TOL
+def cmd_quantum_reconstruct(args) -> int:
+    tolerance = args.tolerance if args.tolerance is not None else qt.STRUCT_TOL
     error = _reconstruction_error(np.random.default_rng(args.seed), args.dim)
     emit(
         {"dim": args.dim, "seed": args.seed, "max_entry_error": error,
          "tolerance": tolerance, "passed": error < tolerance},
-        config,
+        args,
     )
     return 0 if error < tolerance else CHECK_FAILURE
 
 
-def cmd_quantum_generator(args, config: RunConfig) -> int:
-    tolerance = config.tolerance if config.tolerance is not None else qt.VERIFY_TOL
+def cmd_quantum_generator(args) -> int:
+    tolerance = args.tolerance if args.tolerance is not None else qt.VERIFY_TOL
     alphas, residuals = _generator_residuals(np.random.default_rng(args.seed), args.n)
     worst = max(residuals)
     emit(
         {"n": args.n, "alpha": alphas, "max_residual": worst,
          "tolerance": tolerance, "passed": worst < tolerance},
-        config,
+        args,
     )
     return 0 if worst < tolerance else CHECK_FAILURE
 
 
-def cmd_mkc_simulate(args, config: RunConfig) -> int:
+def cmd_mkc_simulate(args) -> int:
     observables, include, rho = load_program(args.program, args.dim, args.bases)
     family = mkc.generate_basis_family(args.dim, args.bases, args.seed, include=include)
     report = mkc.simulate_sequence(rho, observables, family, args.seed, args.shots)
@@ -327,23 +308,23 @@ def cmd_mkc_simulate(args, config: RunConfig) -> int:
             "exact": {str(k): v for k, v in sorted(report.exact_probabilities.items())},
             "total_variation_distance": report.total_variation_distance,
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_bell_chsh(args, config: RunConfig) -> int:
+def cmd_bell_chsh(args) -> int:
     angles = _parse_floats(args.angles, 4, "--angles")
     value = bell.chsh_value(*angles)
     report = {"angles": angles, "value": value}
     if args.grid:
         report["grid_max"] = bell.chsh_grid_max()
         report["tsirelson"] = bell.TSIRELSON
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
-def cmd_bell_logical(args, config: RunConfig) -> int:
+def cmd_bell_logical(args) -> int:
     angles = _parse_floats(args.angles, 4, "--angles")
     plain = bell.logical_bell(*angles)
     report = {
@@ -361,11 +342,11 @@ def cmd_bell_logical(args, config: RunConfig) -> int:
             "sandwich_terms": list(sandwich),
             "violated": seq.violated,
         }
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
-def cmd_fwt_bounds(args, config: RunConfig) -> int:
+def cmd_fwt_bounds(args) -> int:
     bounds = bell.fwt_bounds(args.eps_s, args.eps_t)
     emit(
         {
@@ -375,12 +356,12 @@ def cmd_fwt_bounds(args, config: RunConfig) -> int:
             "f_min": bounds.f_min,
             "satisfied": bounds.satisfied,
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_fwt_counts(args, config: RunConfig) -> int:
+def cmd_fwt_counts(args) -> int:
     structure = ks.build_orth_structure(load_builtin("peres33"))
     counts = bell.fwt_direction_counts(structure)
     emit(
@@ -391,12 +372,12 @@ def cmd_fwt_counts(args, config: RunConfig) -> int:
             "coefficient": str(counts.coefficient),
             "joint_experiments": counts.joint_experiments,
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_logic_heyting(args, config: RunConfig) -> int:
+def cmd_logic_heyting(args) -> int:
     rng = np.random.default_rng(args.seed)
     bases = [mkc.random_unitary(rng, args.dim).T for _ in range(args.bases)]
     poset = logic.poset_from_bases(bases)
@@ -418,24 +399,24 @@ def cmd_logic_heyting(args, config: RunConfig) -> int:
             "passed": report.passed,
             "violations": list(report.violations),
         },
-        config,
+        args,
     )
     return 0 if report.passed else CHECK_FAILURE
 
 
-def cmd_logic_popper(args, config: RunConfig) -> int:
-    emit(logic.popper_counterexample(), config)
+def cmd_logic_popper(args) -> int:
+    emit(logic.popper_counterexample(), args)
     return 0
 
 
-def cmd_data_export(args, config: RunConfig) -> int:
+def cmd_data_export(args) -> int:
     vset = load_vector_set(args.set)
     if args.out:
         try:
             vset.dump(args.out)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
-        emit({"set": args.set, "written": args.out, "vectors": len(vset)}, config)
+        emit({"set": args.set, "written": args.out, "vectors": len(vset)}, args)
     else:
         print(json.dumps(vset.to_json_dict(), indent=1))
     return 0
@@ -633,9 +614,9 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
     ]
 
 
-def cmd_verify_all(args, config: RunConfig) -> int:
+def cmd_verify_all(args) -> int:
     results: list[dict] = []
-    for name, check in _acceptance_checks(config.seed, config.shots):
+    for name, check in _acceptance_checks(args.seed, args.shots):
         try:
             details = check()
             results.append({"check": name, "passed": True, "details": details})
@@ -646,11 +627,11 @@ def cmd_verify_all(args, config: RunConfig) -> int:
                             "error": f"{type(exc).__name__}: {exc}"})
 
     all_passed = all(r["passed"] for r in results)
-    if args.json or config.fmt == "csv":
+    if args.json or args.csv:
         emit(
-            {"seed": config.seed, "shots": config.shots,
+            {"seed": args.seed, "shots": args.shots,
              "passed": all_passed, "checks": results},
-            config,
+            args,
         )
     else:
         for r in results:
@@ -658,7 +639,7 @@ def cmd_verify_all(args, config: RunConfig) -> int:
             extra = "" if r["passed"] else f"  ({r['error']})"
             print(f"[{status}] {r['check']}{extra}")
         print(f"{'all checks passed' if all_passed else 'FAILURES present'} "
-              f"(seed={config.seed:#x})")
+              f"(seed={args.seed:#x})")
     return 0 if all_passed else CHECK_FAILURE
 
 
@@ -673,7 +654,7 @@ def _common_options(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_bounded(lambda s: int(s, 0), "--seed", 0),
                         default=DEFAULT_SEED if defaults else suppress,
                         help="RNG seed (default 0xC0FFEE)")
-    common.add_argument("--shots", type=_bounded(int, "--shots", 1),
+    common.add_argument("--shots", type=_bounded(int, "--shots", 1, MAX_SHOTS),
                         default=100_000 if defaults else suppress,
                         help="Monte Carlo sample count (default 100000)")
     common.add_argument("--json", action="store_true",
@@ -760,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     logic_sub = logic_parser.add_subparsers(dest="subcommand", required=True)
     lh = logic_sub.add_parser("heyting", parents=[local])
     lh.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    lh.add_argument("--bases", type=_bounded(int, "--bases", 1), default=2)
+    lh.add_argument("--bases", type=_bounded(int, "--bases", 1, logic.MAX_POSET_BASES),
+                    default=2)
     lh.add_argument("--variant", choices=("l2", "l3"), default="l3")
     lh.add_argument("--exhaustive", action="store_true")
     lh.set_defaults(func=cmd_logic_heyting)
@@ -785,8 +767,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         # argument types raise CliError for values out of range
         args = parser.parse_args(argv)
-        config = RunConfig.from_args(args)
-        return args.func(args, config)
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -25,6 +25,7 @@ CONTAINMENT_TOL = 1e-9
 MAX_SUBSPACE_DIM = 4
 MAX_UNION_COMPONENTS = 8
 MAX_EXHAUSTIVE_ELEMENTS = 4096
+MAX_POSET_BASES = 64  # the poset build compares every pair of contexts
 
 
 def _range_basis(projection: np.ndarray) -> np.ndarray:

@@ -40,11 +40,11 @@ class NotInFamilyError(ValueError):
 class BasisFamily:
     """K orthonormal bases, pairwise totally incompatible.
 
-    bases[m] has the m-th basis vectors as rows.
+    bases is a (K, n, n) array; bases[m] has the m-th basis vectors as rows.
     """
 
     dimension: int
-    bases: tuple[np.ndarray, ...]
+    bases: np.ndarray
     seed: int
 
     @property
@@ -55,11 +55,18 @@ class BasisFamily:
         v = self.bases[m][j]
         return np.outer(v, v.conj())
 
+    def atom_projectors(self) -> np.ndarray:
+        """(K, n, n, n) array: [m, j] projects onto the j-th vector of basis m."""
+        b = self.bases
+        return b[:, :, :, None] * b[:, :, None, :].conj()
+
+    def atom_weights(self, mat: np.ndarray) -> np.ndarray:
+        """(K, n) trace-rule weights <v|mat|v> of every basis vector v."""
+        return np.einsum("mki,ij,mkj->mk", self.bases.conj(), mat, self.bases).real
+
     def atom_probabilities(self, rho: DensityOperator, m: int) -> np.ndarray:
         """Trace-rule weights of the m-th basis vectors, normalized."""
-        mat = _as_matrix(rho)
-        probs = np.einsum("ki,ij,kj->k", self.bases[m].conj(), mat, self.bases[m])
-        probs = np.clip(probs.real, 0.0, None)
+        probs = np.clip(self.atom_weights(_as_matrix(rho))[m], 0.0, None)
         return probs / probs.sum()
 
     def locate(self, projection) -> tuple[int, tuple[int, ...]] | None:
@@ -69,26 +76,29 @@ class BasisFamily:
         projection is in no family algebra or in more than one.
         """
         mat = _as_matrix(projection)
-        n = self.dimension
-        if np.linalg.norm(mat, 2) <= STRUCT_TOL:
+        if _trivial_value(mat) is not None:
             return None
-        if np.linalg.norm(mat - np.eye(n), 2) <= STRUCT_TOL:
-            return None
-        hits = []
-        for m, basis in enumerate(self.bases):
-            weights = np.einsum("ki,ij,kj->k", basis.conj(), mat, basis).real
-            atoms = tuple(j for j in range(n) if weights[j] > 0.5)
-            rebuilt = sum(self.projector(m, j) for j in atoms) if atoms else np.zeros((n, n))
-            if np.linalg.norm(mat - rebuilt, 2) <= STRUCT_TOL:
-                hits.append((m, atoms))
-        if not hits:
+        chosen = self.atom_weights(mat) > 0.5
+        rebuilt = (self.atom_projectors() * chosen[:, :, None, None]).sum(axis=1)
+        hits = np.flatnonzero(np.linalg.norm(mat - rebuilt, 2, axis=(1, 2)) <= STRUCT_TOL)
+        if len(hits) == 0:
             raise NotInFamilyError("projection does not belong to any family algebra")
         if len(hits) > 1:
             raise NotInFamilyError(
                 f"projection belongs to {len(hits)} family algebras; bases are "
                 "not totally incompatible"
             )
-        return hits[0]
+        m = int(hits[0])
+        return m, tuple(int(j) for j in np.flatnonzero(chosen[m]))
+
+
+def _trivial_value(mat: np.ndarray) -> Optional[int]:
+    """0 or 1 for the trivial projections 0 and 1, None for any other."""
+    if np.linalg.norm(mat, 2) <= STRUCT_TOL:
+        return 0
+    if np.linalg.norm(mat - np.eye(mat.shape[0]), 2) <= STRUCT_TOL:
+        return 1
+    return None
 
 
 def _projectors_with_first_atom(basis: np.ndarray) -> np.ndarray:
@@ -119,8 +129,7 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(raw)
     # fix the QR phase ambiguity for reproducibility
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return q
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def _basis_containing(rng: np.random.Generator, vector: np.ndarray) -> np.ndarray:
@@ -138,10 +147,7 @@ def _basis_containing(rng: np.random.Generator, vector: np.ndarray) -> np.ndarra
 
 
 def generate_basis_family(
-    n: int,
-    size: int,
-    seed: int,
-    include: Sequence[np.ndarray] = (),
+    n: int, size: int, seed: int, include: Sequence[np.ndarray] = ()
 ) -> BasisFamily:
     """Seeded family of `size` pairwise totally incompatible bases.
 
@@ -152,8 +158,8 @@ def generate_basis_family(
     """
     if n not in (2, 3, 4):
         raise ValueError("family dimension must be 2, 3 or 4")
-    if size > MAX_FAMILY_SIZE:
-        raise ValueError(f"family size capped at {MAX_FAMILY_SIZE}")
+    if not 1 <= size <= MAX_FAMILY_SIZE:
+        raise ValueError(f"family size must lie in [1, {MAX_FAMILY_SIZE}]")
     if len(include) > size:
         raise ValueError("more planted vectors than bases")
     include = [np.asarray(vec, dtype=complex) for vec in include]
@@ -172,7 +178,7 @@ def generate_basis_family(
             basis = random_unitary(rng, n).T  # rows = basis vectors
         if all(totally_incompatible(basis, prev) for prev in accepted):
             accepted.append(basis)
-    return BasisFamily(dimension=n, bases=tuple(accepted), seed=seed)
+    return BasisFamily(dimension=n, bases=np.array(accepted), seed=seed)
 
 
 def mkc_probability(rho: DensityOperator, projection, family: BasisFamily) -> float:
@@ -180,21 +186,17 @@ def mkc_probability(rho: DensityOperator, projection, family: BasisFamily) -> fl
     the atoms below the projection, which equals the trace rule itself."""
     where = family.locate(projection)
     if where is None:
-        mat = _as_matrix(projection)
-        return 0.0 if np.linalg.norm(mat, 2) <= STRUCT_TOL else 1.0
+        return float(_trivial_value(_as_matrix(projection)))
     m, atoms = where
-    rho_mat = _as_matrix(rho)
-    return float(
-        sum(np.trace(rho_mat @ family.projector(m, j)).real for j in atoms)
-    )
+    return float(family.atom_weights(_as_matrix(rho))[m, list(atoms)].sum())
 
 
 @dataclass
 class ValuationSeed:
     """Lazily sampled valuation: one marked basis vector per accessed basis.
 
-    The draw for basis m uses an RNG stream derived from (seed, m), so the
-    sampled choice does not depend on the order in which bases are queried.
+    The draw for basis m is the first `sample_choices` draw on the (seed, m)
+    stream, so it does not depend on the order in which bases are queried.
     """
 
     family: BasisFamily
@@ -204,24 +206,19 @@ class ValuationSeed:
 
     def choice(self, m: int) -> int:
         if m not in self._choices:
-            probs = self.family.atom_probabilities(self.rho, m)
-            rng = np.random.default_rng((self.seed, m))
-            self._choices[m] = int(rng.choice(len(probs), p=probs))
+            self._choices[m] = int(sample_choices(self.rho, self.family, m, 1, self.seed)[0])
         return self._choices[m]
 
     def value(self, projection) -> int:
         """The 0/1 value assigned to a projection of a family algebra."""
         where = self.family.locate(projection)
         if where is None:
-            mat = _as_matrix(projection)
-            return 0 if np.linalg.norm(mat, 2) <= STRUCT_TOL else 1
+            return _trivial_value(_as_matrix(projection))
         m, atoms = where
         return 1 if self.choice(m) in atoms else 0
 
 
-def sample_valuation(
-    rho: DensityOperator, family: BasisFamily, seed: int
-) -> ValuationSeed:
+def sample_valuation(rho: DensityOperator, family: BasisFamily, seed: int) -> ValuationSeed:
     return ValuationSeed(family=family, rho=rho, seed=seed)
 
 
@@ -241,23 +238,24 @@ def nearest_family_observable(
 
     Keeps the observable's eigenvalues and re-attaches them to the basis
     (and vector matching) that minimizes the operator-norm distance.
-    Returns (realized matrix, basis index, distance).
+    Returns (realized matrix, basis index, distance); on a tie within
+    1e-15 the first basis and permutation in order win.
     """
     mat = _as_matrix(observable)
     if np.abs(mat - mat.conj().T).max() > STRUCT_TOL:
         raise ValueError("observable must be Hermitian")
-    values, vectors = np.linalg.eigh(mat)
-    n = mat.shape[0]
-    best: Optional[tuple[float, int, np.ndarray]] = None
-    for m in range(family.size):
-        atoms = [family.projector(m, j) for j in range(n)]
-        for perm in permutations(range(n)):
-            candidate = sum(values[k] * atoms[perm[k]] for k in range(n))
-            dist = float(np.linalg.norm(mat - candidate, 2))
-            if best is None or dist < best[0] - 1e-15:
-                best = (dist, m, candidate)
-    dist, m, realized = best
-    return realized, m, dist
+    values, _ = np.linalg.eigh(mat)  # eigvalsh's values differ in the last bits
+    atoms = family.atom_projectors()
+    perms = np.array(list(permutations(range(len(values)))))
+    # candidates[m, p] attaches values[k] to atom perms[p, k] of basis m
+    candidates = sum(values[k] * atoms[:, perms[:, k]] for k in range(len(values)))
+    dists = np.linalg.norm(mat - candidates, 2, axis=(2, 3)).ravel()
+    best = 0
+    for i, dist in enumerate(dists):
+        if dist < dists[best] - 1e-15:
+            best = i
+    m, p = divmod(best, len(perms))
+    return candidates[m, p], m, float(dists[best])
 
 
 def factorization_defect(observable, dims: tuple[int, int] = (2, 2)) -> float:
@@ -348,6 +346,7 @@ def simulate_sequence(
             expand(child, rows[branch == k], acc * float(probs[k]), values + (value,))
 
     expand(rho0, np.arange(shots), 1.0, ())
+    del expand  # break the closure's self-reference, so its arrays are freed on return
     frequencies = {k: v / shots for k, v in sorted(counts.items()) if v}
 
     return SequenceReport(

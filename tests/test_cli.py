@@ -325,7 +325,9 @@ def _coord(num, den=1):
         (["data", "export", "--set", "peres33", "--out", "/nonexistent/x.json"],
          2, "cannot write /nonexistent/x.json"),
         (["bell", "chsh", "--angles", "0,nan,1,2"], 2, "must be finite"),
-        (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, inf], got 0"),
+        (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, 10000000], got 0"),
+        (["verify-all", "--shots", "10000001"], 2,
+         "--shots must lie in [1, 10000000], got 10000001"),
         (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, 200], got 0"),
         (["meyer", "verify", "--max-n", "201"], 2, "--max-n must lie in [1, 200], got 201"),
         (["quantum", "generator", "--n", "0"], 2, "--n must lie in [1, 5]"),
@@ -335,7 +337,8 @@ def _coord(num, den=1):
         (["mkc", "simulate", "--shots", "-5", "--program", "p.json"], 2, "--shots must lie"),
         (["fwt", "bounds", "--eps-s", "nan", "--eps-t", "0"], 2, "--eps-s must lie in [0, 1]"),
         (["--tolerance", "nan", "quantum", "reconstruct"], 2, "--tolerance must lie"),
-        (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, inf]"),
+        (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, 64]"),
+        (["logic", "heyting", "--bases", "65"], 2, "--bases must lie in [1, 64], got 65"),
         (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf]"),
         (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
@@ -362,10 +365,11 @@ def _coord(num, den=1):
                                                 {"entries": [_coord(-2)]}])], 2,
          "duplicate ray"),
     ],
-    ids=["unwritable-out", "nan-angle", "zero-shots", "zero-max-n", "max-n-over-cap",
-         "zero-generator-n",
+    ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
+         "max-n-over-cap", "zero-generator-n",
          "reconstruct-dim-over-cap",
          "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
+         "heyting-bases-over-cap",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
          "zero-dimension", "empty-vector-list", "count-over-limit",

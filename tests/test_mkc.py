@@ -1,7 +1,8 @@
 """Hidden-variable simulator: families, valuations, sequential dynamics."""
 
+import gc
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -214,6 +215,118 @@ def test_nearest_observable_distance_monotone_in_size():
     assert d_large <= d_small + 1e-12
 
 
+def _nearest_per_basis(observable, family):
+    """Reference: one candidate per basis and vector matching, first within 1e-15 wins."""
+    values, _ = np.linalg.eigh(observable)
+    n = observable.shape[0]
+    best = None
+    for m in range(family.size):
+        atoms = [family.projector(m, j) for j in range(n)]
+        for perm in permutations(range(n)):
+            candidate = sum(values[k] * atoms[perm[k]] for k in range(n))
+            dist = float(np.linalg.norm(observable - candidate, 2))
+            if best is None or dist < best[0] - 1e-15:
+                best = (dist, m, candidate)
+    dist, m, realized = best
+    return realized, m, dist
+
+
+@pytest.mark.parametrize("n, size", [(2, 64), (3, 16), (4, 32)])
+def test_nearest_matches_per_basis_reference(n, size):
+    family = mkc.generate_basis_family(n, size, seed=n)
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    observables = [
+        raw + raw.conj().T,
+        family.projector(2, 0),  # exact hit
+        np.eye(n, dtype=complex),  # every candidate ties: the tie rule decides
+        np.diag(np.arange(n, dtype=float)).astype(complex),
+    ]
+    for observable in observables:
+        realized, m, dist = mkc.nearest_family_observable(observable, family)
+        ref_realized, ref_m, ref_dist = _nearest_per_basis(observable, family)
+        assert realized.tobytes() == ref_realized.tobytes()
+        assert m == ref_m
+        assert np.float64(dist).tobytes() == np.float64(ref_dist).tobytes()
+
+
+def _locate_per_basis(family, mat):
+    """Reference: each basis's atom subset rebuilt and compared on its own."""
+    n = family.dimension
+    for trivial in (np.zeros((n, n)), np.eye(n)):
+        if np.linalg.norm(mat - trivial, 2) <= qt.STRUCT_TOL:
+            return None
+    hits = []
+    for m, basis in enumerate(family.bases):
+        weights = np.einsum("ki,ij,kj->k", basis.conj(), mat, basis).real
+        atoms = tuple(j for j in range(n) if weights[j] > 0.5)
+        rebuilt = sum(family.projector(m, j) for j in atoms) if atoms else np.zeros((n, n))
+        if np.linalg.norm(mat - rebuilt, 2) <= qt.STRUCT_TOL:
+            hits.append((m, atoms))
+    if not hits:
+        raise mkc.NotInFamilyError("projection does not belong to any family algebra")
+    if len(hits) > 1:
+        raise mkc.NotInFamilyError(
+            f"projection belongs to {len(hits)} family algebras; bases are "
+            "not totally incompatible"
+        )
+    return hits[0]
+
+
+def _outcome(locate, *args):
+    try:
+        return locate(*args)
+    except mkc.NotInFamilyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_locate_matches_per_basis_reference(n):
+    family = mkc.generate_basis_family(n, 12, seed=n)
+    doubled = mkc.BasisFamily(n, np.array([family.bases[0], family.bases[0]]), seed=0)
+    rogue = qt.ProjectionOp.onto(np.arange(1.0, n + 1)).matrix
+    projections = [np.zeros((n, n)), np.eye(n), rogue]
+    for m in (0, 5, 11):
+        for r in range(1, n):
+            for atoms in combinations(range(n), r):
+                projections.append(sum(family.projector(m, j) for j in atoms))
+    outcomes = []
+    for fam in (family, doubled):
+        for mat in projections:
+            got = _outcome(fam.locate, mat)
+            assert got == _outcome(_locate_per_basis, fam, mat)
+            outcomes.append(got)
+    assert outcomes[:2] == [None, None]
+    assert "does not belong to any family algebra" in outcomes[2]
+    assert outcomes[3] == (0, (0,))
+    assert any(isinstance(o, str) and "belongs to 2 family algebras" in o for o in outcomes)
+
+
+def test_atom_weights_match_per_basis_trace_rule():
+    for n in (2, 3, 4):
+        family = mkc.generate_basis_family(n, 16, seed=n)
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = raw + raw.conj().T
+        weights = family.atom_weights(mat)
+        for m, basis in enumerate(family.bases):
+            ref = np.einsum("ki,ij,kj->k", basis.conj(), mat, basis).real
+            # the same sums; a 2 x 2 einsum adds its four terms in another order
+            assert np.abs(weights[m] - ref).max() <= 4 * np.finfo(float).eps * np.abs(mat).max()
+            if n > 2:
+                assert weights[m].tobytes() == ref.tobytes()
+
+
+def test_valuation_choice_is_sample_choices_draw(family3, rho3):
+    for seed in range(10):
+        valuation = mkc.sample_valuation(rho3, family3, seed)
+        for m in range(family3.size):
+            probs = family3.atom_probabilities(rho3, m)
+            scalar_draw = np.random.default_rng((seed, m)).choice(len(probs), p=probs)
+            assert valuation.choice(m) == scalar_draw
+            assert valuation.choice(m) == mkc.sample_choices(rho3, family3, m, 1, seed)[0]
+
+
 def test_sequence_repeatability(family3):
     rho = qt.DensityOperator.maximally_mixed(3)
     proj = family3.projector(1, 0)
@@ -236,6 +349,18 @@ def test_sequence_small_overlap_small_joint():
     sigma = math.sqrt(overlap * (1 - overlap) / 50_000)
     assert abs(joint - overlap) <= 4 * sigma
     assert joint < 0.05
+
+
+def test_sequence_frees_its_arrays_on_return(family3, rho3):
+    # the recursive walk is a closure that refers to itself; the cycle would
+    # keep the (shots, steps) uniforms alive until the next gc pass
+    gc.collect()
+    gc.disable()
+    try:
+        mkc.simulate_sequence(rho3, [family3.projector(0, 0)], family3, seed=1, shots=1000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sequence_matches_per_shot_walk(family3, rho3):
@@ -291,6 +416,8 @@ def test_family_generation_validation():
         mkc.generate_basis_family(5, 4, seed=0)
     with pytest.raises(ValueError):
         mkc.generate_basis_family(3, 65, seed=0)
+    with pytest.raises(ValueError, match="family size must lie in"):
+        mkc.generate_basis_family(3, 0, seed=0)  # an empty family has no (K, n, n) shape
 
 
 @pytest.mark.parametrize("vector", [np.zeros(3), np.array([1.0, np.nan, 0.0])], ids=["zero", "nan"])

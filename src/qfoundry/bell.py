@@ -172,13 +172,19 @@ def exhaustive_deterministic_chsh_max() -> Q:
 def lhv_chsh_monte_carlo(
     strategy: LhvStrategy, shots: int, seed: int
 ) -> tuple[float, float]:
-    """Empirical CHSH of a local strategy and the 1-sigma sampling margin."""
+    """Empirical CHSH of a local strategy and the 1-sigma sampling margin.
+
+    Each correlation is the integer sum of the +-1 products over the shots,
+    taken from the counts of the sampled hidden values, divided by shots.
+    """
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
     probs = np.array([float(p) for p in strategy.hidden_probabilities])
-    samples = rng.choice(len(probs), size=shots, p=probs)
-    a = np.array(strategy.responses_a)[:, samples]
-    b = np.array(strategy.responses_b)[:, samples]
-    e = [[float(np.mean(a[x] * b[y])) for y in (0, 1)] for x in (0, 1)]
+    counts = np.bincount(rng.choice(len(probs), size=shots, p=probs), minlength=len(probs))
+    a = np.array(strategy.responses_a)
+    b = np.array(strategy.responses_b)
+    e = [[int(counts @ (a[x] * b[y])) / shots for y in (0, 1)] for x in (0, 1)]
     value = abs(e[0][0] - e[0][1]) + abs(e[1][0] + e[1][1])
     sigma = 2.0 / math.sqrt(shots)  # four +-1 means, each with variance <= 1/shots
     return value, sigma

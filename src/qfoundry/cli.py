@@ -499,8 +499,11 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
         family = mkc.generate_basis_family(3, 16, seed)
         rho = qt.DensityOperator(_ginibre_state(np.random.default_rng((seed, 0xA)), 3))
         worst = 0.0
+        first_two = []  # the draws of bases 0 and 1, kept for the joint below
         for m in range(4):
             choices = mkc.sample_choices(rho, family, m, shots, seed)
+            if m < 2:
+                first_two.append(choices)
             probs = family.atom_probabilities(rho, m)
             for j in range(3):
                 empirical = float(np.mean(choices == j))
@@ -514,8 +517,7 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
             born = qt.born_probability(rho, qt.ProjectionOp(p2))
             assert abs(model - born) <= 1e-12
         # independence of non-commuting projections across bases
-        c0 = mkc.sample_choices(rho, family, 0, shots, seed)
-        c1 = mkc.sample_choices(rho, family, 1, shots, seed)
+        c0, c1 = first_two
         p = family.atom_probabilities(rho, 0)[0]
         q = family.atom_probabilities(rho, 1)[0]
         joint = float(np.mean((c0 == 0) & (c1 == 0)))

@@ -124,11 +124,6 @@ def l1_meet(a: Sequence[Subspace], b: Sequence[Subspace]) -> tuple[Subspace, ...
     return tuple(ql_meet(x, y) for x in a for y in b)
 
 
-def l1_negation(a: Sequence[Subspace]) -> Subspace:
-    """Vectors orthogonal to every component: the complement of the span."""
-    return ql_ortho(ql_join(*a))
-
-
 def l1_double_negation(a: Sequence[Subspace]) -> Subspace:
     """The smallest closed subspace containing the union."""
     return ql_join(*a)

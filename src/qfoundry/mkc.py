@@ -9,6 +9,7 @@ simulator samples the collapse chain, which has the same distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional, Sequence
@@ -101,27 +102,43 @@ def _trivial_value(mat: np.ndarray) -> Optional[int]:
     return None
 
 
-def _projectors_with_first_atom(basis: np.ndarray) -> np.ndarray:
-    """Nontrivial projections of a basis algebra containing atom 0: one per complement pair."""
-    n = basis.shape[0]
-    atoms = np.einsum("ki,kj->kij", basis, basis.conj())
-    return np.array([
-        atoms[[0, *rest]].sum(axis=0)
+def _projectors_with_first_atom(bases: np.ndarray) -> np.ndarray:
+    """Nontrivial projections containing atom 0 of one basis (n, n) or a stack
+    (k, n, n), one per complement pair: shape (..., P, n, n)."""
+    n = bases.shape[-1]
+    subsets = np.array([  # 0/1 rows: atom 0 plus each proper subset of atoms 1..n-1
+        [j == 0 or j in rest for j in range(n)]
         for r in range(n - 1)
         for rest in combinations(range(1, n), r)
-    ])
+    ], dtype=float)
+    atoms = np.einsum("...ki,...kj->...kij", bases, bases.conj())
+    return np.einsum("sk,...kij->...sij", subsets, atoms)
 
 
 def totally_incompatible(b1: np.ndarray, b2: np.ndarray) -> bool:
-    """No nontrivial projection of one algebra commutes with one of the other.
+    """No nontrivial projection of b1's algebra commutes with one of b2's.
 
-    Since [1 - P, Q] = -[P, Q], testing the projections that contain atom 0
-    on both sides covers every pair.
+    b2 is one basis (n, n) or a stack (k, n, n); the result is True when b1
+    is totally incompatible with every basis of the stack (so an empty
+    stack gives True).  Since [1 - P, Q] = -[P, Q], testing the projections
+    that contain atom 0 on both sides covers every pair.  A commutator X
+    has ||X||_2 >= ||X||_F / sqrt(n), so one whose Frobenius norm exceeds
+    2 sqrt(n) times the threshold cannot commute within it; only the rest
+    are decided by the operator norm.
     """
-    p = _projectors_with_first_atom(b1)[:, None]
-    q = _projectors_with_first_atom(b2)[None, :]
-    norms = np.linalg.norm(p @ q - q @ p, 2, axis=(2, 3))
-    return not np.any(norms <= INCOMPATIBILITY_THRESHOLD)
+    b1, b2 = np.asarray(b1), np.asarray(b2)
+    if b2.ndim not in (2, 3) or b2.shape[-2:] != b1.shape:
+        raise ValueError(
+            f"b2 must be one basis or a stack of bases of shape {b1.shape}, got {b2.shape}"
+        )
+    p = _projectors_with_first_atom(b1)[:, None, None]
+    q = _projectors_with_first_atom(b2.reshape(-1, *b1.shape))
+    commutators = p @ q - q @ p  # (P, k, P, n, n)
+    bound = 2 * math.sqrt(b1.shape[0]) * INCOMPATIBILITY_THRESHOLD
+    near = commutators[np.linalg.norm(commutators, axis=(-2, -1)) <= bound]
+    if len(near) == 0:
+        return True
+    return not np.any(np.linalg.norm(near, 2, axis=(1, 2)) <= INCOMPATIBILITY_THRESHOLD)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -166,9 +183,9 @@ def generate_basis_family(
     if not all(np.isfinite(v).all() and v.any() for v in include):
         raise ValueError("planted vectors must be finite and nonzero")
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    attempts = 0
-    while (k := len(accepted)) < size:
+    bases = np.empty((size, n, n), dtype=complex)
+    k = attempts = 0
+    while k < size:
         attempts += 1
         if attempts > RESAMPLE_BUDGET:
             raise FamilyGenerationError("resample budget exhausted")
@@ -176,9 +193,10 @@ def generate_basis_family(
             basis = _basis_containing(rng, include[k])
         else:
             basis = random_unitary(rng, n).T  # rows = basis vectors
-        if all(totally_incompatible(basis, prev) for prev in accepted):
-            accepted.append(basis)
-    return BasisFamily(dimension=n, bases=np.array(accepted), seed=seed)
+        if totally_incompatible(basis, bases[:k]):
+            bases[k] = basis
+            k += 1
+    return BasisFamily(dimension=n, bases=bases, seed=seed)
 
 
 def mkc_probability(rho: DensityOperator, projection, family: BasisFamily) -> float:

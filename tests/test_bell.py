@@ -97,6 +97,33 @@ def test_lhv_monte_carlo_respects_local_bound():
         assert value <= 2 + 5 * sigma
 
 
+def _gathered_chsh(strategy, shots, seed):
+    """Reference: gather each shot's +-1 responses and average the products."""
+    rng = np.random.default_rng(seed)
+    probs = np.array([float(p) for p in strategy.hidden_probabilities])
+    samples = rng.choice(len(probs), size=shots, p=probs)
+    a = np.array(strategy.responses_a)[:, samples]
+    b = np.array(strategy.responses_b)[:, samples]
+    e = [[float(np.mean(a[x] * b[y])) for y in (0, 1)] for x in (0, 1)]
+    return abs(e[0][0] - e[0][1]) + abs(e[1][0] + e[1][1]), 2.0 / math.sqrt(shots)
+
+
+@pytest.mark.parametrize("strategy", [bell.anticorrelated_strategy(),
+                                      bell.random_response_strategy()],
+                         ids=["anticorrelated", "random"])
+@pytest.mark.parametrize("shots", [1, 7, 100_000, 1_000_000])
+def test_lhv_monte_carlo_matches_gathered_means(strategy, shots):
+    for seed in (0, 5, 0xC0FFEE):
+        assert bell.lhv_chsh_monte_carlo(strategy, shots, seed) == _gathered_chsh(
+            strategy, shots, seed)
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_lhv_monte_carlo_needs_a_shot(shots):
+    with pytest.raises(ValueError, match="shots must be at least 1"):
+        bell.lhv_chsh_monte_carlo(bell.random_response_strategy(), shots, 1)
+
+
 def test_logical_bell_paper_angles():
     result = bell.logical_bell(*PAPER_LOGIC_ANGLES)
     assert result.lhs == pytest.approx(0.5, abs=1e-12)

@@ -102,6 +102,137 @@ def test_totally_incompatible_matches_all_subsets(n, rejected):
     assert verdicts.count(False) == rejected
 
 
+def _stack_with_member(rng, n, kind, position, size=5):
+    """A stack of random bases; the one at `position` shares a vector with b1
+    or is b1 block-rotated (kind "shared"/"rotated"), or is random too."""
+    b1 = mkc.random_unitary(rng, n).T
+    stack = np.array([mkc.random_unitary(rng, n).T for _ in range(size)])
+    if kind == "shared":
+        stack[position] = mkc._basis_containing(rng, b1[-1])
+    elif kind == "rotated":
+        stack[position] = _block_rotated(rng, b1)
+    return b1, stack
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_empty_stack_is_totally_incompatible(n):
+    b1 = mkc.random_unitary(np.random.default_rng(n), n).T
+    assert mkc.totally_incompatible(b1, np.empty((0, n, n), dtype=complex))
+
+
+STACK_KINDS = ("shared", "rotated", "random")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_stacked_verdict_matches_pairs(n, kind, position):
+    rng = np.random.default_rng((n, position, STACK_KINDS.index(kind)))
+    b1, stack = _stack_with_member(rng, n, kind, position)
+    pairwise = [mkc.totally_incompatible(b1, b2) for b2 in stack]
+    assert pairwise == [_all_subsets_incompatible(b1, b2) for b2 in stack]
+    assert mkc.totally_incompatible(b1, stack) == all(pairwise)
+    # in d = 2 a block rotation is just another random basis
+    assert all(pairwise) == (kind == "random" or (kind == "rotated" and n == 2))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 2, 2), (2, 4, 4), (1, 2, 3, 3), (0,)])
+def test_stack_shape_must_match_basis(shape):
+    b1 = mkc.random_unitary(np.random.default_rng(0), 3).T
+    with pytest.raises(ValueError, match="stack of bases"):
+        mkc.totally_incompatible(b1, np.zeros(shape, dtype=complex))
+
+
+def _operator_norm_batches(monkeypatch):
+    """Record the number of matrices of every operator-norm call."""
+    batches = []
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            batches.append(len(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return batches
+
+
+@pytest.mark.parametrize("n, angle", [(2, 1e-9), (3, 1e-9), (4, 1e-9), (2, 1.7e-8)])
+def test_near_threshold_pair_reaches_operator_norm(monkeypatch, n, angle):
+    # b2 contains b1's first vector rotated by `angle`, so some commutators
+    # have norms of order `angle`: at 1e-9 they commute within the threshold;
+    # at 1.7e-8 in d = 2 the one commutator has operator norm 1.7e-8 (above
+    # it) and Frobenius norm 2.4e-8, which lies below the 2 sqrt(2) 1e-8 bound
+    rng = np.random.default_rng(n)
+    b1 = mkc.random_unitary(rng, n).T
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w -= b1[0] * np.vdot(b1[0], w)
+    w /= np.linalg.norm(w)
+    b2 = mkc._basis_containing(rng, math.cos(angle) * b1[0] + math.sin(angle) * w)
+    expected = _all_subsets_incompatible(b1, b2)
+    assert expected == (angle > mkc.INCOMPATIBILITY_THRESHOLD)
+    batches = _operator_norm_batches(monkeypatch)
+    assert mkc.totally_incompatible(b1, b2) == expected
+    assert mkc.totally_incompatible(b1, b2[None]) == expected
+    assert sum(batches) >= 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_bases_never_reach_operator_norm(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    b1 = mkc.random_unitary(rng, n).T
+    stack = np.array([mkc.random_unitary(rng, n).T for _ in range(20)])
+    batches = _operator_norm_batches(monkeypatch)
+    assert mkc.totally_incompatible(b1, stack)
+    assert batches == []
+
+
+def _pairwise_family(n, size, seed, include=()):
+    """Reference: the generator testing a candidate against each accepted
+    basis in turn, every commutator by its operator norm."""
+
+    def projections(basis):
+        atoms = np.einsum("ki,kj->kij", basis, basis.conj())
+        return np.array([
+            atoms[[0, *rest]].sum(axis=0)
+            for r in range(n - 1)
+            for rest in combinations(range(1, n), r)
+        ])
+
+    def incompatible(b1, b2):
+        p = projections(b1)[:, None]
+        q = projections(b2)[None, :]
+        norms = np.linalg.norm(p @ q - q @ p, 2, axis=(2, 3))
+        return not np.any(norms <= mkc.INCOMPATIBILITY_THRESHOLD)
+
+    include = [np.asarray(v, dtype=complex) for v in include]
+    rng = np.random.default_rng(seed)
+    accepted = []
+    while (k := len(accepted)) < size:
+        if k < len(include):
+            basis = mkc._basis_containing(rng, include[k])
+        else:
+            basis = mkc.random_unitary(rng, n).T
+        if all(incompatible(basis, prev) for prev in accepted):
+            accepted.append(basis)
+    return np.array(accepted)
+
+
+PLANTED = [np.ones(3) / math.sqrt(3), np.array([1.0, 1.0, -1.0]) / math.sqrt(3)]
+
+
+@pytest.mark.parametrize(
+    "n, size, seeds, include",
+    [pytest.param(n, size, range(5), (), id=f"d{n}-k{size}") for n in (2, 3, 4) for size in (1, 16)]
+    + [pytest.param(4, 64, [SEED], (), id="d4-k64"),
+       pytest.param(3, 16, range(5), PLANTED, id="d3-k16-planted")],
+)
+def test_family_matches_pairwise_reference(n, size, seeds, include):
+    for seed in seeds:
+        family = mkc.generate_basis_family(n, size, seed, include=include)
+        assert family.bases.tobytes() == _pairwise_family(n, size, seed, include).tobytes()
+
+
 def test_family_reproducible_and_prefix_stable():
     a = mkc.generate_basis_family(3, 12, seed=7)
     b = mkc.generate_basis_family(3, 12, seed=7)

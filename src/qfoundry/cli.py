@@ -295,7 +295,13 @@ def cmd_quantum_generator(args) -> int:
 
 def cmd_mkc_simulate(args) -> int:
     observables, include, rho = load_program(args.program, args.dim, args.bases)
-    family = mkc.generate_basis_family(args.dim, args.bases, args.seed, include=include)
+    try:
+        family = mkc.generate_basis_family(args.dim, args.bases, args.seed, include=include)
+    except mkc.FamilyGenerationError as exc:
+        raise CliError(
+            f"{exc}: orthogonal or parallel planted vectors can never lie in totally "
+            "incompatible bases"
+        ) from exc
     report = mkc.simulate_sequence(rho, observables, family, args.seed, args.shots)
     emit(
         {

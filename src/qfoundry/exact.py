@@ -259,18 +259,23 @@ def orthogonal(u: ExactVector, v: ExactVector) -> bool:
 
 
 def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:
-    """Exact exterior product of two independent vectors in dimension 3."""
+    """Exact exterior product of two independent vectors in dimension 3.
+
+    Computed on the integer ray keys: their cross product is a nonzero field
+    multiple of the vectors' own, so it lies on the same ray.
+    """
     if u.dimension != 3 or v.dimension != 3:
         raise DimensionMismatchError("cross product requires dimension 3")
-    a, b = u.entries, v.entries
-    entries = (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-    if all(e.is_zero() for e in entries):
+    a, b = u._key, v._key
+    rows = [
+        tuple(x - y for x, y in zip(_mul(a[i], b[j]), _mul(a[j], b[i])))
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    ]
+    if not any(map(any, rows)):
         raise DegenerateInputError("cross product of parallel vectors")
-    return ExactVector(entries, f"({u.label})x({v.label})" if u.label else "")
+    return ExactVector(
+        [QuadScalar(*row) for row in rows], f"({u.label})x({v.label})" if u.label else ""
+    )
 
 
 class RationalPoint:

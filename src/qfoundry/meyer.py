@@ -5,8 +5,8 @@ Every rational point of S^2 lies on the axis of a primitive integer triple
 of the third coordinate of that primitive triple: odd maps to 0, even to 1.
 The enumeration and the check run on int64 arrays of triples, with exact
 integer dot and cross products; only the violations come back as tuples.
-The primitive-triple and canonical-sign rules are written once, on arrays;
-their scalar forms run the same code on one row of Python ints.
+The primitive-triple rule is written once, on arrays; its scalar form runs
+the same code on one row of Python ints.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from .exact import DegenerateInputError, RationalPoint
+from .exact import RationalPoint
 
 # largest `meyer verify --max-n`; the O(R^2) pair scan takes seconds there
 MAX_N = 200
@@ -112,23 +112,6 @@ def _triple_color(t):
     return 1 - t[2] % 2
 
 
-def _canonical_ray(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """The canonical representative of one axis."""
-    if not (x or y or z):
-        raise DegenerateInputError("zero vector has no axis")
-    return tuple(_canonical_rows(np.array([[x, y, z]], dtype=object))[0])
-
-
-def _ray_keys(t, bound: int):
-    """One integer per row with entries in [-bound, bound], increasing in
-    the rows' lexicographic order; Python ints where int64 could overflow."""
-    base = 2 * bound + 1
-    if base**3 > 1 << 63:
-        t = t.astype(object)
-    t = t + bound
-    return (t[:, 0] * base + t[:, 1]) * base + t[:, 2]
-
-
 def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
     """All primitive Pythagorean rays with hypotenuse at most max_n.
 
@@ -168,9 +151,9 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     Works on int64 arrays of primitive triples, those of the points and of
     their antipodes; points on the same axis are merged.  Orthogonal pairs
     come from one scan of the upper triangle of the ray Gram matrix in
-    row blocks, triads from looking up the reduced cross products of those
-    pairs among the rays' integer keys; both are listed in sorted ray
-    order.  Raises ValueError when a primitive coordinate exceeds
+    row blocks, triads from looking up the canonical reduced cross product
+    of each pair, as a tuple, in an index of the rays; both are listed in
+    sorted ray order.  Raises ValueError when a primitive coordinate exceeds
     MAX_COORDINATE, where int64 products could overflow.
 
     Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
@@ -220,15 +203,12 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     pair_violations = tuple(zip(rays_at(i[bad]), rays_at(j[bad])))
 
     # the canonical reduced cross product of each pair, looked up among the
-    # rays; entries beyond the rays' bound are clipped to a key no ray has
+    # rays (-1 when it is none); each triad once, from its first two rays
     w = np.cross(a[i], a[j])
     w = _canonical_rows(w // np.gcd.reduce(w, axis=1, keepdims=True))
-    bound = int(np.abs(a).max(initial=0)) + 1
-    keys = _ray_keys(a, bound)
-    wanted = _ray_keys(np.clip(w, -bound, bound), bound)
-    k = np.searchsorted(keys, wanted)
-    # each triad once, from its first two rays, so in sorted order
-    third = (k > j) & (keys[np.minimum(k, len(a) - 1)] == wanted)
+    index = {ray: k for k, ray in enumerate(map(tuple, a.tolist()))}
+    k = np.array([index.get(ray, -1) for ray in map(tuple, w.tolist())], dtype=np.intp)
+    third = k > j
     i, j, k = i[third], j[third], k[third]
     bad = colors[i] + colors[j] + colors[k] != 2
     triad_violations = tuple(zip(rays_at(i[bad]), rays_at(j[bad]), rays_at(k[bad])))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,29 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     assert payload["schema"] == "qfoundry/1"
     return payload
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# the `qfoundry ...` lines of README's CLI block, trailing comments removed
+README_COMMANDS = [line.split("#")[0].split()[1:]
+                   for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+                   for line in block.splitlines() if line.startswith("qfoundry ")]
+(README_PROGRAM,) = [block for block in re.findall(r"```json\n(.*?)```", README, re.S)
+                     if "observables" in block]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_examples_run(capsys, tmp_path, argv):
+    # README's example program.json and every --out file live in tmp_path
+    (tmp_path / "program.json").write_text(README_PROGRAM)
+    argv = list(argv)
+    for flag in ("--program", "--out"):
+        if flag in argv:
+            k = argv.index(flag) + 1
+            argv[k] = str(tmp_path / argv[k])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    json.loads(out)
 
 
 def test_help_exits_zero():
@@ -408,9 +433,16 @@ OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for
                                 for i in range(3)]},
           "observables": [OBSERVABLE3]},
          "density state: density operator must have unit trace"),
+        ({"include": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+          "observables": [OBSERVABLE3]},
+         "orthogonal or parallel planted vectors can never lie in totally incompatible bases"),
+        ({"include": [[[1, 0], [0, 0], [0, 0]], [[2, 0], [0, 0], [0, 0]]],
+          "observables": [OBSERVABLE3]},
+         "orthogonal or parallel planted vectors can never lie in totally incompatible bases"),
     ],
     ids=["include-not-pairs", "dimension-mismatch", "zero-include", "too-many-includes",
-         "short-pure-state", "not-an-object", "non-hermitian-observable", "trace-two-density"],
+         "short-pure-state", "not-an-object", "non-hermitian-observable", "trace-two-density",
+         "orthogonal-includes", "parallel-includes"],
 )
 def test_program_usage_errors(capsys, tmp_path, program, fragment):
     path = tmp_path / "program.json"

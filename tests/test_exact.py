@@ -154,6 +154,39 @@ def test_cross_product_orthogonal_to_inputs_random():
         built += 1
 
 
+def _entrywise_cross(u, v):
+    """The cross product of the entries themselves, in QuadScalar arithmetic."""
+    a, b = u.entries, v.entries
+    return ExactVector(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]],
+        f"({u.label})x({v.label})",
+    )
+
+
+def test_cross_product_matches_entrywise_reference():
+    rng = np.random.default_rng(43)
+    for k in range(60):
+        u = ExactVector([_random_scalar(rng) for _ in range(3)], f"u{k}")
+        v = ExactVector([_random_scalar(rng) for _ in range(2)] + [R3], f"v{k}")
+        w, expected = cross_product(u, v), _entrywise_cross(u, v)
+        assert w == expected and w.ray_key() == expected.ray_key()
+        assert w.label == expected.label == f"(u{k})x(v{k})"
+
+
+def test_cross_product_does_no_scalar_arithmetic(monkeypatch):
+    u = ExactVector([QuadScalar(1), R2, QuadScalar(Q(1, 3))], "u")
+    v = ExactVector([R2, QuadScalar(-1), R6], "v")
+    expected = _entrywise_cross(u, v)
+
+    def refuse(*args):
+        raise AssertionError("QuadScalar arithmetic")
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(QuadScalar, name, refuse)
+    w = cross_product(u, v)
+    assert w.ray_key() == expected.ray_key() and w.label == "(u)x(v)"
+
+
 def test_ray_equality_rational_scale():
     u = ExactVector([QuadScalar(1), R2, QuadScalar(0)])
     assert u == u.scaled(Q(7, 3))

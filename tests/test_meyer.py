@@ -142,10 +142,15 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _sign_flip(t):
+    """The tuple negated when its first nonzero entry is negative."""
+    return tuple(-c for c in t) if next(c for c in t if c) < 0 else t
+
+
 def _combinations_reference(points):
     """The pair scan as plain Python: every pair of sorted primitive rays,
     exact dot products, triads from the gcd-reduced cross products."""
-    rays = sorted({meyer._canonical_ray(*to_primitive_pyth(p).coords()) for p in points})
+    rays = sorted({_sign_flip(to_primitive_pyth(p).coords()) for p in points})
     antipodal = tuple(p.coords() for p in points if meyer_color(p) != meyer_color(-p))
     colors = {r: meyer._triple_color(r) for r in rays}
     orth = [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]
@@ -153,7 +158,7 @@ def _combinations_reference(points):
     for u, v in orth:
         w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
         g = math.gcd(*w)
-        w = meyer._canonical_ray(*(c // g for c in w))
+        w = _sign_flip(tuple(c // g for c in w))
         if w in colors:
             triads.add(tuple(sorted((u, v, w))))
     return ConditionReport(
@@ -225,8 +230,8 @@ def test_coordinate_over_int64_bound_rejected():
 
 
 def test_triad_of_large_rays_found():
-    # coordinates near 2^28: (2m + 1)^3 passes 2^63, so the ray keys are
-    # Python ints; the triad through the z axis must still be found
+    # coordinates near 2^28, whose cross products pass 2^56: the triad
+    # through the z axis must still be found
     m = 1 << 14
     n = m * m + 1
     points = [RationalPoint(0, 0, 1), RationalPoint(Q(2 * m, n), Q(m * m - 1, n), 0),
@@ -238,7 +243,7 @@ def test_triad_of_large_rays_found():
 
 def test_cross_product_past_ray_bound_is_no_ray():
     # the rays' entries lie in [-24, 24]; (0, 4, 3) x (12, 3, -4) reduces to
-    # (25, -36, 48), whose base-51 key, unclipped, equals that of the ray
+    # (25, -36, 48), which packed base 51 without a bound would alias the ray
     # (24, 16, -3): it must not count as a triad
     points = [RationalPoint(Q(x, n), Q(y, n), Q(z, n)) for x, y, z, n in
               ((0, 4, 3, 5), (0, 7, -24, 25), (12, 3, -4, 13), (24, 16, -3, 29))]

@@ -5,7 +5,7 @@ robustness counting.
 Closed forms are cross-checked against the dense linear algebra of
 :mod:`qfoundry.quantum`; hidden-variable strategies live on explicit
 response tables so the deterministic bound of 2 can be certified by
-exhaustion with exact rational arithmetic.
+exhaustion with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -150,23 +150,17 @@ def exhaustive_deterministic_chsh_max() -> Q:
     """Exact CHSH maximum over all local deterministic response tables.
 
     Sweeps every pair of maps (setting, shared bit) -> +-1 for both sides
-    with the shared bit uniform, computing each CHSH value exactly.
+    with the shared bit uniform.  Each correlation is half a sum of two +-1
+    products, so twice it is an integer, and so is twice every CHSH value:
+    the sweep runs on those integers, which involves no rounding, and halves
+    the maximum as an exact fraction.
     """
-    tables = list(product((-1, 1), repeat=4))  # maps {0,1}x{0,1} -> +-1
-    best = Q(0)
-    half = Q(1, 2)
-
-    def expectation(ta, tb, x, y):
-        return half * sum(ta[2 * x + l] * tb[2 * y + l] for l in (0, 1))
-
-    for ta in tables:
-        for tb in tables:
-            value = abs(expectation(ta, tb, 0, 0) - expectation(ta, tb, 0, 1)) + abs(
-                expectation(ta, tb, 1, 0) + expectation(ta, tb, 1, 1)
-            )
-            if value > best:
-                best = value
-    return best
+    tables = np.array(list(product((-1, 1), repeat=4))).reshape(16, 2, 2)  # [table, x, bit]
+    twice_e = np.einsum("axl,byl->abxy", tables, tables)  # 2 E(x, y) for tables a, b
+    twice_chsh = np.abs(twice_e[..., 0, 0] - twice_e[..., 0, 1]) + np.abs(
+        twice_e[..., 1, 0] + twice_e[..., 1, 1]
+    )
+    return Q(int(twice_chsh.max()), 2)
 
 
 def lhv_chsh_monte_carlo(
@@ -271,15 +265,24 @@ def violates_rounded_sum_rule(p1: float, p2: float, p3: float) -> bool:
 
 
 def imprecise_sum_grid_sup(steps: int = 101) -> tuple[float, tuple[float, float, float]]:
-    """Grid supremum of P[sum = 2] over the rounded-rule-violating region."""
+    """Grid supremum of P[sum = 2] over the rounded-rule-violating region.
+
+    The (p1, p2, p3) grid is swept one p1 slice at a time; ties go to the
+    first grid point in C order, since a later slice wins only when strictly
+    larger.
+    """
     axis = np.linspace(0.0, 1.0, steps)
-    p1, p2, p3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    value = prob_sum_is_two(p1, p2, p3)
-    violating = ((p1 >= 0.5).astype(int) + (p2 >= 0.5) + (p3 >= 0.5)) != 2
-    value = np.where(violating, value, -np.inf)
-    flat = int(np.argmax(value))
-    idx = np.unravel_index(flat, value.shape)
-    return float(value[idx]), (float(p1[idx]), float(p2[idx]), float(p3[idx]))
+    high = (axis >= 0.5).astype(int)
+    high_pairs = high[:, None] + high[None, :]  # rounded-up count of (p2, p3)
+    best, point = -np.inf, (0, 0, 0)
+    for i, p1 in enumerate(axis):
+        value = np.where(
+            high_pairs + high[i] != 2, prob_sum_is_two(p1, axis[:, None], axis[None, :]), -np.inf
+        )
+        flat = int(np.argmax(value))
+        if value.flat[flat] > best:
+            best, point = value.flat[flat], (i, *divmod(flat, steps))
+    return float(best), tuple(float(axis[k]) for k in point)
 
 
 F_MIN = Q(1, 1320)

@@ -129,7 +129,9 @@ def _reconstruction_error(rng: np.random.Generator, dim: int) -> float:
     values on the standard basis."""
     state = _ginibre_state(rng, dim)
     basis = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
-    recovered = qt.reconstruct_state(lambda op: float(np.trace(state @ op).real), basis)
+    recovered = qt.reconstruct_state(
+        lambda ops: np.trace(state @ ops, axis1=1, axis2=2).real, basis
+    )
     return float(np.abs(recovered - state).max())
 
 

@@ -170,8 +170,11 @@ def generate_basis_family(
 
     Optional `include` vectors are planted: each gets one basis containing
     it (random orthonormal completion) before the random bases are drawn.
-    Bases violating pairwise total incompatibility are rejected and
-    resampled, so the first k accepted bases do not depend on `size`.
+    Two planted vectors whose projectors commute (orthogonal or parallel
+    ones) can never lie in totally incompatible bases, so they are refused
+    before any draw.  Bases violating pairwise total incompatibility are
+    rejected and resampled, so the first k accepted bases do not depend on
+    `size`.
     """
     if n not in (2, 3, 4):
         raise ValueError("family dimension must be 2, 3 or 4")
@@ -182,6 +185,10 @@ def generate_basis_family(
     include = [np.asarray(vec, dtype=complex) for vec in include]
     if not all(np.isfinite(v).all() and v.any() for v in include):
         raise ValueError("planted vectors must be finite and nonzero")
+    projectors = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in include]
+    for (i, p), (j, q) in combinations(enumerate(projectors), 2):
+        if np.linalg.norm(p @ q - q @ p, 2) <= INCOMPATIBILITY_THRESHOLD:
+            raise FamilyGenerationError(f"planted vectors {i} and {j} have commuting projectors")
     rng = np.random.default_rng(seed)
     bases = np.empty((size, n, n), dtype=complex)
     k = attempts = 0

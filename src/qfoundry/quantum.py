@@ -158,48 +158,48 @@ def tensor(a, b) -> np.ndarray:
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
 
 
-def pair_operator_f(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Hermitian operator psi -> <e2,psi> e1 + <e1,psi> e2."""
-    return np.outer(e1, e2.conj()) + np.outer(e2, e1.conj())
-
-
-def pair_operator_g(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Hermitian operator psi -> i<e2,psi> e1 - i<e1,psi> e2."""
-    return 1j * np.outer(e1, e2.conj()) - 1j * np.outer(e2, e1.conj())
-
-
 def reconstruct_state(
-    expectation: Callable[[np.ndarray], float],
+    expectation: Callable[[np.ndarray], np.ndarray],
     basis: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Rebuild the generating operator of an expectation-value oracle.
+    """Rebuild the generating operator of a batched expectation-value oracle.
 
-    Diagonal entries come from rank-1 projections; the (i, j) entry is
-    recovered as half the expectation of the symmetric pair operator plus
-    i/2 times that of the antisymmetric one.  Both triangle halves are
-    queried independently and must agree, otherwise the oracle cannot come
-    from any Hermitian operator.
+    The oracle is called once, on a (k, n, n) stack of Hermitian operators,
+    and returns their k real expectations.  The stack holds the n rank-1
+    projections e_i e_i*, which give the diagonal, then for every ordered
+    pair (i, j) the symmetric operator e_i e_j* + e_j e_i* and then for every
+    ordered pair the antisymmetric one i e_i e_j* - i e_j e_i*, so
+    k = n + 2n^2.  The (i, j) entry is half the symmetric expectation plus
+    i/2 times the antisymmetric one.  Both triangle halves are queried
+    independently and must agree, otherwise the oracle cannot come from any
+    Hermitian operator.
     """
-    vecs = [np.asarray(e, dtype=complex) for e in basis]
-    n = len(vecs)
-    coords = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        coords[i, i] = expectation(np.outer(vecs[i], vecs[i].conj()))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            f_val = expectation(pair_operator_f(vecs[i], vecs[j]))
-            g_val = expectation(pair_operator_g(vecs[i], vecs[j]))
-            coords[i, j] = 0.5 * f_val + 0.5j * g_val
+    b = np.column_stack([np.asarray(e, dtype=complex) for e in basis])
+    n = b.shape[1]
+    outer = b.T[:, None, :, None] * b.T.conj()[None, :, None, :]  # [i, j] = e_i e_j*
+    swapped = outer.transpose(1, 0, 2, 3)
+    diagonal = np.arange(n)
+    ops = np.concatenate([
+        outer[diagonal, diagonal],
+        (outer + swapped).reshape(n * n, n, n),
+        (1j * outer - 1j * swapped).reshape(n * n, n, n),
+    ])
+    k = len(ops)
+    values = np.asarray(expectation(ops))
+    if values.shape != (k,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ValueError(
+            f"expectation oracle must return {k} finite reals of shape ({k},), "
+            f"got dtype {values.dtype} and shape {values.shape}"
+        )
+    f_vals, g_vals = values[n:].reshape(2, n, n)
+    coords = 0.5 * f_vals + 0.5j * g_vals
+    coords[diagonal, diagonal] = values[:n]
     if np.abs(coords - coords.conj().T).max() > STRUCT_TOL:
         raise InconsistentOracleError(
             "oracle reconstruction is not Hermitian within 1e-10"
         )
     # coords holds <e_i, U e_j>; assemble U in the original coordinates
-    b = np.column_stack(vecs)
-    out = b @ coords @ b.conj().T
-    return out
+    return b @ coords @ b.conj().T
 
 
 def dispersive_direction(state: np.ndarray) -> np.ndarray:

@@ -146,7 +146,7 @@ def test_criterion_6_reconstruction():
             state = raw @ raw.conj().T
             state = state / np.trace(state).real
             recovered = qt.reconstruct_state(
-                lambda op: float(np.trace(state @ op).real), basis
+                lambda ops: np.trace(state @ ops, axis1=1, axis2=2).real, basis
             )
             worst = max(worst, float(np.abs(recovered - state).max()))
     recon_ok = worst < 1e-10

@@ -88,6 +88,28 @@ def test_exhaustive_deterministic_tables_reach_exactly_two():
     assert bell.exhaustive_deterministic_chsh_max() == Q(2)
 
 
+def _fraction_table_sweep():
+    """Reference: every pair of deterministic tables in Fraction arithmetic."""
+    half, best = Q(1, 2), Q(0)
+
+    def expectation(ta, tb, x, y):
+        return half * sum(ta[2 * x + l] * tb[2 * y + l] for l in (0, 1))
+
+    for ta in product((-1, 1), repeat=4):
+        for tb in product((-1, 1), repeat=4):
+            value = abs(expectation(ta, tb, 0, 0) - expectation(ta, tb, 0, 1)) + abs(
+                expectation(ta, tb, 1, 0) + expectation(ta, tb, 1, 1)
+            )
+            best = max(best, value)
+    return best
+
+
+def test_exhaustive_deterministic_matches_fraction_sweep():
+    got = bell.exhaustive_deterministic_chsh_max()
+    assert got == _fraction_table_sweep() == Q(2)
+    assert type(got) is Q
+
+
 def test_lhv_monte_carlo_respects_local_bound():
     for seed, strategy in (
         (1, bell.anticorrelated_strategy()),
@@ -228,6 +250,24 @@ def test_imprecise_grid_sup():
     assert sup <= 0.5 + 1e-9
     assert sup >= 0.5 - 1e-3
     assert bell.violates_rounded_sum_rule(*arg)
+
+
+def _meshgrid_grid_sup(steps):
+    """Reference: the whole (steps, steps, steps) grid and one argmax."""
+    axis = np.linspace(0.0, 1.0, steps)
+    p1, p2, p3 = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
+    value = bell.prob_sum_is_two(p1, p2, p3)
+    violating = ((p1 >= 0.5).astype(int) + (p2 >= 0.5) + (p3 >= 0.5)) != 2
+    value = np.where(violating, value, -np.inf)
+    idx = np.unravel_index(int(np.argmax(value)), value.shape)
+    return float(value[idx]), (float(p1[idx]), float(p2[idx]), float(p3[idx]))
+
+
+@pytest.mark.parametrize("steps", [2, 3, 5, 11, 51, 100, 101, 201])
+def test_imprecise_grid_sup_matches_meshgrid(steps):
+    # the supremum is attained at several symmetric points, so equal points
+    # also check that ties go to the first one in C order
+    assert bell.imprecise_sum_grid_sup(steps) == _meshgrid_grid_sup(steps)
 
 
 def test_prob_sum_two_exceeds_half_off_region():

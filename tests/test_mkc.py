@@ -558,6 +558,25 @@ def test_planted_vector_must_be_finite_and_nonzero(vector):
         mkc.generate_basis_family(3, 4, 0, include=[vector])
 
 
+@pytest.mark.parametrize(
+    "planted",
+    [
+        [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])],
+        [np.array([1.0, 0, 0]), np.array([2.0, 0, 0])],
+        [np.array([1.0, 1.0, 0]), np.array([1.0, 0, 1.0]), np.array([0, 0, 1j])],
+    ],
+    ids=["orthogonal", "parallel", "first-and-third"],
+)
+def test_commuting_planted_vectors_refused_before_any_draw(monkeypatch, planted):
+    def no_draw(*args):
+        raise AssertionError("a basis was drawn")
+
+    monkeypatch.setattr(mkc, "_basis_containing", no_draw)
+    pair = f"0 and {len(planted) - 1}"
+    with pytest.raises(mkc.FamilyGenerationError, match=f"vectors {pair} have commuting projectors"):
+        mkc.generate_basis_family(3, 4, 0, include=planted)
+
+
 def test_composite_family_not_factorizable():
     # a one-sided observable realized in a dim-4 family is generically
     # non-local: its realization is far from every X (x) 1

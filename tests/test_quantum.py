@@ -132,7 +132,7 @@ def test_tensor_size_cap():
 
 
 def _oracle_for(state):
-    return lambda op: float(np.trace(state @ op).real)
+    return lambda ops: np.trace(state @ ops, axis1=1, axis2=2).real
 
 
 def test_reconstruct_projection():
@@ -182,7 +182,72 @@ def test_reconstruct_inconsistent_oracle():
     # operators satisfy G_{ji} = -G_{ij}, so their expectations must flip sign
     basis = [np.eye(2, dtype=complex)[:, k] for k in range(2)]
     with pytest.raises(qt.InconsistentOracleError):
-        qt.reconstruct_state(lambda op: 0.3, basis)
+        qt.reconstruct_state(lambda ops: np.full(len(ops), 0.3), basis)
+
+
+def _reconstruct_per_query(expectation, basis):
+    """Reference: the per-query loop with a per-operator oracle and np.outer
+    pair operators."""
+    vecs = [np.asarray(e, dtype=complex) for e in basis]
+    n = len(vecs)
+    coords = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        coords[i, i] = expectation(np.outer(vecs[i], vecs[i].conj()))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            f_op = np.outer(vecs[i], vecs[j].conj()) + np.outer(vecs[j], vecs[i].conj())
+            g_op = 1j * np.outer(vecs[i], vecs[j].conj()) - 1j * np.outer(vecs[j], vecs[i].conj())
+            coords[i, j] = 0.5 * expectation(f_op) + 0.5j * expectation(g_op)
+    b = np.column_stack(vecs)
+    return b @ coords @ b.conj().T
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reconstruct_matches_per_query_reference(dim):
+    rng = np.random.default_rng(dim)
+    standard = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    haar = [column for column in np.linalg.qr(raw)[0].T]
+    for basis in (standard, haar):
+        for _ in range(5):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            state = raw + raw.conj().T  # Hermitian, not necessarily a density
+            expected = _reconstruct_per_query(lambda op: float(np.trace(state @ op).real), basis)
+            got = qt.reconstruct_state(_oracle_for(state), basis)
+            assert np.abs(got - expected).max() <= 1e-14
+
+
+def test_reconstruct_calls_oracle_once():
+    state = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    basis = [np.eye(3, dtype=complex)[:, k] for k in range(3)]
+    shapes = []
+
+    def oracle(ops):
+        shapes.append(ops.shape)
+        return np.trace(state @ ops, axis1=1, axis2=2).real
+
+    qt.reconstruct_state(oracle, basis)
+    assert shapes == [(3 + 2 * 3 * 3, 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda ops: float(np.trace(ops[0]).real),  # a per-operator oracle's scalar
+        lambda ops: np.zeros(len(ops) - 1),
+        lambda ops: np.zeros((len(ops), 1)),
+        lambda ops: np.trace(ops, axis1=1, axis2=2),  # complex
+        lambda ops: np.full(len(ops), np.nan),
+        lambda ops: ["0.1"] * len(ops),
+    ],
+    ids=["scalar", "short", "column", "complex", "nan", "strings"],
+)
+def test_reconstruct_rejects_malformed_oracle_values(oracle):
+    basis = [np.eye(2, dtype=complex)[:, k] for k in range(2)]
+    with pytest.raises(ValueError, match=r"must return 10 finite reals of shape \(10,\)"):
+        qt.reconstruct_state(oracle, basis)
 
 
 def test_generator_base_cases():

@@ -6,12 +6,13 @@ complete backtracking with unit propagation, so a negative answer is an
 exhaustion certificate.  Its state is two int bitsets over the vectors,
 those fixed to 1 and those fixed to 0, passed down the recursion; each
 basis is one mask, and propagation visits only the bases of a changed
-vector.
+vector.  Counting runs on the same state: after every decision the free
+vectors are split again into connected parts, whose counts multiply, and
+each part's count is cached by its free-vector mask for one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Optional
@@ -242,41 +243,67 @@ def search_coloring(structure: OrthStructure) -> SearchResult:
     return SearchResult(None, ExhaustionCertificate(nodes), nodes)
 
 
-def _components(structure: OrthStructure) -> Iterator[OrthStructure]:
-    """The connected parts of the structure: vectors linked by a shared
-    basis or pair, with their bases and pairs renumbered."""
-    n = len(structure.vectors)
-    linked = [1 << v for v in range(n)]
-    for group in (*structure.bases, *structure.pairs):
-        mask = sum(1 << v for v in group)
-        for v in group:
-            linked[v] |= mask
-    left = (1 << n) - 1
-    while left:
-        part, grown = 0, left & -left
-        while grown != part:
-            part = grown
-            for v in _bits(part):
-                grown |= linked[v]
-        left &= ~part
-        index = {v: k for k, v in enumerate(_bits(part))}
-        yield OrthStructure(
-            tuple(structure.vectors[v] for v in index),
-            tuple(tuple(index[v] for v in b) for b in structure.bases if b[0] in index),
-            tuple((index[i], index[j]) for i, j in structure.pairs if i in index),
-        )
-
-
 def count_colorings(structure: OrthStructure) -> int:
-    """Exact number of valid colorings: the product over the connected
-    parts of the counts by complete backtracking enumeration (a vector in
-    no basis and no pair is a part with 2 colorings)."""
+    """Exact number of valid colorings, counted by connected parts.
+
+    After unit propagation the free vectors split into connected parts
+    (linked by a shared basis or pair), and the count is the product of
+    the parts' counts.  A part is counted by branching on its basis with
+    the fewest free members, one branch per member set to 1, and each
+    branch is propagated and split again.  Part counts are cached by the
+    part's free-vector mask for the length of one call; no coloring is
+    stored, and a vector in no basis and no pair is a factor of 2.
+    """
     if len(structure.vectors) > COUNT_LIMIT:
         raise NotApplicableError(
             f"structure has {len(structure.vectors)} vectors, over the "
             f"enumeration limit of {COUNT_LIMIT}"
         )
-    return math.prod(sum(1 for _ in _Search(part).solutions()) for part in _components(structure))
+    search = _Search(structure)
+    full = (1 << search.n) - 1
+    # Why the free mask alone is a sound key: after propagation every
+    # neighbour of a 1 is 0, so a basis that still has a free member holds
+    # no 1 and asks for exactly one 1 among its free members (all in one
+    # part, being mutually linked), and a pair constrains only pairs of free
+    # vectors.  The remaining problem depends on nothing but the free
+    # vectors, so a part is counted with everything outside it taken as 0.
+    cache: dict[int, int] = {}
+
+    def residual(ones: int, zeros: int) -> int:
+        """Product of the counts of the connected parts of the free vectors."""
+        free = ~(ones | zeros) & full
+        total = 1
+        while free and total:
+            part, grown = 0, free & -free
+            while grown != part:
+                new, part = grown & ~part, grown
+                for v in _bits(new):
+                    grown |= search.orth[v] & free
+            free &= ~part
+            total *= part_count(part)
+        return total
+
+    def part_count(part: int) -> int:
+        if part not in cache:
+            outside = ~part
+            basis = min((m & part for m in search.basis_masks if m & part),
+                        key=int.bit_count, default=0)
+            if basis:
+                # exactly one free member of the basis is 1
+                branches = [(1 << u, outside, u) for u in _bits(basis)]
+            else:
+                v = (part & -part).bit_length() - 1
+                branches = [(1 << v, outside, v), (0, outside | 1 << v, v)]
+            total = 0
+            for ones, zeros, v in branches:
+                state = search.propagate(ones, zeros, [v])
+                if state:
+                    total += residual(*state)
+            cache[part] = total
+        return cache[part]
+
+    state = search.propagate(0, 0, list(range(search.n)))
+    return residual(*state) if state else 0
 
 
 def is_valid_coloring(structure: OrthStructure, coloring: Coloring) -> bool:

@@ -160,6 +160,36 @@ def test_count_on_benchmark_subsets_unchanged(peres, base, dropped, expected):
     assert count_colorings(structure) == _unsplit_count(structure) == expected
 
 
+@pytest.mark.parametrize("first, expected", [(12, 340_952), (15, 2_513_808)])
+def test_count_large_completed57_subsets(peres, first, expected):
+    # the 57-ray completion without its first vectors; a walk over every
+    # coloring found these counts in 2.7 s and 18.7 s on a 2-core x86 host
+    vectors = complete_pairs_to_triads(peres).vectors[first:]
+    structure = build_orth_structure(VectorSet(3, vectors))
+    started = time.perf_counter()
+    assert count_colorings(structure) == expected
+    assert time.perf_counter() - started < 1.0
+
+
+def test_count_matches_unsplit_walk_on_random_deletions(peres, cabello):
+    # deletion sizes keep the walk short: the colorings of completed57 grow
+    # past 10^4 beyond 5 deletions, and cabello18 keeps at most 14 vectors
+    # for the 2^n oracle
+    rng = np.random.default_rng(14)
+    completed = build_orth_structure(complete_pairs_to_triads(peres))
+    for full, low, high in ((peres, 1, 7), (cabello, 4, 9), (completed, 1, 6)):
+        for _ in range(8):
+            drop = set(rng.choice(len(full.vectors), int(rng.integers(low, high)), replace=False))
+            kept = [v for i, v in enumerate(full.vectors) if i not in drop]
+            structure = build_orth_structure(VectorSet(full.dimension, kept))
+            expected = _unsplit_count(structure)
+            if len(kept) <= 16:
+                assert _naive_count(structure) == expected
+            assert count_colorings(structure) == expected
+            shuffled = [kept[i] for i in rng.permutation(len(kept))]
+            assert count_colorings(build_orth_structure(VectorSet(full.dimension, shuffled))) == expected
+
+
 def test_search_nodes_are_frozen(peres, cabello):
     # node counts are fixed by the basis choice and the candidate order
     completed = build_orth_structure(complete_pairs_to_triads(peres))

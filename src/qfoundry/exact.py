@@ -14,6 +14,8 @@ import math
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
+import numpy as np
+
 SQRT2_F = math.sqrt(2.0)
 SQRT3_F = math.sqrt(3.0)
 SQRT6_F = math.sqrt(6.0)
@@ -252,10 +254,46 @@ def orthogonal(u: ExactVector, v: ExactVector) -> bool:
     """Exact orthogonality test on the integer ray keys.
 
     Each key is a nonzero field multiple of its vector, so the key inner
-    product vanishes exactly when the vectors' inner product does.
+    product vanishes exactly when the vectors' inner product does.  To test
+    every pair of a set at once, use `orthogonality_masks`.
     """
     _check_dimensions(u, v)
     return not any(map(sum, zip(*map(_mul, u._key, v._key))))
+
+
+# _MUL_TABLE[p, 4q + r]: coefficient r of the product of basis units p and q
+_UNITS = [tuple(int(p == q) for q in range(4)) for p in range(4)]
+_MUL_TABLE = [[c for e_q in _UNITS for c in _mul(e_p, e_q)] for e_p in _UNITS]
+
+
+def orthogonality_masks(vectors: Sequence[ExactVector]) -> list[int]:
+    """Every orthogonal pair of a set, as one integer Gram product on the keys.
+
+    Returns, for each vector i, an int with bit j set for every later vector
+    j > i orthogonal to it; pair by pair this agrees with `orthogonal`.  The
+    keys are stacked into an (n, dim*4) array K, and the four coefficient
+    Gram matrices over (1, sqrt2, sqrt3, sqrt6) are (K @ T) against K.T, with
+    T the multiplication table of `_mul`.  Every Gram entry is bounded by
+    12*dim*M^2 for M the largest key coefficient, so the products run on
+    int64 when that bound is below 2^63 and on Python ints otherwise.
+    """
+    n = len(vectors)
+    if not n:
+        return []
+    dim = vectors[0].dimension
+    for v in vectors:
+        _check_dimensions(vectors[0], v)
+    keys = [v._key for v in vectors]
+    top = max(abs(x) for key in keys for row in key for x in row)
+    dtype = np.int64 if 12 * dim * top * top < 2**63 else object
+    K = np.array(keys, dtype=dtype).reshape(n * dim, 4)
+    table = np.array(_MUL_TABLE, dtype=dtype)
+    # KT[i, k, q, r] = sum_p K[i, k, p] * T[p, q, r], regrouped to rows (i, r)
+    KT = (K @ table).reshape(n, dim, 4, 4).transpose(0, 3, 1, 2).reshape(n * 4, dim * 4)
+    gram = (KT @ K.reshape(n, dim * 4).T).reshape(n, 4, n)
+    orth = np.triu(~(gram != 0).any(axis=1), 1)
+    packed = np.packbits(orth, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:

@@ -1,5 +1,10 @@
 """Orthogonality structures and exhaustive search for 0/1 colorings.
 
+Every orthogonal pair of a set is found at once, by one integer Gram
+product on the stacked primitive ray keys (`exact.orthogonality_masks`,
+on int64 while its entry bound 12*dim*M^2 stays below 2^63 and on Python
+ints above it), and the bases are grown as cliques on those bitmasks.
+
 A coloring assigns 1 to exactly one vector of every full orthogonal basis
 and at most one vector of every remaining orthogonal pair.  The search is
 complete backtracking with unit propagation, so a negative answer is an
@@ -22,7 +27,8 @@ from .exact import (
     ExactVector,
     VectorSet,
     cross_product,
-    orthogonal,
+    orthogonal,  # noqa: F401  the per-pair test, re-exported
+    orthogonality_masks,
 )
 
 COUNT_LIMIT = 64
@@ -102,10 +108,7 @@ def build_orth_structure(vset: VectorSet) -> OrthStructure:
     n = len(vectors)
     dim = vset.dimension
     # orth[i] has bit j set for every later vector j orthogonal to vector i
-    orth = [0] * n
-    for i, j in combinations(range(n), 2):
-        if orthogonal(vectors[i], vectors[j]):
-            orth[i] |= 1 << j
+    orth = orthogonality_masks(vectors)
 
     bases: list[tuple[int, ...]] = []
 
@@ -124,7 +127,7 @@ def build_orth_structure(vset: VectorSet) -> OrthStructure:
     for basis in bases:
         for i, j in combinations(basis, 2):
             orth[i] &= ~(1 << j)
-    pairs = tuple((i, j) for i, j in combinations(range(n), 2) if orth[i] >> j & 1)
+    pairs = tuple((i, j) for i in range(n) for j in _bits(orth[i]))
     return OrthStructure(vectors, tuple(bases), pairs)
 
 
@@ -307,8 +310,9 @@ def count_colorings(structure: OrthStructure) -> int:
 
 
 def is_valid_coloring(structure: OrthStructure, coloring: Coloring) -> bool:
+    """Whether the coloring gives each vector 0 or 1 and meets every rule."""
     a = coloring.assignment
-    if any(x not in (0, 1) for x in a):
+    if len(a) != len(structure.vectors) or any(x not in (0, 1) for x in a):
         return False
     for basis in structure.bases:
         if sum(a[i] for i in basis) != 1:

@@ -4,7 +4,7 @@ import math
 import re
 from fractions import Fraction as Q
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from qfoundry.exact import (
     cross_product,
     inner_product,
     orthogonal,
+    orthogonality_masks,
 )
 
 R2 = QuadScalar.sqrt2()
@@ -333,6 +334,84 @@ def test_orthogonal_matches_inner_product_random():
             assert orthogonal(x, y) == inner_product(x, y).is_zero()
             hits += orthogonal(x, y)
     assert hits > 50
+
+
+def _pairwise_masks(vectors):
+    """Reference masks from one `orthogonal` call per pair."""
+    masks = [0] * len(vectors)
+    for i, j in combinations(range(len(vectors)), 2):
+        if orthogonal(vectors[i], vectors[j]):
+            masks[i] |= 1 << j
+    return masks
+
+
+def _partner(v):
+    """A vector orthogonal to v, for even dimension: swap in pairs, negate."""
+    e = v.entries
+    return ExactVector([x for k in range(0, len(e), 2) for x in (-e[k + 1], e[k])])
+
+
+def _random_orthogonality_set(rng, dim):
+    """Random Q(sqrt2, sqrt3) vectors, each followed by an orthogonal partner
+    (a cross product with another member in d = 3), in shuffled order."""
+    vectors = []
+    while len(vectors) < 24:
+        entries = [_sparse_scalar(rng) for _ in range(dim)]
+        factor = _sparse_scalar(rng) + R3
+        if all(e.is_zero() for e in entries) or factor.is_zero():
+            continue
+        v = ExactVector(entries)
+        if dim == 3 and vectors:
+            try:
+                w = cross_product(v, vectors[int(rng.integers(len(vectors)))])
+            except DegenerateInputError:
+                continue
+        else:
+            w = _partner(v) if dim % 2 == 0 else v
+        vectors += [v, w.scaled(factor)]
+    return [vectors[i] for i in rng.permutation(len(vectors))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_orthogonality_masks_match_pairwise_loop(dim):
+    rng = np.random.default_rng(150 + dim)
+    hits = 0
+    for _ in range(6):
+        vectors = _random_orthogonality_set(rng, dim)
+        masks = orthogonality_masks(vectors)
+        assert masks == _pairwise_masks(vectors)
+        hits += sum(m.bit_count() for m in masks)
+        # a key coefficient of 2^40 puts 12 * dim * M^2 over 2^63, so the
+        # same set plus that vector runs on Python ints
+        big = ExactVector([2**40] + [1] * (dim - 1))
+        wide = orthogonality_masks(vectors + [big])
+        assert wide == _pairwise_masks(vectors + [big])
+        assert [m & ~(1 << len(vectors)) for m in wide[:-1]] == masks
+    assert hits > 30
+
+
+def test_orthogonality_masks_on_builtin_sets():
+    for name in ("peres33", "cabello18"):
+        vectors = load_builtin(name).vectors
+        assert orthogonality_masks(vectors) == _pairwise_masks(vectors)
+
+
+def test_orthogonality_masks_small_sets():
+    assert orthogonality_masks([]) == []
+    assert orthogonality_masks([ExactVector([R2, 1])]) == [0]
+    assert orthogonality_masks([ExactVector([1, 1]), ExactVector([1, -1])]) == [0b10, 0]
+
+
+def test_orthogonality_masks_exact_past_int64():
+    # the key dot product is 2^64, which wraps to 0 in int64
+    u, v = ExactVector([2**32, 1, 0]), ExactVector([2**32, 0, 1])
+    assert not orthogonal(u, v)
+    assert orthogonality_masks([u, v]) == [0, 0]
+
+
+def test_orthogonality_masks_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        orthogonality_masks([ExactVector([1, 0]), ExactVector([0, 1, 0])])
 
 
 @pytest.mark.parametrize(

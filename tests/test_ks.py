@@ -10,7 +10,9 @@ import pytest
 from qfoundry.datasets import build_cabello18, build_peres33
 from qfoundry.exact import DegenerateInputError, ExactVector, VectorSet, orthogonal
 from qfoundry.ks import (
+    Coloring,
     NotApplicableError,
+    OrthStructure,
     _Search,
     build_orth_structure,
     cabello_parity_witness,
@@ -61,6 +63,16 @@ def test_single_triad_structure():
     result = search_coloring(s)
     assert result.colorable
     assert is_valid_coloring(s, result.coloring)
+
+
+def test_is_valid_coloring_rejects_wrong_length():
+    vset = VectorSet(3, [ExactVector([1, 0, 0]), ExactVector([0, 1, 0]), ExactVector([0, 0, 1])])
+    s = build_orth_structure(vset)
+    assert is_valid_coloring(s, Coloring((1, 0, 0)))
+    assert not is_valid_coloring(s, Coloring((1, 0, 0, 0)))
+    assert not is_valid_coloring(s, Coloring((1, 0, 0, 1)))
+    assert not is_valid_coloring(s, Coloring((1, 0)))
+    assert not is_valid_coloring(s, Coloring(()))
 
 
 def test_duplicate_rays_rejected():
@@ -325,6 +337,50 @@ def _random_structure(rng) -> VectorSet:
         seen.add(v.ray_key())
         vectors.append(v)
     return VectorSet(3, vectors)
+
+
+def _pairwise_orth_structure(vset: VectorSet) -> OrthStructure:
+    """build_orth_structure with one `orthogonal` call per pair, the
+    reference for the batched masks (no duplicate check)."""
+    vectors = tuple(vset.vectors)
+    n, dim = len(vectors), vset.dimension
+    orth = [0] * n
+    for i, j in combinations(range(n), 2):
+        if orthogonal(vectors[i], vectors[j]):
+            orth[i] |= 1 << j
+    bases = []
+
+    def extend(clique, candidates):
+        if len(clique) == dim:
+            bases.append(tuple(clique))
+            return
+        while candidates:
+            cand = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            extend(clique + [cand], candidates & orth[cand])
+
+    extend([], (1 << n) - 1)
+    for basis in bases:
+        for i, j in combinations(basis, 2):
+            orth[i] &= ~(1 << j)
+    pairs = tuple((i, j) for i, j in combinations(range(n), 2) if orth[i] >> j & 1)
+    return OrthStructure(vectors, tuple(bases), pairs)
+
+
+def test_build_matches_pairwise_reference(peres):
+    rng = np.random.default_rng(15)
+    sets = [build_peres33(), build_cabello18(), complete_pairs_to_triads(peres), _e8_rays()]
+    sets += [_random_structure(rng) for _ in range(10)]
+    for vset in list(sets[:3]):
+        for _ in range(4):
+            keep = np.sort(rng.choice(len(vset), int(rng.integers(1, len(vset))), replace=False))
+            kept = [vset.vectors[i] for i in keep]
+            sets.append(VectorSet(vset.dimension, kept))
+            sets.append(VectorSet(vset.dimension, [kept[i] for i in rng.permutation(len(kept))]))
+    e8 = _e8_rays().vectors
+    sets.append(VectorSet(8, [e8[i] for i in rng.permutation(len(e8))[:60]]))
+    for vset in sets:
+        assert build_orth_structure(vset) == _pairwise_orth_structure(vset)
 
 
 def _naive_count(structure) -> int:

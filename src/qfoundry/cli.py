@@ -105,12 +105,13 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 
 def _bounded(convert: Callable, option: str, low=-math.inf, high=math.inf) -> Callable:
-    """Argument type: a finite number in [low, high]."""
+    """Argument type: a finite number in [low, high] (an infinite end is open)."""
+    span = f"{'(' if low == -math.inf else '['}{low}, {high}{')' if high == math.inf else ']'}"
 
     def checked(text: str):
         value = convert(text)
         if not low <= value <= high or value in (-math.inf, math.inf):
-            raise CliError(f"{option} must lie in [{low}, {high}], got {text}")
+            raise CliError(f"{option} must lie in {span}, got {text}")
         return value
 
     checked.__name__ = convert.__name__  # argparse names the type in parse errors
@@ -673,7 +674,7 @@ def _common_options(defaults: bool) -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true",
                         default=False if defaults else suppress,
                         help="flat key,value output")
-    common.add_argument("--tolerance", type=_bounded(float, "--tolerance"),
+    common.add_argument("--tolerance", type=_bounded(float, "--tolerance", 0),
                         default=None if defaults else suppress,
                         help="override the pass tolerance of verification commands")
     return common
@@ -750,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     logic_parser = sub.add_parser("logic", help="lattice law checking")
     logic_sub = logic_parser.add_subparsers(dest="subcommand", required=True)
     lh = logic_sub.add_parser("heyting", parents=[local])
-    lh.add_argument("--dim", type=int, choices=(2, 3), default=2)
+    lh.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
     lh.add_argument("--bases", type=_bounded(int, "--bases", 1, logic.MAX_POSET_BASES),
                     default=2)
     lh.add_argument("--variant", choices=("l2", "l3"), default="l3")

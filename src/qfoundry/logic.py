@@ -11,7 +11,6 @@ projections are related across contexts.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -19,13 +18,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .quantum import ProjectionOp, _as_matrix
+from .quantum import STRUCT_TOL, ProjectionOp, _as_matrix
 
 CONTAINMENT_TOL = 1e-9
 MAX_SUBSPACE_DIM = 4
 MAX_UNION_COMPONENTS = 8
-MAX_EXHAUSTIVE_ELEMENTS = 4096
+MAX_EXHAUSTIVE_ELEMENTS = 512  # the law check holds (E, E, C) mask tables
 MAX_POSET_BASES = 64  # the poset build compares every pair of contexts
+CONTAINMENT_BLOCK = 1 << 14  # atom pairs per batched containment test
 
 
 def _range_basis(projection: np.ndarray) -> np.ndarray:
@@ -137,15 +137,26 @@ class Context:
     name: str = ""
 
     def __post_init__(self):
-        dim = self.atoms[0].shape[0]
-        total = sum(self.atoms)
-        if np.linalg.norm(total - np.eye(dim), 2) > 1e-10:
+        # every residual norm in one call, then the checks in the order of one
+        # atom at a time: the sum, then each atom's projection checks before
+        # its orthogonality to the later atoms
+        mats = np.array([_as_matrix(p) for p in self.atoms])
+        count, dim = mats.shape[:2]
+        residual = mats[:, None] @ mats  # P_i P_j, which vanishes off the diagonal
+        residual[range(count), range(count)] -= mats  # P_i P_i - P_i
+        norms = np.linalg.norm(np.concatenate([[sum(mats) - np.eye(dim)],
+                                               residual.reshape(-1, dim, dim)]), 2, axis=(-2, -1))
+        if norms[0] > 1e-10:
             raise ValueError(f"atoms of context {self.name!r} do not sum to identity")
-        for i, p in enumerate(self.atoms):
-            ProjectionOp(p)
-            for q in self.atoms[i + 1 :]:
-                if np.linalg.norm(p @ q, 2) > 1e-10:
-                    raise ValueError(f"atoms of context {self.name!r} are not orthogonal")
+        norms = norms[1:].reshape(count, count)
+        hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
+        for i in range(count):
+            if not hermitian[i]:
+                raise ValueError("projection must be Hermitian")
+            if norms[i, i] > STRUCT_TOL:
+                raise ValueError("projection must be idempotent within 1e-10")
+            if (norms[i, i + 1 :] > 1e-10).any():
+                raise ValueError(f"atoms of context {self.name!r} are not orthogonal")
 
     @property
     def size(self) -> int:
@@ -179,8 +190,8 @@ class ContextPoset:
     Always contains the trivial context first, and each algebra once (later
     copies are dropped), so inclusion is antisymmetric.  Inclusion i <= j
     means every atom of context j refines into (lies below) an atom of
-    context i; refinement maps are precomputed so lattice elements are pure
-    bitmask data.
+    context i; refinement maps, and a table of every mask's expansion along
+    each, are precomputed so lattice elements are pure bitmask data.
     """
 
     def __init__(self, contexts: Iterable[Context]) -> None:
@@ -197,30 +208,30 @@ class ContextPoset:
                 self.contexts.append(ctx)
         n = len(self.contexts)
         self.dimension = dim
+        sizes = [ctx.size for ctx in self.contexts]
+        self._full = [(1 << size) - 1 for size in sizes]
+        # the narrowest unsigned dtype holding every mask; mask tables in it
+        # move a fraction of the memory an int64 table would
+        self.mask_dtype = np.min_scalar_type(max(self._full))
+        starts = np.cumsum([0, *sizes])
+        leq = _containment(np.concatenate([np.array(ctx.atoms, dtype=complex)
+                                           for ctx in self.contexts]))
         # refine[i][j][k] = index of the atom of context i containing atom k
-        # of context j, present only when context i is included in context j
-        self.refine: list[list[Optional[list[int]]]] = [
-            [None] * n for _ in range(n)
-        ]
+        # of context j (the first one, in atom order), present only when
+        # context i is included in context j
+        self.refine: list[list[Optional[list[int]]]] = [[None] * n for _ in range(n)]
+        self._expand: list[list[Optional[np.ndarray]]] = [[None] * n for _ in range(n)]
         for i in range(n):
-            for j in range(n):
-                self.refine[i][j] = self._refinement(self.contexts[i], self.contexts[j])
+            block = leq[starts[i] : starts[i + 1]]
+            parent = block.argmax(axis=0)
+            masks = np.arange(1 << sizes[i])
+            for j in np.flatnonzero(np.logical_and.reduceat(block.any(axis=0), starts[:-1])):
+                self.refine[i][j] = parent[starts[j] : starts[j + 1]].tolist()
+                # the expansion of every mask of context i, indexed by mask
+                self._expand[i][j] = sum((masks >> p & 1) << k for k, p in
+                                         enumerate(self.refine[i][j])).astype(self.mask_dtype)
         self._subs = [tuple(i for i in range(n) if self.included(i, j)) for j in range(n)]
         self._supers = [tuple(j for j in range(n) if self.included(i, j)) for i in range(n)]
-
-    @staticmethod
-    def _refinement(coarse: Context, fine: Context) -> Optional[list[int]]:
-        mapping = []
-        for q in fine.atoms:
-            parent = None
-            for idx, p in enumerate(coarse.atoms):
-                if projector_leq(q, p):
-                    parent = idx
-                    break
-            if parent is None:
-                return None
-            mapping.append(parent)
-        return mapping
 
     def included(self, i: int, j: int) -> bool:
         """Whether context i's algebra is contained in context j's."""
@@ -236,11 +247,23 @@ class ContextPoset:
 
     def expand_mask(self, i: int, j: int, mask):
         """Re-express a projection of context i as an atom mask of finer j
-        (mask may be an int or an int array)."""
-        return sum((mask >> parent & 1) << k for k, parent in enumerate(self.refine[i][j]))
+        (mask may be an int, giving an int, or an int array); bits past
+        context i's atoms are ignored."""
+        found = self._expand[i][j][mask & self.full_mask(i)]
+        return found if isinstance(found, np.ndarray) else int(found)
 
     def full_mask(self, i: int) -> int:
-        return (1 << self.contexts[i].size) - 1
+        return self._full[i]
+
+
+def _containment(atoms: np.ndarray) -> np.ndarray:
+    """leq[b, a]: whether atom a lies below atom b, by projector_leq's test
+    norm(P_b Q_a - Q_a, 2) on every pair of the (N, d, d) stack at once (in
+    row blocks of at most CONTAINMENT_BLOCK pairs, to bound memory)."""
+    rows = max(1, CONTAINMENT_BLOCK // len(atoms))
+    norms = [np.linalg.norm(atoms[lo : lo + rows, None] @ atoms - atoms, 2, axis=(-2, -1))
+             for lo in range(0, len(atoms), rows)]
+    return np.concatenate(norms) <= CONTAINMENT_TOL
 
 
 def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
@@ -300,25 +323,44 @@ def _mask_bounds(poset, masks, i, variant) -> tuple[int, int]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+class ExhaustiveLimitError(ValueError):
+    """More monotone elements than exhaustive checking takes."""
+
+
 def _walk(poset: ContextPoset, variant: str, choices) -> list[list[int]]:
     """Monotone mask lists, filled coarse to fine along a linear extension:
-    each context takes every mask that choices(forced, allowed) returns."""
+    each context takes every mask that choices(forced, allowed) returns.
+
+    Every context offers at least one mask, so the count of partial lists
+    never falls: the walk refuses as soon as it passes
+    MAX_EXHAUSTIVE_ELEMENTS."""
     partial = [[0] * len(poset.contexts)]
     for i in sorted(range(len(poset.contexts)), key=lambda c: len(poset.sub_contexts(c))):
-        partial = [
-            masks[:i] + [mask] + masks[i + 1 :]
-            for masks in partial
-            for mask in choices(*_mask_bounds(poset, masks, i, variant))
-        ]
+        grown = []
+        for masks in partial:
+            grown += [masks[:i] + [mask] + masks[i + 1 :]
+                      for mask in choices(*_mask_bounds(poset, masks, i, variant))]
+            if len(grown) > MAX_EXHAUSTIVE_ELEMENTS:
+                raise ExhaustiveLimitError(
+                    f"poset has more than {MAX_EXHAUSTIVE_ELEMENTS} monotone {variant} "
+                    f"elements, the exhaustive limit"
+                )
+        partial = grown
     return partial
 
 
+def _monotone(poset: ContextPoset, m: np.ndarray, variant: str) -> np.ndarray:
+    """is_monotone of every row of a (..., C) int mask array."""
+    cols = np.moveaxis(m, -1, 0)
+    holds = np.ones(m.shape[:-1], dtype=bool)
+    for i, mask in enumerate(cols):
+        forced, allowed = _mask_bounds(poset, cols, i, variant)
+        holds &= (mask | forced) & allowed == mask  # forced <= mask <= allowed
+    return holds
+
+
 def is_monotone(poset: ContextPoset, element: ContextFunction, variant: str) -> bool:
-    for i, mask in enumerate(element.masks):
-        forced, allowed = _mask_bounds(poset, element.masks, i, variant)
-        if forced & ~mask or mask & ~allowed:
-            return False
-    return True
+    return bool(_monotone(poset, np.array(element.masks), variant))
 
 
 def bottom(poset: ContextPoset) -> ContextFunction:
@@ -361,7 +403,7 @@ def _arrow(poset: ContextPoset, variant: str, a, b) -> np.ndarray:
                     for k in range(poset.contexts[c].size)) for c in contexts]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return np.stack(cols, axis=-1)
+    return np.stack(cols, axis=-1).astype(np.result_type(a, b), copy=False)
 
 
 def l3_implication(
@@ -397,23 +439,13 @@ def embed_projection(poset: ContextPoset, projection) -> ContextFunction:
     return element
 
 
-class ExhaustiveLimitError(ValueError):
-    """More candidate assignments than exhaustive checking takes."""
-
-
 def enumerate_elements(poset: ContextPoset, variant: str) -> list[ContextFunction]:
     """All monotone elements, in lexicographic order of their mask tuples.
 
-    Refuses posets with over MAX_EXHAUSTIVE_ELEMENTS candidate assignments
-    (the product of 2^size over the contexts); the walk then offers each
-    context every mask between its forced and allowed masks.
+    The walk offers each context every mask between its forced and allowed
+    masks, and raises ExhaustiveLimitError once the poset is seen to have
+    more than MAX_EXHAUSTIVE_ELEMENTS of them.
     """
-    total = math.prod(1 << ctx.size for ctx in poset.contexts)
-    if total > MAX_EXHAUSTIVE_ELEMENTS:
-        raise ExhaustiveLimitError(
-            f"poset has {total} candidate assignments, over the exhaustive "
-            f"limit of {MAX_EXHAUSTIVE_ELEMENTS}"
-        )
 
     def every(forced, allowed):
         return [m for m in range(allowed + 1) if not (forced & ~m or m & ~allowed)]
@@ -449,6 +481,30 @@ class LawReport:
         return not self.violations
 
 
+def _pair_laws_hold(poset: ContextPoset, variant: str, m, meet, arrow) -> bool:
+    """Conditions (a), (b) and (c) of check_heyting_laws on every pair of
+    the (E, C) elements m, given meet[s, t] = s & t and arrow[t, r] = t -> r."""
+
+    def below(x, y):
+        return not (x & ~y).any()
+
+    if not below(m[:, None] & arrow, m):  # (a) t & (t -> r) <= r
+        return False
+    if not below(m[:, None], _arrow(poset, variant, m[None], meet)):  # (b) s <= t -> (s & t)
+        return False
+    holders = [m[(m[:, c] >> k & 1).astype(bool)]
+               for c, ctx in enumerate(poset.contexts) for k in range(ctx.size)]
+    generators = {tuple(np.bitwise_and.reduce(h).tolist()) for h in holders if len(h)}
+    # (c) t -> r <= t -> (r | g), one generator at a time to keep E^2 C memory;
+    # r | g is an element, so t -> (r | g) is a column of the arrow table
+    index = {row: k for k, row in enumerate(map(tuple, m.tolist()))}
+
+    def joined(g):
+        return [index[row] for row in map(tuple, (m | np.array(g, dtype=m.dtype)).tolist())]
+
+    return all(below(arrow, arrow[:, joined(g)]) for g in generators)
+
+
 def check_heyting_laws(
     poset: ContextPoset,
     variant: str,
@@ -464,10 +520,27 @@ def check_heyting_laws(
     and the (E, E, C) arrow table is one _arrow call on m against itself
     (the elements are monotone by construction, so it checks no input).
     Idempotence is checked over E elements; commutativity, absorption and
-    closure (is_monotone of join, meet and implication) over E x E pairs;
-    both associativities, both distributivities and the adjunction
-    s & t <= r <=> s <= (t -> r) over E^3 triples, one (E, E) comparison
-    per s.  Violations are listed by s, then law, then (t, r) (pairs by law,
+    closure (monotonicity of join, meet and implication) over E x E pairs.
+    triples_checked counts the E^3 triples on which both associativities,
+    both distributivities and the adjunction s & t <= r <=> s <= (t -> r)
+    are decided.
+
+    On an exhaustive element set whose closure holds, the triple laws are
+    decided on pairs. Associativity and distributivity are identities of
+    pointwise `|` and `&`. Let g range over the generators, the least
+    element holding a given atom bit (the meet of the elements holding it);
+    every element r is the join of the generators of its bits. Then the
+    adjunction holds on every triple iff, on every pair,
+    (a) t & (t -> r) <= r,  (b) s <= t -> (s & t),  (c) t -> r <= t -> (r | g).
+    If s & t <= r, r is s & t joined with generators one at a time, each
+    step an element, so s <= t -> (s & t) <= t -> r by (b) and then (c)
+    along that chain; if s <= t -> r, then s & t <= t & (t -> r) <= r by (a)
+    (Heunen-Landsman-Spitters, Commun. Math. Phys. 291 (2009) 63; Johnstone,
+    Stone Spaces (1982), I.1).
+
+    A sample is not the whole lattice, so there, and whenever closure or a
+    pair condition fails, the triples are checked one (E, E) comparison per
+    s. Violations are listed by s, then law, then (t, r) (pairs by law,
     then (s, t), before the triples); the report keeps the first 16.
     """
     if exhaustive:
@@ -477,13 +550,10 @@ def check_heyting_laws(
         elements.extend([bottom(poset), top(poset)])
         elements = list(dict.fromkeys(elements))
 
-    m = np.array([el.masks for el in elements])
+    m = np.array([el.masks for el in elements], dtype=poset.mask_dtype)
     arrow = _arrow(poset, variant, m[:, None], m)  # arrow[t, r] = t -> r
     join, meet = m[:, None] | m, m[:, None] & m  # join[t, r] = t | r
-    distinct, inverse = np.unique(
-        np.concatenate([join, meet, arrow]).reshape(-1, m.shape[1]), axis=0, return_inverse=True
-    )
-    closed = [is_monotone(poset, ContextFunction(row), variant) for row in distinct.tolist()]
+    closed = _monotone(poset, np.stack([join, meet, arrow]), variant).all(axis=0)
     violations: list[str] = []
 
     def equal(a, b):
@@ -497,14 +567,15 @@ def check_heyting_laws(
     note("idempotence", equal(m | m, m) & equal(m & m, m))
     note("commutativity", equal(join, join.swapaxes(0, 1)) & equal(meet, meet.swapaxes(0, 1)))
     note("absorption", equal(m[:, None] | meet, m[:, None]) & equal(m[:, None] & join, m[:, None]))
-    note("closure", np.array(closed)[inverse].reshape(3, *join.shape[:2]).all(axis=0))
-    for s in range(len(elements)):
-        note("join associativity", equal(m[s] | join, join[s, :, None] | m), s)
-        note("meet associativity", equal(m[s] & meet, meet[s, :, None] & m), s)
-        note("meet-over-join distributivity", equal(m[s] & join, meet[s, :, None] | meet[s]), s)
-        note("join-over-meet distributivity", equal(m[s] | meet, join[s, :, None] & join[s]), s)
-        adjoint = equal(m[s] & arrow, m[s])  # s <= (t -> r)
-        note("adjunction", equal(meet[s, :, None] & m, meet[s, :, None]) == adjoint, s)
+    note("closure", closed)
+    if not (exhaustive and closed.all() and _pair_laws_hold(poset, variant, m, meet, arrow)):
+        for s in range(len(elements)):
+            note("join associativity", equal(m[s] | join, join[s, :, None] | m), s)
+            note("meet associativity", equal(m[s] & meet, meet[s, :, None] & m), s)
+            note("meet-over-join distributivity", equal(m[s] & join, meet[s, :, None] | meet[s]), s)
+            note("join-over-meet distributivity", equal(m[s] | meet, join[s, :, None] & join[s]), s)
+            adjoint = equal(m[s] & arrow, m[s])  # s <= (t -> r)
+            note("adjunction", equal(meet[s, :, None] & m, meet[s, :, None]) == adjoint, s)
     return LawReport(
         variant=variant,
         element_count=len(elements),

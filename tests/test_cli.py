@@ -216,6 +216,18 @@ def test_logic_heyting_dim3_exhaustive(capsys, variant):
     assert payload["triples_checked"] == 96**3 == 884736
 
 
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_logic_heyting_dim4_exhaustive(capsys, variant):
+    payload = run_json(
+        capsys, "logic", "heyting", "--dim", "4", "--bases", "1",
+        "--variant", variant, "--exhaustive",
+    )
+    assert payload["passed"] is True
+    assert payload["contexts"] == 6  # trivial, the maximal algebra, four two-block algebras
+    assert payload["elements"] == 354
+    assert payload["triples_checked"] == 354**3
+
+
 def test_logic_popper(capsys):
     payload = run_json(capsys, "logic", "popper")
     assert payload["p_undistributed"] == pytest.approx(0.5, abs=1e-12)
@@ -361,14 +373,19 @@ def _coord(num, den=1):
          "--bases must lie in [1, 64]"),
         (["mkc", "simulate", "--shots", "-5", "--program", "p.json"], 2, "--shots must lie"),
         (["fwt", "bounds", "--eps-s", "nan", "--eps-t", "0"], 2, "--eps-s must lie in [0, 1]"),
-        (["--tolerance", "nan", "quantum", "reconstruct"], 2, "--tolerance must lie"),
+        (["--tolerance", "nan", "quantum", "reconstruct"], 2,
+         "--tolerance must lie in [0, inf), got nan"),
+        (["--tolerance", "-1", "quantum", "reconstruct"], 2,
+         "--tolerance must lie in [0, inf), got -1"),
+        (["quantum", "reconstruct", "--tolerance", "inf"], 2,
+         "--tolerance must lie in [0, inf), got inf"),
         (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, 64]"),
         (["logic", "heyting", "--bases", "65"], 2, "--bases must lie in [1, 64], got 65"),
-        (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf]"),
+        (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf), got -1"),
         (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
         (["logic", "heyting", "--dim", "3", "--bases", "2", "--exhaustive"], 2,
-         "poset has 524288 candidate assignments, over the exhaustive limit of 4096"),
+         "poset has more than 512 monotone l3 elements, the exhaustive limit"),
         (["ks", "check", "--set", _VectorFile([{"label": "x"}])], 2,
          "vector 0 needs an 'entries' list"),
         (["ks", "check", "--set", _VectorFile([{"entries": [_coord(1, 0)]}])], 2,
@@ -393,7 +410,8 @@ def _coord(num, den=1):
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
          "reconstruct-dim-over-cap",
-         "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "zero-heyting-bases",
+         "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "negative-tolerance",
+         "inf-tolerance", "zero-heyting-bases",
          "heyting-bases-over-cap",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",

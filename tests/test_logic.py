@@ -1,6 +1,7 @@
 """Subspace lattice, union lattice, and context-function Heyting algebras."""
 
 import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -247,16 +248,31 @@ def test_dim3_l3_sampled_laws():
     assert report.passed
 
 
-# Reference versions of the element enumeration, the sampler and the law
-# checker as one loop per candidate, element and triple, kept to pin down
-# the mask-array implementations.
+# Reference versions of the poset build, the element enumeration, the
+# sampler and the law checker as one loop per pair of atoms, candidate,
+# element and triple, kept to pin down the mask-array implementations.
+
+
+def _reference_refine(contexts, i, j):
+    """The first atom of context i above each atom of context j, or None."""
+    parents = []
+    for q in contexts[j].atoms:
+        above = [k for k, p in enumerate(contexts[i].atoms) if logic.projector_leq(q, p)]
+        if not above:
+            return None
+        parents.append(above[0])
+    return parents
+
+
+def _reference_expand(poset, i, j, mask):
+    return sum((mask >> parent & 1) << k for k, parent in enumerate(poset.refine[i][j]))
 
 
 def _reference_is_monotone(poset, masks, variant):
     for i, j in product(range(len(poset.contexts)), repeat=2):
         if i == j or not poset.included(i, j):
             continue
-        coarse_in_fine = poset.expand_mask(i, j, masks[i])
+        coarse_in_fine = _reference_expand(poset, i, j, masks[i])
         if variant == "l3" and masks[j] & ~coarse_in_fine:
             return False
         if variant == "l2" and coarse_in_fine & ~masks[j]:
@@ -280,7 +296,8 @@ def _reference_sample(poset, variant, count, seed):
     for _ in range(count):
         masks = [0] * len(poset.contexts)
         for i in order:
-            coarser = [poset.expand_mask(d, i, masks[d]) for d in poset.sub_contexts(i) if d != i]
+            coarser = [_reference_expand(poset, d, i, masks[d])
+                       for d in poset.sub_contexts(i) if d != i]
             if variant == "l3":
                 allowed = poset.full_mask(i)
                 for c in coarser:
@@ -330,6 +347,47 @@ def _reference_check(poset, variant):
     return len(elements), checked, tuple(violations[:16])
 
 
+def _reference_check_by_s(poset, variant, elements=None):
+    """_reference_check with the triples taken one s at a time over the
+    (t, r) grid and the arrows from one table, fast enough for E = 96; the
+    same laws on every triple, violations in the same (s, t, r, law) order."""
+    join, meet = logic.cf_join, logic.cf_meet
+    if elements is None:
+        elements = _reference_enumerate(poset, variant)
+    violations = []
+    for s in elements:
+        if join(s, s) != s or meet(s, s) != s:
+            violations.append(f"idempotence fails at {s}")
+    for s, t in product(elements, repeat=2):
+        if join(s, t) != join(t, s) or meet(s, t) != meet(t, s):
+            violations.append(f"commutativity fails at {s}, {t}")
+        if join(s, meet(s, t)) != s or meet(s, join(s, t)) != s:
+            violations.append(f"absorption fails at {s}, {t}")
+    laws = ("join associativity", "meet associativity", "meet-over-join distributivity",
+            "join-over-meet distributivity", "adjunction")
+    m = np.array([el.masks for el in elements])
+    arrow = logic._arrow(poset, variant, m[:, None], m)  # arrow[t, r] = t -> r
+    t, r = m[:, None], m[None]
+
+    def equal(a, b):
+        return (a == b).all(axis=-1)
+
+    def below(a, b):
+        return (a & ~b == 0).all(axis=-1)
+
+    for i, s in enumerate(m):
+        holds = np.stack([
+            equal(s | (t | r), (s | t) | r),
+            equal(s & (t & r), (s & t) & r),
+            equal(s & (t | r), (s & t) | (s & r)),
+            equal(s | (t & r), (s | t) & (s | r)),
+            below(s & t, r) == below(s, arrow),
+        ], axis=-1)
+        for j, k, law in np.argwhere(~holds):
+            violations.append(f"{laws[law]} fails at {elements[i]}, {elements[j]}, {elements[k]}")
+    return len(elements), len(elements) ** 3, tuple(violations[:16])
+
+
 def _random_bases(seed, dim, count):
     rng = np.random.default_rng(seed)
     bases = []
@@ -376,12 +434,12 @@ def _reference_implication(poset, variant, s1, s2):
         if variant == "l3":
             acc = full[c]
             for d in poset.sub_contexts(c):
-                acc &= poset.expand_mask(d, c, target[d])
+                acc &= _reference_expand(poset, d, c, target[d])
             masks.append(acc)
         else:
             masks.append(sum(
                 1 << k for k in range(ctx.size)
-                if all(not poset.expand_mask(c, d, 1 << k) & ~target[d]
+                if all(not _reference_expand(poset, c, d, 1 << k) & ~target[d]
                        for d in poset.super_contexts(c))
             ))
     return masks
@@ -425,16 +483,199 @@ def test_non_monotone_implication_fails_closure(m2_poset, monkeypatch):
     assert all(v.startswith("closure fails at ") for v in report.violations)
 
 
-@pytest.mark.parametrize("variant", ["l2", "l3"])
-def test_duplicate_algebras_are_merged(variant):
+def _duplicate_poset():
     atoms = tuple(np.diag(row).astype(complex) for row in np.eye(2))
-    contexts = [
+    return logic.ContextPoset([
         logic.Context(atoms=atoms, name="a"),
         logic.Context(atoms=atoms[::-1], name="a permuted"),
         logic.Context(atoms=(np.eye(2, dtype=complex),), name="another trivial"),
         logic.Context(atoms=atoms, name="a again"),
-    ]
-    poset = logic.ContextPoset(contexts)
+    ])
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_duplicate_algebras_are_merged(variant):
+    poset = _duplicate_poset()
     assert [ctx.name for ctx in poset.contexts] == ["trivial", "a"]
     # the coarse-to-fine walk needs antisymmetric inclusion to match the filter
     assert logic.enumerate_elements(poset, variant) == _reference_enumerate(poset, variant)
+
+
+# Every poset the tests above build: exhaustive ones (E from 3 to 96) and the
+# dim-3, two-basis ones they sample.
+EXHAUSTIVE_POSETS = {
+    "d2-1": lambda: logic.poset_from_bases(_random_bases(3, 2, 1)),
+    "d2-2": lambda: logic.poset_from_bases(_random_bases(4, 2, 2)),
+    "d2-3": lambda: logic.poset_from_bases(_random_bases(5, 2, 3)),
+    "d3-1": lambda: logic.poset_from_bases(_random_bases(4, 3, 1)),
+    "d3-1-seed15": lambda: logic.poset_from_bases(_random_bases(15, 3, 1)),
+    "duplicates": _duplicate_poset,
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_POSETS)
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_pair_decided_report_matches_reference(name, variant):
+    poset = EXHAUSTIVE_POSETS[name]()
+    report = logic.check_heyting_laws(poset, variant, exhaustive=True)
+    count, checked, violations = _reference_check_by_s(poset, variant)
+    assert (report.element_count, report.triples_checked) == (count, checked)
+    assert report.violations == violations == ()
+
+
+@pytest.mark.parametrize("seed, sample_count", [(15, 8), (0, 12), (1, 12), (2, 12)])
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_sampled_report_matches_reference(seed, sample_count, variant):
+    poset = logic.poset_from_bases(_random_bases(seed, 3, 2))
+    report = logic.check_heyting_laws(poset, variant, exhaustive=False,
+                                      sample_count=sample_count, seed=seed)
+    elements = _reference_sample(poset, variant, sample_count, seed)
+    elements = list(dict.fromkeys([*elements, logic.bottom(poset), logic.top(poset)]))
+    assert (report.element_count, report.triples_checked, report.violations) == \
+        _reference_check_by_s(poset, variant, elements)
+
+
+def _reference_pair_conditions(poset, variant, elements):
+    """Conditions (a), (b) and (c) of check_heyting_laws, one pair at a time."""
+    join, meet, leq = logic.cf_join, logic.cf_meet, logic.cf_leq
+    implication = logic.l3_implication if variant == "l3" else logic.l2_implication
+    arrow = {(t, r): implication(poset, t, r) for t, r in product(elements, repeat=2)}
+    generators = {
+        reduce(meet, [el for el in elements if el.masks[c] >> k & 1])
+        for c, ctx in enumerate(poset.contexts) for k in range(ctx.size)
+    }
+    closed = all(logic.is_monotone(poset, value, variant) for value in arrow.values())
+    return closed, (
+        all(leq(meet(t, arrow[t, r]), r) for t, r in arrow),
+        all(leq(s, arrow[t, meet(s, t)]) for s, t in arrow),
+        all(leq(arrow[t, r], arrow[t, join(r, g)]) for t, r in arrow for g in generators),
+    )
+
+
+def _arrow_top(real):
+    """t -> r = top: breaks (a) only."""
+    def arrow(poset, variant, a, b):
+        return np.broadcast_to(logic.top(poset).masks, np.broadcast(a, b).shape)
+    return arrow
+
+
+def _arrow_second(real):
+    """t -> r = r: breaks (b) only."""
+    def arrow(poset, variant, a, b):
+        return np.broadcast_to(b, np.broadcast(a, b).shape)
+    return arrow
+
+
+def _arrow_drops_at_top(real):
+    """t -> top = t, the true arrow elsewhere: breaks (c) only."""
+    def arrow(poset, variant, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        at_top = (b == logic.top(poset).masks).all(axis=-1, keepdims=True)
+        return np.where(at_top, a, real(poset, variant, a, b))
+    return arrow
+
+
+@pytest.mark.parametrize("broken, patch", [
+    ((False, True, True), _arrow_top),
+    ((True, False, True), _arrow_second),
+    ((True, True, False), _arrow_drops_at_top),
+], ids=["a", "b", "c"])
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_each_broken_pair_condition_falls_back_to_triples(m2_poset, variant, broken, patch,
+                                                          monkeypatch):
+    monkeypatch.setattr(logic, "_arrow", patch(logic._arrow))
+    elements = _reference_enumerate(m2_poset, variant)
+    assert _reference_pair_conditions(m2_poset, variant, elements) == (True, broken)
+    report = logic.check_heyting_laws(m2_poset, variant, exhaustive=True)
+    count, checked, violations = _reference_check(m2_poset, variant)
+    assert (report.element_count, report.triples_checked) == (count, checked)
+    assert violations and report.violations == violations
+
+
+@pytest.mark.parametrize("patch", [None, _arrow_top, _arrow_second, _arrow_drops_at_top],
+                         ids=["true-arrow", "a-broken", "b-broken", "c-broken"])
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_by_s_reference_matches_per_triple_reference(m2_poset, variant, patch, monkeypatch):
+    if patch:
+        monkeypatch.setattr(logic, "_arrow", patch(logic._arrow))
+    assert _reference_check_by_s(m2_poset, variant) == _reference_check(m2_poset, variant)
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_POSETS)
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_monotone_matches_reference_row_by_row(name, variant):
+    poset = EXHAUSTIVE_POSETS[name]()
+    rows = list(product(*(range(poset.full_mask(i) + 1) for i in range(len(poset.contexts)))))
+    expected = [_reference_is_monotone(poset, row, variant) for row in rows]
+    assert logic._monotone(poset, np.array(rows), variant).tolist() == expected
+    # any leading shape, and the one-row public form
+    assert logic._monotone(poset, np.array(rows[:1] * 6).reshape(2, 3, -1), variant).tolist() \
+        == [[expected[0]] * 3] * 2
+    assert [logic.is_monotone(poset, logic.ContextFunction(row), variant)
+            for row in rows[:64]] == expected[:64]
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_monotone_rejects_masks_outside_their_context(m2_poset, variant):
+    top = logic.top(m2_poset).masks
+    assert logic.is_monotone(m2_poset, logic.ContextFunction(top), variant)
+    for bad in [(2, 3, 3), (1, 4, 3), (1, 3, -1)]:
+        assert not logic.is_monotone(m2_poset, logic.ContextFunction(bad), variant)
+
+
+def _seeded_poset(seed):
+    """Random bases of dimension 2 to 4, some repeated with their vectors
+    permuted (the same algebra, merged), each basis's vectors in random order."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    bases = _random_bases(seed, dim, int(rng.integers(1, 4)))
+    bases = [basis[rng.permutation(dim)] for basis in bases]
+    repeats = [bases[k][rng.permutation(dim)] for k in rng.integers(0, len(bases), 2)]
+    return logic.poset_from_bases(bases + repeats[: int(rng.integers(0, 3))])
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 12))
+def test_batched_refinement_matches_per_pair_containment(seed):
+    for poset in map(_seeded_poset, range(seed, seed + 12)):
+        n = len(poset.contexts)
+        for i, j in product(range(n), repeat=2):
+            assert poset.refine[i][j] == _reference_refine(poset.contexts, i, j)
+            if poset.included(i, j):
+                masks = range(poset.full_mask(i) + 1)
+                assert [poset.expand_mask(i, j, mask) for mask in masks] == \
+                    [_reference_expand(poset, i, j, mask) for mask in masks]
+                assert poset.expand_mask(i, j, np.array(masks)).tolist() == \
+                    [_reference_expand(poset, i, j, mask) for mask in masks]
+                assert type(poset.expand_mask(i, j, 1)) is int
+
+
+def test_permuted_repeats_are_merged():
+    rng = np.random.default_rng(3)
+    basis = _random_bases(3, 3, 1)[0]
+    poset = logic.poset_from_bases([basis, basis[rng.permutation(3)]])
+    assert [ctx.name for ctx in poset.contexts] == \
+        ["trivial", "basis0", *(f"basis0:block{k}" for k in range(3))]
+
+
+_P = np.diag([1.0, 0.0]).astype(complex)
+_I = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("atoms, message", [
+    ((_P,), "atoms of context 'c' do not sum to identity"),
+    ((0.5 * _I,), "atoms of context 'c' do not sum to identity"),  # before idempotence
+    ((np.array([[1, 1], [0, 0]], dtype=complex), np.array([[0, -1], [0, 1]], dtype=complex)),
+     "projection must be Hermitian"),
+    ((np.array([[1, 1], [0, 0.5]], dtype=complex), np.array([[0, -1], [0, 0.5]], dtype=complex)),
+     "projection must be Hermitian"),  # before idempotence
+    ((0.5 * _I, 0.5 * _I), "projection must be idempotent within 1e-10"),
+    ((_P, _P, _I - 2 * _P), "atoms of context 'c' are not orthogonal"),  # before atom 2's checks
+    ((np.diag([1, 0, 0]), np.diag([0, 0.5, 0.5]), np.diag([0, 0.5, 0.5])),
+     "projection must be idempotent within 1e-10"),  # atom 1's checks before its overlaps
+    ((np.full((2, 2), np.nan),), "matrix entries must be finite"),
+], ids=["sum", "sum-first", "hermitian", "hermitian-first", "idempotent", "orthogonal",
+        "atom-order", "not-finite"])
+def test_context_errors(atoms, message):
+    with pytest.raises(ValueError) as caught:
+        logic.Context(atoms=atoms, name="c")
+    assert str(caught.value) == message

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
@@ -317,34 +318,50 @@ def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:
 
 
 class RationalPoint:
-    """A point of the rational unit sphere S^2 ∩ Q^3."""
+    """A point of the rational unit sphere S^2 ∩ Q^3.
 
-    __slots__ = ("x", "y", "z")
+    Held as its primitive integer triple (x, y, z) and n > 0, the lcm of the
+    reduced denominators: the point is (x, y, z) / n with x^2 + y^2 + z^2 = n^2.
+    """
+
+    __slots__ = ("triple", "n")
 
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike) -> None:
-        self.x, self.y, self.z = (c if type(c) is Q else Q(c) for c in (x, y, z))
-        # x^2 + y^2 + z^2 = 1 in integers: sum (a * (l // b))^2 = l^2 over the
-        # coordinates a / b, with l the lcm of the denominators
-        lcm = math.lcm(self.x.denominator, self.y.denominator, self.z.denominator)
-        if sum((c.numerator * (lcm // c.denominator)) ** 2 for c in self.coords()) != lcm * lcm:
-            raise ValueError(f"({self.x}, {self.y}, {self.z}) is not on the unit sphere")
+        coords = [Q(c) for c in (x, y, z)]
+        self.n = math.lcm(*(c.denominator for c in coords))
+        # on the sphere the triple is primitive: a prime dividing all three
+        # divides n, so not the one whose denominator holds all of it in n
+        self.triple = tuple(c.numerator * (self.n // c.denominator) for c in coords)
+        if sum(c * c for c in self.triple) != self.n * self.n:
+            raise ValueError("(%s, %s, %s) is not on the unit sphere" % tuple(coords))
+
+    @classmethod
+    def from_triple(cls, x: int, y: int, z: int, n: int) -> "RationalPoint":
+        """The point (x, y, z) / n of a primitive triple with x^2 + y^2 + z^2 = n^2."""
+        x, y, z, n = map(operator.index, (x, y, z, n))
+        if n <= 0 or math.gcd(x, y, z) != 1 or x * x + y * y + z * z != n * n:
+            raise ValueError(f"({x}, {y}, {z}) / {n} is not a primitive point of the unit sphere")
+        point = object.__new__(cls)
+        point.triple, point.n = (x, y, z), n
+        return point
 
     def coords(self) -> tuple[Q, Q, Q]:
-        return (self.x, self.y, self.z)
+        return tuple(Q(c, self.n) for c in self.triple)
 
     def __neg__(self) -> "RationalPoint":
-        return RationalPoint(-self.x, -self.y, -self.z)
+        return RationalPoint.from_triple(*(-c for c in self.triple), self.n)
 
+    # the primitive triple determines n, so it alone identifies the point
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoint):
             return NotImplemented
-        return self.coords() == other.coords()
+        return self.triple == other.triple
 
     def __hash__(self) -> int:
-        return hash(self.coords())
+        return hash(self.triple)
 
     def __repr__(self) -> str:
-        return f"RationalPoint({self.x}, {self.y}, {self.z})"
+        return "RationalPoint(%s, %s, %s)" % self.coords()
 
 
 def _is_coordinate(coeffs) -> bool:

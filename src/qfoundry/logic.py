@@ -146,7 +146,7 @@ class Context:
         residual[range(count), range(count)] -= mats  # P_i P_i - P_i
         norms = np.linalg.norm(np.concatenate([[sum(mats) - np.eye(dim)],
                                                residual.reshape(-1, dim, dim)]), 2, axis=(-2, -1))
-        if norms[0] > 1e-10:
+        if norms[0] > STRUCT_TOL:
             raise ValueError(f"atoms of context {self.name!r} do not sum to identity")
         norms = norms[1:].reshape(count, count)
         hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
@@ -155,7 +155,7 @@ class Context:
                 raise ValueError("projection must be Hermitian")
             if norms[i, i] > STRUCT_TOL:
                 raise ValueError("projection must be idempotent within 1e-10")
-            if (norms[i, i + 1 :] > 1e-10).any():
+            if (norms[i, i + 1 :] > STRUCT_TOL).any():
                 raise ValueError(f"atoms of context {self.name!r} are not orthogonal")
 
     @property

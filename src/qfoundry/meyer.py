@@ -3,17 +3,15 @@
 Every rational point of S^2 lies on the axis of a primitive integer triple
 (x, y, z) with x^2 + y^2 + z^2 = n^2.  The color is decided by the parity
 of the third coordinate of that primitive triple: odd maps to 0, even to 1.
-The enumeration and the check run on int64 arrays of triples, with exact
-integer dot and cross products; only the violations come back as tuples.
-The primitive-triple rule is written once, on arrays; its scalar form runs
-the same code on one row of Python ints.
+A RationalPoint holds that primitive triple, so the enumeration and the
+check run on int64 arrays of triples, with exact integer dot and cross
+products; only the violations come back as tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 import numpy as np
 
@@ -71,19 +69,6 @@ class ConditionReport:
         )
 
 
-def _primitive_rows(num, den):
-    """Primitive integer triples on the axes of rows of rational coordinates.
-
-    num and den hold numerators and denominators, one point per row.  Each
-    row is scaled by the lcm of its denominators and divided by the gcd of
-    the result; returns the triples and their hypotenuses.
-    """
-    lcm = np.lcm.reduce(den, axis=1, keepdims=True)
-    ints = num * (lcm // den)
-    g = np.gcd.reduce(ints, axis=1, keepdims=True)
-    return ints // g, (lcm // g)[:, 0]
-
-
 def _first_nonzero(t):
     """The first nonzero entry of each row (0 for a zero row)."""
     return t[np.arange(len(t)), np.argmax(t != 0, axis=1)]
@@ -96,15 +81,12 @@ def _canonical_rows(t):
 
 def to_primitive_pyth(p: RationalPoint) -> PythTriple:
     """Primitive integer triple on the same axis as a rational sphere point."""
-    coords = p.coords()
-    (t,), (n,) = _primitive_rows(np.array([[c.numerator for c in coords]], dtype=object),
-                                 np.array([[c.denominator for c in coords]], dtype=object))
-    return PythTriple(*t, n)
+    return PythTriple(*p.triple, p.n)
 
 
 def meyer_color(p: RationalPoint) -> int:
     """0 when the primitive triple's third coordinate is odd, else 1."""
-    return _triple_color(to_primitive_pyth(p).coords())
+    return _triple_color(p.triple)
 
 
 def _triple_color(t):
@@ -119,8 +101,8 @@ def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
     in int64 slabs of at most _BLOCK_ENTRIES points, in (x, y, z) order,
     and keeps those with x^2 + y^2 + z^2 = n^2 for an integer
     0 < n <= max_n, coprime coordinates and a positive first nonzero
-    coordinate.  Returns one rational sphere point per axis, built through
-    the checking constructor, in sorted ray order.
+    coordinate.  Returns one rational sphere point per axis, built from its
+    triple by the checking RationalPoint.from_triple, in sorted ray order.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -141,20 +123,20 @@ def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
         t = np.column_stack([xs[lo + r], ys[lo + r], line[c]])
         keep = (np.gcd.reduce(t, axis=1) == 1) & (_first_nonzero(t) > 0)
         found.append(np.column_stack([t[keep], n[r, c][keep]]))
-    return [RationalPoint(Q(x, n), Q(y, n), Q(z, n))
+    return [RationalPoint.from_triple(x, y, z, n)
             for x, y, z, n in np.concatenate(found).tolist()]
 
 
 def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     """Check antipodal invariance, the pair rule and the triad sum rule.
 
-    Works on int64 arrays of primitive triples, those of the points and of
-    their antipodes; points on the same axis are merged.  Orthogonal pairs
-    come from one scan of the upper triangle of the ray Gram matrix in
-    row blocks, triads from looking up the canonical reduced cross product
-    of each pair, as a tuple, in an index of the rays; both are listed in
-    sorted ray order.  Raises ValueError when a primitive coordinate exceeds
-    MAX_COORDINATE, where int64 products could overflow.
+    Works on the int64 array of the points' primitive triples; points on
+    the same axis are merged.  Orthogonal pairs come from one scan of the
+    upper triangle of the ray Gram matrix in row blocks, triads from
+    looking up the canonical reduced cross product of each pair, as a
+    tuple, in an index of the rays; both are listed in sorted ray order.
+    Raises ValueError when a primitive coordinate exceeds MAX_COORDINATE,
+    where int64 products could overflow.
 
     Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
     or 1 mod 4, so the number of odd coordinates of x^2 + y^2 + z^2 = n^2
@@ -166,25 +148,15 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     one: every pair sum is at least 1 and every triad sum is 2.  The scan
     still checks each pair and triad; the lemma explains its result.
     """
-    fractions = [(x.numerator, y.numerator, z.numerator, x.denominator, y.denominator,
-                  z.denominator) for x, y, z in (p.coords() for p in points)]
-    too_large = f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound"
-    # the lcm of a point's denominators is its hypotenuse n, and n^2 <= 3 c^2
-    # for its largest coordinate c, so over 2 * MAX_COORDINATE c is over the
-    # bound too; below it no entry of the int64 arrays exceeds n
-    if any(math.lcm(*row[3:]) > 2 * MAX_COORDINATE for row in fractions):
-        raise ValueError(too_large)
-    fractions = np.array(fractions, dtype=np.int64).reshape(-1, 6)
-    num, den = fractions[:, :3], fractions[:, 3:]
-    triples, _ = _primitive_rows(np.concatenate([num, -num]), np.concatenate([den, den]))
-    if np.abs(triples).max(initial=0) > MAX_COORDINATE:
-        raise ValueError(too_large)
+    coordinates = [c for p in points for c in p.triple]
+    if max(map(abs, coordinates), default=0) > MAX_COORDINATE:
+        raise ValueError(f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound")
+    triples = np.array(coordinates, dtype=np.int64).reshape(-1, 3)
 
-    colors = _triple_color(triples.T)
-    antipodal = np.flatnonzero(colors[:len(points)] != colors[len(points):])
+    antipodal = np.flatnonzero(_triple_color(triples.T) != _triple_color(-triples.T))
     antipodal_violations = tuple(points[k].coords() for k in antipodal.tolist())
 
-    a = np.unique(_canonical_rows(triples[:len(points)]), axis=0)
+    a = np.unique(_canonical_rows(triples), axis=0)
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(1, len(a)))
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, len(a), block):

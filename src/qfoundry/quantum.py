@@ -58,7 +58,7 @@ class DensityOperator:
         if abs(np.trace(mat).real - 1.0) > ARITH_TOL:
             raise ValueError("density operator must have unit trace within 1e-12")
         eigenvalues = np.linalg.eigvalsh(mat)
-        if eigenvalues.min() < -1e-10:
+        if eigenvalues.min() < -STRUCT_TOL:
             raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
         self.matrix = mat
 

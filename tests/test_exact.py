@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qfoundry.datasets import load_builtin
+from qfoundry.meyer import enumerate_pyth_points
 from qfoundry.exact import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -209,9 +210,17 @@ def test_zero_vector_rejected():
 
 
 def test_rational_point_validation():
-    RationalPoint(Q(3, 5), Q(-4, 5), 0)
+    p = RationalPoint(Q(3, 5), Q(-4, 5), 0)
+    assert (p.triple, p.n) == ((3, -4, 0), 5)
+    assert RationalPoint.from_triple(3, -4, 0, 5) == p
     with pytest.raises(ValueError):
         RationalPoint(Q(1, 2), Q(1, 2), 0)
+
+
+@pytest.mark.parametrize("triple", [(2, 0, 0, 2), (1, 0, 0, -1), (1, 1, 1, 2)])
+def test_from_triple_rejects_non_primitive_or_off_sphere(triple):
+    with pytest.raises(ValueError, match="not a primitive point"):
+        RationalPoint.from_triple(*triple)
 
 
 @pytest.mark.parametrize("coords", [
@@ -234,6 +243,11 @@ def test_rational_point_negation():
     assert hash(q) == hash(RationalPoint(Q(-2, 3), Q(2, 3), Q(-1, 3)))
     assert all(isinstance(c, Q) for c in q.coords())
     assert -q == p
+    for p in enumerate_pyth_points(12):
+        for q in (p, -p):
+            assert RationalPoint(*q.coords()) == q
+            assert hash(RationalPoint(*q.coords())) == hash(q)
+            assert -(-q) == q
 
 
 def test_vector_set_json_roundtrip(tmp_path):

@@ -94,11 +94,25 @@ def test_antipodal_invariance():
         assert meyer_color(p) == meyer_color(-p)
 
 
-def test_frozen_counts_and_no_violations():
+# rays, pairs and triads of the corpus by max_n
+FROZEN_COUNTS = {25: (RAYS_25, PAIRS_25, TRIADS_25), 60: (2943, 4215, 1093),
+                 100: (8247, 12831, 3053)}
+
+
+@pytest.mark.parametrize("max_n", FROZEN_COUNTS)
+def test_frozen_counts_and_no_violations(max_n):
+    report = verify_meyer_conditions(enumerate_pyth_points(max_n))
+    assert (report.rays, report.pairs, report.triads) == FROZEN_COUNTS[max_n]
+    assert report.violations == 0
+
+
+def test_check_runs_on_triples_without_fractions(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Fraction coordinates")
+
+    monkeypatch.setattr(RationalPoint, "coords", refuse)
     report = verify_meyer_conditions(enumerate_pyth_points(25))
-    assert report.rays == RAYS_25
-    assert report.pairs == PAIRS_25
-    assert report.triads == TRIADS_25
+    assert (report.rays, report.pairs, report.triads) == (RAYS_25, PAIRS_25, TRIADS_25)
     assert report.violations == 0
 
 

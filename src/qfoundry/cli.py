@@ -176,6 +176,8 @@ def load_program(
             program = json.load(fh)
     except FileNotFoundError as exc:
         raise CliError(f"program file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(program, dict) or "observables" not in program:

@@ -1,25 +1,25 @@
-"""Exact arithmetic in the ring generated by sqrt(2) and sqrt(3).
+"""Exact vectors over Q(sqrt2, sqrt3) and exact points of the rational sphere.
 
-Scalars are stored as a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational
-coefficients.  Direction vectors are kept unnormalized, and each carries a
-primitive ray key: its entries scaled by a nonzero field element to integer
-coefficients over (1, sqrt2, sqrt3, sqrt6).  Ray identity and orthogonality
-are integer computations on that key, never floating point.
+A scalar a + b*sqrt2 + c*sqrt3 + d*sqrt6 is held as its four rational
+coefficients; there is no field arithmetic on scalars.  Direction vectors
+are kept unnormalized, and each carries a primitive ray key: its entries
+scaled by a nonzero field element to integer coefficients over
+(1, sqrt2, sqrt3, sqrt6).  Ray identity, orthogonality and cross products
+are integer computations on that key under the one product rule `_mul`,
+never floating point.  A rational sphere point is held as its primitive
+integer triple.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 import numpy as np
-
-SQRT2_F = math.sqrt(2.0)
-SQRT3_F = math.sqrt(3.0)
-SQRT6_F = math.sqrt(6.0)
 
 RationalLike = int | Q
 
@@ -33,7 +33,12 @@ class DegenerateInputError(ValueError):
 
 
 class QuadScalar:
-    """An exact element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
+    """The coefficients of an element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3).
+
+    Each coefficient must be rational (an int, a Fraction or a numpy
+    integer) and is stored as a Fraction of Python ints; a float or a
+    string raises TypeError.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -44,10 +49,7 @@ class QuadScalar:
         c: RationalLike = 0,
         d: RationalLike = 0,
     ) -> None:
-        self.a = Q(a)
-        self.b = Q(b)
-        self.c = Q(c)
-        self.d = Q(d)
+        self.a, self.b, self.c, self.d = map(_rational, (a, b, c, d))
 
     @classmethod
     def sqrt2(cls) -> "QuadScalar":
@@ -83,55 +85,6 @@ class QuadScalar:
     def __neg__(self) -> "QuadScalar":
         return QuadScalar(-self.a, -self.b, -self.c, -self.d)
 
-    def __add__(self, other) -> "QuadScalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadScalar(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QuadScalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QuadScalar":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QuadScalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadScalar(*_mul(self.coefficients(), other.coefficients()))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadScalar":
-        """Multiplicative inverse, the adjugate over the field norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero element of Q(sqrt2, sqrt3)")
-        adj = _adjugate(self.coefficients())
-        norm = _mul(self.coefficients(), adj)[0]
-        return QuadScalar(*(coef / norm for coef in adj))
-
-    def __truediv__(self, other) -> "QuadScalar":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def to_float(self) -> float:
-        return (
-            float(self.a)
-            + float(self.b) * SQRT2_F
-            + float(self.c) * SQRT3_F
-            + float(self.d) * SQRT6_F
-        )
-
     def __repr__(self) -> str:
         return f"QuadScalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
@@ -147,6 +100,14 @@ class QuadScalar:
             else:
                 parts.append(f"{sign}{mag}{symbol}")
         return "".join(parts) if parts else "0"
+
+
+def _rational(coef) -> Q:
+    """coef as a Fraction of Python ints; TypeError unless it is rational."""
+    if not isinstance(coef, numbers.Rational):
+        raise TypeError(f"QuadScalar coefficient {coef!r} is not rational")
+    # a numpy integer would otherwise stay the Fraction's int64 numerator
+    return Q(int(coef.numerator), int(coef.denominator))
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -166,17 +127,6 @@ def _adjugate(x: tuple) -> tuple:
     """Product of the three other conjugates of x, so x * _adjugate(x) is rational."""
     a, b, c, d = x
     return _mul(_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
-
-
-def _coerce(value) -> QuadScalar | None:
-    if isinstance(value, QuadScalar):
-        return value
-    if isinstance(value, (int, Q)):
-        return QuadScalar(value)
-    return None
-
-
-ZERO = QuadScalar()
 
 
 class ExactVector:
@@ -216,12 +166,6 @@ class ExactVector:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def scaled(self, factor: QuadScalar | RationalLike) -> "ExactVector":
-        factor = factor if isinstance(factor, QuadScalar) else QuadScalar(factor)
-        if factor.is_zero():
-            raise DegenerateInputError("cannot scale a direction by zero")
-        return ExactVector(tuple(e * factor for e in self.entries), self.label)
-
     def __repr__(self) -> str:
         body = ", ".join(str(e) for e in self.entries)
         tag = f" {self.label}" if self.label else ""
@@ -243,12 +187,6 @@ def _ray_key(entries: tuple[QuadScalar, ...]) -> tuple:
 def _check_dimensions(u: ExactVector, v: ExactVector) -> None:
     if u.dimension != v.dimension:
         raise DimensionMismatchError(f"dimension mismatch: {u.dimension} vs {v.dimension}")
-
-
-def inner_product(u: ExactVector, v: ExactVector) -> QuadScalar:
-    """Exact real inner product of two unnormalized vectors."""
-    _check_dimensions(u, v)
-    return sum((x * y for x, y in zip(u.entries, v.entries)), ZERO)
 
 
 def orthogonal(u: ExactVector, v: ExactVector) -> bool:

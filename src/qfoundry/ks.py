@@ -112,17 +112,18 @@ def build_orth_structure(vset: VectorSet) -> OrthStructure:
 
     bases: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: int) -> None:
-        """Grow the clique by later vectors orthogonal to all its members."""
+    def extend(clique: tuple[int, ...], candidates: int) -> None:
+        """Grow the clique by later vectors orthogonal to all its members,
+        while enough candidates remain to fill a basis."""
         if len(clique) == dim:
-            bases.append(tuple(clique))
+            bases.append(clique)
             return
-        while candidates:
+        while candidates.bit_count() >= dim - len(clique):
             cand = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            extend(clique + [cand], candidates & orth[cand])
+            extend(clique + (cand,), candidates & orth[cand])
 
-    extend([], (1 << n) - 1)
+    extend((), (1 << n) - 1)
 
     for basis in bases:
         for i, j in combinations(basis, 2):

@@ -10,7 +10,6 @@ products; only the violations come back as tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,28 +24,6 @@ MAX_COORDINATE = 1 << 30
 _BLOCK_ENTRIES = 1 << 15
 # rows of a scan block at least, so that above 2^15 rays a block is not one row
 _MIN_BLOCK_ROWS = 16
-
-
-@dataclass(frozen=True)
-class PythTriple:
-    """Integer triple with x^2 + y^2 + z^2 = n^2."""
-
-    x: int
-    y: int
-    z: int
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("n must be positive")
-        if self.x**2 + self.y**2 + self.z**2 != self.n**2:
-            raise ValueError(f"({self.x}, {self.y}, {self.z}) fails x^2+y^2+z^2={self.n}^2")
-
-    def is_primitive(self) -> bool:
-        return math.gcd(self.x, self.y, self.z) == 1
-
-    def coords(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
 
 
 @dataclass(frozen=True)
@@ -77,11 +54,6 @@ def _first_nonzero(t):
 def _canonical_rows(t):
     """One representative per axis: flip each row whose first nonzero is negative."""
     return np.where(_first_nonzero(t)[:, None] < 0, -t, t)
-
-
-def to_primitive_pyth(p: RationalPoint) -> PythTriple:
-    """Primitive integer triple on the same axis as a rational sphere point."""
-    return PythTriple(*p.triple, p.n)
 
 
 def meyer_color(p: RationalPoint) -> int:

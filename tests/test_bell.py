@@ -278,14 +278,11 @@ def test_prob_sum_two_exceeds_half_off_region():
 def test_appleby_bound_from_meyer_neighborhoods():
     """Couple the bound to the dense coloring: outcome probabilities are
     neighborhood averages of actual colors around a rational triad."""
-    from qfoundry.meyer import enumerate_pyth_points, meyer_color, to_primitive_pyth
+    from qfoundry.meyer import enumerate_pyth_points, meyer_color
 
     points = enumerate_pyth_points(25)
-    triples = [to_primitive_pyth(p) for p in points]
-    unit = {
-        t.coords(): np.array(t.coords(), dtype=float) / t.n for t in triples
-    }
-    colors = {t.coords(): meyer_color(p) for t, p in zip(triples, points)}
+    unit = {p.triple: np.array(p.triple, dtype=float) / p.n for p in points}
+    colors = {p.triple: meyer_color(p) for p in points}
     triad = [(2, 2, 1), (2, -1, -2), (1, -2, 2)]
     radius = 0.35
     probs = []

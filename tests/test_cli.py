@@ -351,6 +351,22 @@ class _VectorFile(dict):
         return path
 
 
+class _BytesFile(bytes):
+    """Raw file contents that test_usage_errors writes to a file."""
+
+    def write(self, directory):
+        path = directory / "raw.json"
+        path.write_bytes(self)
+        return path
+
+
+class _Directory:
+    """An argument that test_usage_errors replaces by an existing directory."""
+
+    def write(self, directory):
+        return directory
+
+
 def _coord(num, den=1):
     """The coordinate num/den as four [num, den] pairs over 1, √2, √3, √6."""
     return [[num, den], [0, 1], [0, 1], [0, 1]]
@@ -372,6 +388,9 @@ def _coord(num, den=1):
         (["mkc", "simulate", "--bases", "65", "--program", "p.json"], 2,
          "--bases must lie in [1, 64]"),
         (["mkc", "simulate", "--shots", "-5", "--program", "p.json"], 2, "--shots must lie"),
+        (["mkc", "simulate", "--program", _Directory()], 2, "cannot read "),
+        (["mkc", "simulate", "--program", _BytesFile(b'{"observables": "\xff"}')], 2,
+         "cannot read "),
         (["fwt", "bounds", "--eps-s", "nan", "--eps-t", "0"], 2, "--eps-s must lie in [0, 1]"),
         (["--tolerance", "nan", "quantum", "reconstruct"], 2,
          "--tolerance must lie in [0, inf), got nan"),
@@ -410,7 +429,8 @@ def _coord(num, den=1):
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
          "reconstruct-dim-over-cap",
-         "too-many-bases", "negative-shots", "nan-eps", "nan-tolerance", "negative-tolerance",
+         "too-many-bases", "negative-shots", "program-directory", "non-utf8-program",
+         "nan-eps", "nan-tolerance", "negative-tolerance",
          "inf-tolerance", "zero-heyting-bases",
          "heyting-bases-over-cap",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
@@ -419,8 +439,9 @@ def _coord(num, den=1):
          "complete-pairs-in-dimension-4", "duplicate-ray"],
 )
 def test_usage_errors(capsys, tmp_path, argv, code, fragment):
-    # a _VectorFile argument is written to tmp_path and replaced by its path
-    argv = [str(arg.write(tmp_path)) if isinstance(arg, _VectorFile) else arg for arg in argv]
+    # a _VectorFile, _BytesFile or _Directory argument is made under tmp_path
+    # and replaced by its path
+    argv = [str(arg.write(tmp_path)) if hasattr(arg, "write") else arg for arg in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""

@@ -1,6 +1,12 @@
-"""Exact scalar and vector arithmetic."""
+"""Exact scalars, vectors and rational sphere points.
+
+The package has no field arithmetic on scalars; the references below are
+built from its one product rule `_mul` and `_adjugate` over coefficient
+4-tuples (1, sqrt2, sqrt3, sqrt6).
+"""
 
 import math
+import operator
 import re
 from fractions import Fraction as Q
 from functools import reduce
@@ -18,8 +24,9 @@ from qfoundry.exact import (
     QuadScalar,
     RationalPoint,
     VectorSet,
+    _adjugate,
+    _mul,
     cross_product,
-    inner_product,
     orthogonal,
     orthogonality_masks,
 )
@@ -27,19 +34,56 @@ from qfoundry.exact import (
 R2 = QuadScalar.sqrt2()
 R3 = QuadScalar.sqrt3()
 R6 = QuadScalar.sqrt6()
+ONE = (1, 0, 0, 0)
+
+
+def _add(x, y):
+    """Sum of two coefficient 4-tuples."""
+    return tuple(map(operator.add, x, y))
+
+
+def _plus(s, t):
+    """Sum of two scalars."""
+    return QuadScalar(*_add(s.coefficients(), t.coefficients()))
+
+
+def _inverse(x):
+    """Inverse of a nonzero coefficient 4-tuple: the adjugate over the field norm."""
+    adj = _adjugate(x)
+    norm = _mul(x, adj)[0]
+    return tuple(Q(c) / norm for c in adj)
+
+
+def _dot(u, v):
+    """Entrywise inner product of two vectors, as a coefficient 4-tuple."""
+    return reduce(_add, (
+        _mul(x.coefficients(), y.coefficients())
+        for x, y in zip(u.entries, v.entries, strict=True)
+    ))
+
+
+def _scaled(vector, factor):
+    """The vector with every entry multiplied by a nonzero int, Fraction or scalar."""
+    factor = factor if isinstance(factor, QuadScalar) else QuadScalar(factor)
+    assert factor, "cannot scale a direction by zero"
+    return ExactVector(
+        [QuadScalar(*_mul(e.coefficients(), factor.coefficients())) for e in vector.entries],
+        vector.label,
+    )
 
 
 def test_generator_products():
-    assert R2 * R3 == R6
-    assert R2 * R2 == QuadScalar(2)
-    assert R3 * R3 == QuadScalar(3)
-    assert R2 * R6 == QuadScalar(0, 0, 2, 0)  # 2*sqrt3
-    assert R3 * R6 == QuadScalar(0, 3, 0, 0)  # 3*sqrt2
+    r2, r3, r6 = R2.coefficients(), R3.coefficients(), R6.coefficients()
+    assert _mul(r2, r3) == r6
+    assert _mul(r2, r2) == (2, 0, 0, 0)
+    assert _mul(r3, r3) == (3, 0, 0, 0)
+    assert _mul(r2, r6) == (0, 0, 2, 0)  # 2*sqrt3
+    assert _mul(r3, r6) == (0, 3, 0, 0)  # 3*sqrt2
 
 
 def test_conjugate_product():
     # (1 + sqrt2)(1 - sqrt2) = -1
-    assert (QuadScalar(1) + R2) * (QuadScalar(1) - R2) == QuadScalar(-1)
+    assert _mul((1, 1, 0, 0), (1, -1, 0, 0)) == (-1, 0, 0, 0)
 
 
 def _random_scalar(rng):
@@ -52,68 +96,67 @@ def _random_scalar(rng):
 
 
 def test_ring_axioms_random():
-    import numpy as np
-
     rng = np.random.default_rng(23)
     for _ in range(200):
-        s, t, r = (_random_scalar(rng) for _ in range(3))
-        assert (s * t) * r == s * (t * r)
-        assert s * t == t * s
-        assert s * (t + r) == s * t + s * r
-        assert s + t == t + s
-        assert s - s == QuadScalar(0)
-
-
-def test_float_embedding_consistent():
-    import math
-
-    x = QuadScalar(1, 2, -3, Q(1, 2))
-    expected = 1 + 2 * math.sqrt(2) - 3 * math.sqrt(3) + 0.5 * math.sqrt(6)
-    assert abs(x.to_float() - expected) < 1e-14
+        s, t, r = (_random_scalar(rng).coefficients() for _ in range(3))
+        assert _mul(_mul(s, t), r) == _mul(s, _mul(t, r))
+        assert _mul(s, t) == _mul(t, s)
+        assert _mul(s, _add(t, r)) == _add(_mul(s, t), _mul(s, r))
+        assert _mul(s, ONE) == s
 
 
 def test_inverse_random():
-    import numpy as np
-
+    # x times _adjugate(x) is a nonzero rational, so _inverse is the inverse
     rng = np.random.default_rng(5)
     for _ in range(100):
         s = _random_scalar(rng)
         if s.is_zero():
             continue
-        assert s * s.inverse() == QuadScalar(1)
-    with pytest.raises(ZeroDivisionError):
-        QuadScalar(0).inverse()
+        norm = _mul(s.coefficients(), _adjugate(s.coefficients()))
+        assert norm[0] != 0 and not any(norm[1:])
+        assert _mul(s.coefficients(), _inverse(s.coefficients())) == ONE
+
+
+def test_quad_scalar_coefficients_must_be_rational():
+    s = QuadScalar(np.int64(3), Q(1, 2), np.uint8(2), True)
+    assert s == QuadScalar(3, Q(1, 2), 2, 1)
+    assert all(type(c) is Q and type(c.numerator) is int for c in s.coefficients())
+    for value in (0.1, "1/3", np.float64(1.0), 1j, None):
+        with pytest.raises(TypeError, match="is not rational"):
+            QuadScalar(value)
+        with pytest.raises(TypeError, match="is not rational"):
+            QuadScalar(0, 0, 0, value)
+    with pytest.raises(TypeError, match="is not rational"):
+        ExactVector([0.1, 1, 0])
 
 
 def test_inner_product_examples():
     e1 = ExactVector([1, 0, 0])
     e2 = ExactVector([0, 1, 0])
-    assert inner_product(e1, e2).is_zero()
+    assert not any(_dot(e1, e2))
 
     g31 = ExactVector([QuadScalar(1), R2, QuadScalar(0)])
     h11 = ExactVector([R2, QuadScalar(-1), QuadScalar(1)])
-    assert inner_product(g31, h11).is_zero()
+    assert not any(_dot(g31, h11))
 
     u = ExactVector([1, 1, 0, 0])
     v = ExactVector([1, -1, 0, 0])
-    assert inner_product(u, v).is_zero()
+    assert not any(_dot(u, v))
 
 
 def test_inner_product_symmetry_random():
-    import numpy as np
-
     rng = np.random.default_rng(11)
     for _ in range(50):
-        u = ExactVector([_random_scalar(rng) + QuadScalar(1) for _ in range(3)])
-        v = ExactVector([_random_scalar(rng) + QuadScalar(1) for _ in range(3)])
-        assert inner_product(u, v) == inner_product(v, u)
+        u = ExactVector([_plus(_random_scalar(rng), QuadScalar(1)) for _ in range(3)])
+        v = ExactVector([_plus(_random_scalar(rng), QuadScalar(1)) for _ in range(3)])
+        assert _dot(u, v) == _dot(v, u)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        inner_product(ExactVector([1, 0]), ExactVector([1, 0, 0]))
-    with pytest.raises(DimensionMismatchError):
         orthogonal(ExactVector([1, 0]), ExactVector([0, 0, 1]))
+    with pytest.raises(DimensionMismatchError):
+        cross_product(ExactVector([1, 0]), ExactVector([0, 0, 1]))
 
 
 def test_cross_product_examples():
@@ -125,8 +168,8 @@ def test_cross_product_examples():
     v = ExactVector([R2, QuadScalar(-1), QuadScalar(1)])
     w = cross_product(u, v)
     assert w == ExactVector([R2, QuadScalar(-1), QuadScalar(-3)])
-    assert inner_product(u, w).is_zero()
-    assert inner_product(v, w).is_zero()
+    assert not any(_dot(u, w))
+    assert not any(_dot(v, w))
 
     f11 = ExactVector([0, 1, 1])
     f12 = ExactVector([0, -1, 1])
@@ -136,31 +179,31 @@ def test_cross_product_examples():
 def test_cross_product_degenerate():
     u = ExactVector([1, 2, 0])
     with pytest.raises(DegenerateInputError):
-        cross_product(u, u.scaled(3))
+        cross_product(u, _scaled(u, 3))
 
 
 def test_cross_product_orthogonal_to_inputs_random():
-    import numpy as np
-
     rng = np.random.default_rng(37)
     built = 0
     while built < 30:
-        u = ExactVector([_random_scalar(rng) + QuadScalar(1) for _ in range(3)])
-        v = ExactVector([_random_scalar(rng) + QuadScalar(2) for _ in range(3)])
+        u = ExactVector([_plus(_random_scalar(rng), QuadScalar(1)) for _ in range(3)])
+        v = ExactVector([_plus(_random_scalar(rng), QuadScalar(2)) for _ in range(3)])
         try:
             w = cross_product(u, v)
         except DegenerateInputError:
             continue
-        assert inner_product(u, w).is_zero()
-        assert inner_product(v, w).is_zero()
+        assert not any(_dot(u, w))
+        assert not any(_dot(v, w))
         built += 1
 
 
 def _entrywise_cross(u, v):
-    """The cross product of the entries themselves, in QuadScalar arithmetic."""
-    a, b = u.entries, v.entries
+    """The cross product of the entries themselves, not of the ray keys."""
+    a = [e.coefficients() for e in u.entries]
+    b = [e.coefficients() for e in v.entries]
     return ExactVector(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]],
+        [QuadScalar(*map(operator.sub, _mul(a[i], b[j]), _mul(a[j], b[i])))
+         for i, j in ((1, 2), (2, 0), (0, 1))],
         f"({u.label})x({v.label})",
     )
 
@@ -175,25 +218,11 @@ def test_cross_product_matches_entrywise_reference():
         assert w.label == expected.label == f"(u{k})x(v{k})"
 
 
-def test_cross_product_does_no_scalar_arithmetic(monkeypatch):
-    u = ExactVector([QuadScalar(1), R2, QuadScalar(Q(1, 3))], "u")
-    v = ExactVector([R2, QuadScalar(-1), R6], "v")
-    expected = _entrywise_cross(u, v)
-
-    def refuse(*args):
-        raise AssertionError("QuadScalar arithmetic")
-
-    for name in ("__mul__", "__add__", "__sub__"):
-        monkeypatch.setattr(QuadScalar, name, refuse)
-    w = cross_product(u, v)
-    assert w.ray_key() == expected.ray_key() and w.label == "(u)x(v)"
-
-
 def test_ray_equality_rational_scale():
     u = ExactVector([QuadScalar(1), R2, QuadScalar(0)])
-    assert u == u.scaled(Q(7, 3))
-    assert u == u.scaled(-2)
-    assert hash(u) == hash(u.scaled(5))
+    assert u == _scaled(u, Q(7, 3))
+    assert u == _scaled(u, -2)
+    assert hash(u) == hash(_scaled(u, 5))
 
 
 def test_ray_equality_field_scale():
@@ -201,7 +230,7 @@ def test_ray_equality_field_scale():
     u = ExactVector([QuadScalar(0), R3, R6])
     v = ExactVector([QuadScalar(0), QuadScalar(1), R2])
     assert u == v
-    assert u.scaled(R2) == u
+    assert _scaled(u, R2) == u
 
 
 def test_zero_vector_rejected():
@@ -277,21 +306,16 @@ def test_orthogonality_scale_invariant():
     u = ExactVector([QuadScalar(1), R2, QuadScalar(0)])
     v = ExactVector([R2, QuadScalar(-1), QuadScalar(1)])
     assert orthogonal(u, v)
-    assert orthogonal(u.scaled(R3), v.scaled(Q(-5, 2)))
+    assert orthogonal(_scaled(u, R3), _scaled(v, Q(-5, 2)))
 
 
 def _division_ray_key(vector):
     """Reference ray key through the field inverse: divide every entry by the
     first nonzero one, clear denominators, then divide out the common factor."""
-    lead = next(e for e in vector.entries if not e.is_zero())
-    scaled = [e * lead.inverse() for e in vector.entries]
-    denom_lcm = reduce(
-        math.lcm, (coef.denominator for e in scaled for coef in e.coefficients()), 1
-    )
-    ints = [
-        [coef.numerator * (denom_lcm // coef.denominator) for coef in e.coefficients()]
-        for e in scaled
-    ]
+    inverse = _inverse(next(e.coefficients() for e in vector.entries if e))
+    scaled = [_mul(e.coefficients(), inverse) for e in vector.entries]
+    denom_lcm = reduce(math.lcm, (coef.denominator for row in scaled for coef in row), 1)
+    ints = [[coef.numerator * (denom_lcm // coef.denominator) for coef in row] for row in scaled]
     common = reduce(math.gcd, (abs(x) for row in ints for x in row), 0)
     return tuple(tuple(x // common for x in row) for row in ints)
 
@@ -312,7 +336,7 @@ def test_ray_key_matches_division_reference(dim):
         if all(e.is_zero() for e in entries) or factor.is_zero():
             continue
         v = ExactVector(entries)
-        w = v.scaled(factor)
+        w = _scaled(v, factor)
         assert v.ray_key() == _division_ray_key(v)
         assert w.ray_key() == _division_ray_key(w) == v.ray_key()
         lead = next(row for row in v.ray_key() if any(row))
@@ -325,7 +349,7 @@ def test_orthogonal_matches_inner_product_on_builtin_sets(name):
     vectors = load_builtin(name).vectors
     hits = 0
     for u, v in product(vectors, vectors):
-        assert orthogonal(u, v) == inner_product(u, v).is_zero()
+        assert orthogonal(u, v) == (not any(_dot(u, v)))
         hits += orthogonal(u, v)
     assert hits > 0
 
@@ -335,17 +359,17 @@ def test_orthogonal_matches_inner_product_random():
     hits = 0
     for _ in range(150):
         dim = int(rng.integers(2, 5))
-        u = ExactVector([_sparse_scalar(rng) + QuadScalar(1) for _ in range(dim)])
+        u = ExactVector([_plus(_sparse_scalar(rng), QuadScalar(1)) for _ in range(dim)])
         v = ExactVector([_sparse_scalar(rng) for _ in range(dim - 1)] + [QuadScalar(1)])
         pairs = [(u, v)]
         if dim == 3:
             try:
-                w = cross_product(u, v).scaled(_random_scalar(rng) + QuadScalar(1, 1))
-                pairs += [(u, w), (w, v.scaled(_sparse_scalar(rng) + R3))]
+                w = _scaled(cross_product(u, v), _plus(_random_scalar(rng), QuadScalar(1, 1)))
+                pairs += [(u, w), (w, _scaled(v, _plus(_sparse_scalar(rng), R3)))]
             except DegenerateInputError:
                 continue
         for x, y in pairs:
-            assert orthogonal(x, y) == inner_product(x, y).is_zero()
+            assert orthogonal(x, y) == (not any(_dot(x, y)))
             hits += orthogonal(x, y)
     assert hits > 50
 
@@ -371,7 +395,7 @@ def _random_orthogonality_set(rng, dim):
     vectors = []
     while len(vectors) < 24:
         entries = [_sparse_scalar(rng) for _ in range(dim)]
-        factor = _sparse_scalar(rng) + R3
+        factor = _plus(_sparse_scalar(rng), R3)
         if all(e.is_zero() for e in entries) or factor.is_zero():
             continue
         v = ExactVector(entries)
@@ -382,7 +406,7 @@ def _random_orthogonality_set(rng, dim):
                 continue
         else:
             w = _partner(v) if dim % 2 == 0 else v
-        vectors += [v, w.scaled(factor)]
+        vectors += [v, _scaled(w, factor)]
     return [vectors[i] for i in rng.permutation(len(vectors))]
 
 

@@ -21,6 +21,7 @@ from qfoundry.ks import (
     is_valid_coloring,
     search_coloring,
 )
+from test_exact import _scaled
 
 REDUCED_PERES_COLORINGS = 48  # frozen from an independent product-enumeration oracle
 # the first coloring the search finds for peres33 without g_2^2 and g_2^3;
@@ -414,7 +415,7 @@ def test_colorability_invariant_under_rescale_and_permutation():
     rng = np.random.default_rng(3)
     order = rng.permutation(len(base))
     scaled = [
-        base[i].scaled(int(rng.integers(1, 5)) * (1 if rng.random() < 0.5 else -1))
+        _scaled(base[i], int(rng.integers(1, 5)) * (1 if rng.random() < 0.5 else -1))
         for i in order
     ]
     original = build_orth_structure(VectorSet(3, base))

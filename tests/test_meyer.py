@@ -11,10 +11,8 @@ from qfoundry import meyer
 from qfoundry.exact import RationalPoint
 from qfoundry.meyer import (
     ConditionReport,
-    PythTriple,
     enumerate_pyth_points,
     meyer_color,
-    to_primitive_pyth,
     verify_meyer_conditions,
 )
 
@@ -25,15 +23,19 @@ PAIRS_25 = 735
 TRIADS_25 = 205
 
 
+def _triple(p):
+    return (*p.triple, p.n)
+
+
 def test_primitive_examples():
-    assert to_primitive_pyth(RationalPoint(0, 0, 1)) == PythTriple(0, 0, 1, 1)
-    assert to_primitive_pyth(RationalPoint(Q(2, 3), Q(2, 3), Q(1, 3))) == PythTriple(2, 2, 1, 3)
-    assert to_primitive_pyth(RationalPoint(Q(3, 5), Q(-4, 5), 0)) == PythTriple(3, -4, 0, 5)
+    assert _triple(RationalPoint(0, 0, 1)) == (0, 0, 1, 1)
+    assert _triple(RationalPoint(Q(2, 3), Q(2, 3), Q(1, 3))) == (2, 2, 1, 3)
+    assert _triple(RationalPoint(Q(3, 5), Q(-4, 5), 0)) == (3, -4, 0, 5)
 
 
 def test_pyth_triple_validation():
     with pytest.raises(ValueError):
-        PythTriple(1, 1, 1, 2)
+        RationalPoint.from_triple(1, 1, 1, 2)
 
 
 def test_color_examples():
@@ -73,7 +75,7 @@ def test_enumerate_n1():
 
 def test_enumerate_n3_contains_221():
     points = enumerate_pyth_points(3)
-    triples = {to_primitive_pyth(p).coords() for p in points}
+    triples = {p.triple for p in points}
     # the (2,2,1) ray in canonical sign, and permuted/sign variants
     assert (2, 2, 1) in triples
     assert (2, -2, 1) in triples or (-2, 2, -1) in triples
@@ -83,9 +85,8 @@ def test_enumerate_n3_contains_221():
 
 def test_exactly_one_odd_coordinate():
     for p in enumerate_pyth_points(15):
-        t = to_primitive_pyth(p)
-        assert t.is_primitive()
-        odd = sum(1 for c in t.coords() if c % 2)
+        assert math.gcd(*p.triple) == 1
+        odd = sum(1 for c in p.triple if c % 2)
         assert odd == 1
 
 
@@ -139,10 +140,9 @@ def test_ray_count_oracle_n12():
                         break
                 rays.add(t)
     points = enumerate_pyth_points(max_n)
-    assert [to_primitive_pyth(p).coords() for p in points] == sorted(rays)
+    assert [p.triple for p in points] == sorted(rays)
     for p in points:
-        t = to_primitive_pyth(p)
-        assert p == RationalPoint(Q(t.x, t.n), Q(t.y, t.n), Q(t.z, t.n))
+        assert p == RationalPoint(*(Q(c, p.n) for c in p.triple))
 
 
 def test_report_structure_small():
@@ -164,7 +164,7 @@ def _sign_flip(t):
 def _combinations_reference(points):
     """The pair scan as plain Python: every pair of sorted primitive rays,
     exact dot products, triads from the gcd-reduced cross products."""
-    rays = sorted({_sign_flip(to_primitive_pyth(p).coords()) for p in points})
+    rays = sorted({_sign_flip(p.triple) for p in points})
     antipodal = tuple(p.coords() for p in points if meyer_color(p) != meyer_color(-p))
     colors = {r: meyer._triple_color(r) for r in rays}
     orth = [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]
@@ -238,7 +238,7 @@ def test_coordinate_over_int64_bound_rejected():
     # (2m, m^2 - 1, 0) / (m^2 + 1) is primitive with a coordinate of 2^32 - 1
     m = 1 << 16
     far = RationalPoint(Q(2 * m, m * m + 1), Q(m * m - 1, m * m + 1), 0)
-    assert to_primitive_pyth(far).is_primitive()
+    assert math.gcd(*far.triple) == 1 and max(far.triple) == m * m - 1
     with pytest.raises(ValueError, match="exceeds"):
         verify_meyer_conditions([RationalPoint(0, 0, 1), far])
 
@@ -278,7 +278,7 @@ def test_parity_lemma_max_n_25():
     """Why the check finds no violation: each primitive ray has exactly one
     odd coordinate, orthogonal rays have it in different places, so every
     triad holds exactly one ray with odd z (color 0)."""
-    rays = [to_primitive_pyth(p).coords() for p in enumerate_pyth_points(25)]
+    rays = [p.triple for p in enumerate_pyth_points(25)]
 
     def odd_place(r):
         (place,) = [k for k, c in enumerate(r) if c % 2]

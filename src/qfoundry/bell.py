@@ -19,7 +19,7 @@ import numpy as np
 
 from .exact import cross_product
 from .ks import OrthStructure, NotApplicableError
-from .quantum import SINGLET, spin_operator, spin_projectors, tensor
+from .quantum import SINGLET, categorical_counts, spin_operator, spin_projectors, tensor
 
 GRID_STEP_DEGREES = 1  # exhaustive sweeps use the 1-degree grid
 
@@ -94,6 +94,8 @@ class LhvStrategy:
     def __post_init__(self):
         if sum(self.hidden_probabilities) != 1:
             raise ValueError("hidden-sample probabilities must sum to 1")
+        if any(p < 0 for p in self.hidden_probabilities):
+            raise ValueError("hidden-sample probabilities must be non-negative")
         for table in (*self.responses_a, *self.responses_b):
             if len(table) != len(self.hidden_probabilities):
                 raise ValueError("response table length must match hidden samples")
@@ -173,9 +175,8 @@ def lhv_chsh_monte_carlo(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
-    probs = np.array([float(p) for p in strategy.hidden_probabilities])
-    counts = np.bincount(rng.choice(len(probs), size=shots, p=probs), minlength=len(probs))
+    probs = [float(p) for p in strategy.hidden_probabilities]
+    counts = categorical_counts(np.random.default_rng(seed), probs, shots)
     a = np.array(strategy.responses_a)
     b = np.array(strategy.responses_b)
     e = [[int(counts @ (a[x] * b[y])) / shots for y in (0, 1)] for x in (0, 1)]

@@ -105,7 +105,7 @@ class QuadScalar:
 def _rational(coef) -> Q:
     """coef as a Fraction of Python ints; TypeError unless it is rational."""
     if not isinstance(coef, numbers.Rational):
-        raise TypeError(f"QuadScalar coefficient {coef!r} is not rational")
+        raise TypeError(f"coefficient or coordinate {coef!r} is not rational")
     # a numpy integer would otherwise stay the Fraction's int64 numerator
     return Q(int(coef.numerator), int(coef.denominator))
 
@@ -265,7 +265,7 @@ class RationalPoint:
     __slots__ = ("triple", "n")
 
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike) -> None:
-        coords = [Q(c) for c in (x, y, z)]
+        coords = [_rational(c) for c in (x, y, z)]
         self.n = math.lcm(*(c.denominator for c in coords))
         # on the sphere the triple is primitive: a prime dividing all three
         # divides n, so not the one whose denominator holds all of it in n

@@ -259,11 +259,24 @@ class ContextPoset:
 def _containment(atoms: np.ndarray) -> np.ndarray:
     """leq[b, a]: whether atom a lies below atom b, by projector_leq's test
     norm(P_b Q_a - Q_a, 2) on every pair of the (N, d, d) stack at once (in
-    row blocks of at most CONTAINMENT_BLOCK pairs, to bound memory)."""
+    row blocks of at most CONTAINMENT_BLOCK pairs, to bound memory).
+
+    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a pair whose Frobenius
+    norm is at most half the tolerance passes and one whose Frobenius norm
+    exceeds 2 sqrt(d) times it fails, both with a factor 2 to spare for
+    rounding; only the pairs in between take the operator-norm SVD.
+    """
     rows = max(1, CONTAINMENT_BLOCK // len(atoms))
-    norms = [np.linalg.norm(atoms[lo : lo + rows, None] @ atoms - atoms, 2, axis=(-2, -1))
-             for lo in range(0, len(atoms), rows)]
-    return np.concatenate(norms) <= CONTAINMENT_TOL
+    bound = 2 * np.sqrt(atoms.shape[-1]) * CONTAINMENT_TOL
+    blocks = []
+    for lo in range(0, len(atoms), rows):
+        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
+        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
+        leq = frobenius <= CONTAINMENT_TOL / 2
+        unsure = ~leq & (frobenius <= bound)
+        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= CONTAINMENT_TOL
+        blocks.append(leq)
+    return np.concatenate(blocks)
 
 
 def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:

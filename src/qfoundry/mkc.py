@@ -20,8 +20,10 @@ from .quantum import (
     DensityOperator,
     STRUCT_TOL,
     _as_matrix,
+    categorical,
     collapse,
     spectral_projectors,
+    threshold_counts,
 )
 
 INCOMPATIBILITY_THRESHOLD = 1e-8
@@ -252,8 +254,7 @@ def sample_choices(
 ) -> np.ndarray:
     """Vectorized draw of the basis-m choice over many valuations."""
     probs = family.atom_probabilities(rho, m)
-    rng = np.random.default_rng((seed, m))
-    return rng.choice(len(probs), size=shots, p=probs)
+    return categorical(np.random.default_rng((seed, m)), probs, shots)
 
 
 def nearest_family_observable(
@@ -363,8 +364,8 @@ def simulate_sequence(
         probs = probs / total if total > 0 else probs
         # zero-probability branches are dropped so samples always land on a branch
         live = [k for k in range(len(groups)) if probs[k] > 1e-12]
-        picks = np.searchsorted(np.cumsum(probs[live]), uniforms[rows, step], side="right")
-        branch = np.asarray(live)[np.minimum(picks, len(live) - 1)]
+        picks = threshold_counts(uniforms[rows, step], np.cumsum(probs[live]))
+        branch = np.asarray(live)[picks]
         for k in live:
             value = round(groups[k][0], 12) + 0.0  # +0.0 kills -0.0
             child = collapse(state, groups[k][1])

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Trace-rule probabilities, projective collapse, spin operators, Kronecker
-products, reconstruction of a state from an expectation-value oracle, and
-the single-generator construction for tuples of orthogonal projections.
+Trace-rule probabilities, projective collapse, categorical sampling, spin
+operators, Kronecker products, reconstruction of a state from an
+expectation-value oracle, and the single-generator construction for tuples
+of orthogonal projections.
 
 Tolerances used throughout the package:
   ARITH_TOL   1e-12  exact arithmetic identities
@@ -128,6 +129,45 @@ def collapse(rho: DensityOperator, proj: ProjectionOp) -> DensityOperator:
     if weight <= ARITH_TOL:
         raise ConditioningError(f"outcome probability {weight:.3e} is not positive")
     return DensityOperator(p @ r @ p / weight)
+
+
+def threshold_counts(uniforms: np.ndarray, cdf: Sequence[float]) -> np.ndarray:
+    """For each uniform, how many entries of cdf[:-1] are <= it (int64).
+
+    This is the categorical bin of the uniform: on a nondecreasing cdf it
+    is the right-sided insertion index of u in cdf capped at len(cdf) - 1,
+    and the cap is never reached when cdf[-1] = 1 > u.  One vectorized
+    comparison per entry beats a binary search per uniform on the short
+    cdfs drawn here; the counts accumulate in the narrowest dtype that
+    holds them, which adds faster than int64.
+    """
+    picks = np.zeros(np.shape(uniforms), dtype=np.min_scalar_type(len(cdf)))
+    for c in cdf[:-1]:
+        picks += uniforms >= c
+    return picks.astype(np.int64)
+
+
+def _cdf_and_uniforms(rng: np.random.Generator, probs, size: int):
+    """Generator.choice's normalized cdf and its uniforms, in its order."""
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    return cdf, rng.random(size)
+
+
+def categorical(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """size draws of indices into probs: the same int64 draws, from the same
+    uniforms, as numpy's Generator.choice with probabilities probs, leaving
+    the generator in the same state; unlike it, probs are not validated."""
+    cdf, uniforms = _cdf_and_uniforms(rng, probs, size)
+    return threshold_counts(uniforms, cdf)
+
+
+def categorical_counts(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """How many of the `categorical` draws hit each index, without holding
+    the draws: the uniforms below each cdf entry, differenced."""
+    cdf, uniforms = _cdf_and_uniforms(rng, probs, size)
+    below = [np.count_nonzero(uniforms < c) for c in cdf[:-1]]
+    return np.diff([0, *below, size])
 
 
 def spin_operator(theta: float, phi: float) -> np.ndarray:

@@ -130,14 +130,33 @@ def _gathered_chsh(strategy, shots, seed):
     return abs(e[0][0] - e[0][1]) + abs(e[1][0] + e[1][1]), 2.0 / math.sqrt(shots)
 
 
+def _unequal_strategy():
+    """Four hidden values of unequal weight, one of them never drawn."""
+    return bell.LhvStrategy(
+        hidden_probabilities=(Q(1, 2), Q(0), Q(1, 8), Q(3, 8)),
+        responses_a=((1, -1, -1, 1), (1, 1, -1, -1)),
+        responses_b=((-1, 1, 1, 1), (1, -1, 1, -1)),
+    )
+
+
 @pytest.mark.parametrize("strategy", [bell.anticorrelated_strategy(),
-                                      bell.random_response_strategy()],
-                         ids=["anticorrelated", "random"])
+                                      bell.random_response_strategy(),
+                                      _unequal_strategy()],
+                         ids=["anticorrelated", "random", "unequal"])
 @pytest.mark.parametrize("shots", [1, 7, 100_000, 1_000_000])
 def test_lhv_monte_carlo_matches_gathered_means(strategy, shots):
     for seed in (0, 5, 0xC0FFEE):
         assert bell.lhv_chsh_monte_carlo(strategy, shots, seed) == _gathered_chsh(
             strategy, shots, seed)
+
+
+def test_lhv_strategy_refuses_negative_probability():
+    with pytest.raises(ValueError, match="must be non-negative"):
+        bell.LhvStrategy(
+            hidden_probabilities=(Q(3, 2), Q(-1, 2)),
+            responses_a=((1, -1), (1, 1)),
+            responses_b=((1, 1), (-1, 1)),
+        )
 
 
 @pytest.mark.parametrize("shots", [0, -5])

@@ -246,6 +246,16 @@ def test_rational_point_validation():
         RationalPoint(Q(1, 2), Q(1, 2), 0)
 
 
+def test_rational_point_coordinates_must_be_rational():
+    with pytest.raises(TypeError, match="is not rational"):
+        RationalPoint("3/5", "-4/5", 0)
+    with pytest.raises(TypeError, match="is not rational"):
+        RationalPoint(1.0, 0.0, 0)
+    p = RationalPoint(np.int64(0), np.int64(1), 0)
+    assert p.triple == (0, 1, 0) and p.n == 1
+    assert all(type(c) is int for c in (*p.triple, p.n))
+
+
 @pytest.mark.parametrize("triple", [(2, 0, 0, 2), (1, 0, 0, -1), (1, 1, 1, 2)])
 def test_from_triple_rejects_non_primitive_or_off_sphere(triple):
     with pytest.raises(ValueError, match="not a primitive point"):

@@ -649,6 +649,42 @@ def test_batched_refinement_matches_per_pair_containment(seed):
                 assert type(poset.expand_mask(i, j, 1)) is int
 
 
+def _svd_containment(atoms):
+    """Reference: the operator norm of every pair's P_b Q_a - Q_a, by SVD."""
+    norms = np.linalg.norm(atoms[:, None] @ atoms - atoms, 2, axis=(-2, -1))
+    return norms <= logic.CONTAINMENT_TOL
+
+
+def _tilted_atoms(dim, seed):
+    """Rank-1 atoms of random bases, their complements, exact duplicates, and
+    copies whose vector is tilted by 0.5, 1, 2 and 4 times CONTAINMENT_TOL
+    towards another basis vector, so the pair's norm sits at that multiple."""
+    rng = np.random.default_rng((seed, dim))
+    atoms = []
+    for basis in _random_bases(seed, dim, 2):
+        for v, w in zip(basis, np.roll(basis, 1, axis=0)):
+            for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
+                eps = scale * logic.CONTAINMENT_TOL
+                tilted = math.cos(eps) * v + math.sin(eps) * w
+                atoms += [np.outer(tilted, tilted.conj())]
+                atoms += [np.eye(dim) - atoms[-1]] if dim > 2 else []
+    atoms += [atoms[k] for k in rng.integers(0, len(atoms), 4)]
+    return np.array(atoms)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_containment_prefilter_matches_svd(dim, seed, monkeypatch):
+    atoms = _tilted_atoms(dim, seed)
+    want = _svd_containment(atoms)
+    assert np.array_equal(logic._containment(atoms), want)
+    monkeypatch.setattr(logic, "CONTAINMENT_BLOCK", 3 * len(atoms) + 1)  # uneven row blocks
+    assert np.array_equal(logic._containment(atoms), want)
+    # the untilted atom lies below its 0.5-tilted copy and not below the 2-tilted one
+    step = 2 if dim > 2 else 1
+    assert want[step, 0] and not want[3 * step, 0]
+
+
 def test_permuted_repeats_are_merged():
     rng = np.random.default_rng(3)
     basis = _random_bases(3, 3, 1)[0]

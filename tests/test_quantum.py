@@ -325,3 +325,41 @@ def test_spectral_projectors_group_degenerate():
     assert len(groups) == 2
     ranks = sorted(int(round(np.trace(p).real)) for _, p in groups)
     assert ranks == [1, 2]
+
+
+def _probabilities(n, zero, seed):
+    """Random probabilities over n outcomes, one of them 0 at the given place."""
+    probs = np.random.default_rng((seed, n)).random(n) + 0.05
+    if zero is not None and n > 1:
+        probs[{"first": 0, "middle": n // 2, "last": n - 1}[zero]] = 0.0
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("zero", [None, "first", "middle", "last"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_categorical_is_generator_choice(n, zero):
+    for seed in (0, 7, 0xC0FFEE):
+        probs = _probabilities(n, zero, seed)
+        for size in (0, 1, 7, 100_000):
+            mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = qt.categorical(mine, probs, size)
+            want = numpys.choice(n, size, p=probs)
+            assert got.dtype == np.int64 and got.shape == (size,)
+            assert np.array_equal(got, want)
+            assert mine.bit_generator.state == numpys.bit_generator.state
+            mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            counts = qt.categorical_counts(mine, probs, size)
+            assert np.array_equal(counts, np.bincount(numpys.choice(n, size, p=probs),
+                                                      minlength=n))
+            assert mine.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_threshold_counts_is_capped_searchsorted(n):
+    """On an unnormalized cdf the count ignores the last entry, which caps
+    every bin at n - 1: the branch picks of the sequence simulator."""
+    rng = np.random.default_rng(n)
+    cdf = np.cumsum(rng.random(n) * 0.3)
+    uniforms = np.concatenate([rng.random(1000), cdf, np.nextafter(cdf, 0)])
+    want = np.minimum(cdf.searchsorted(uniforms, side="right"), n - 1)
+    assert np.array_equal(qt.threshold_counts(uniforms, cdf), want)

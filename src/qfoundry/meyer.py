@@ -56,6 +56,15 @@ def _canonical_rows(t):
     return np.where(_first_nonzero(t)[:, None] < 0, -t, t)
 
 
+def _unique_rows(t):
+    """The distinct rows of an (R, 3) int array in lexicographic order, as
+    np.unique(t, axis=0) gives them, without its import of numpy.ma."""
+    t = t[np.lexsort(t.T[::-1])]
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = (t[1:] != t[:-1]).any(axis=1)
+    return t[first]
+
+
 def meyer_color(p: RationalPoint) -> int:
     """0 when the primitive triple's third coordinate is odd, else 1."""
     return _triple_color(p.triple)
@@ -128,7 +137,7 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     antipodal = np.flatnonzero(_triple_color(triples.T) != _triple_color(-triples.T))
     antipodal_violations = tuple(points[k].coords() for k in antipodal.tolist())
 
-    a = np.unique(_canonical_rows(triples), axis=0)
+    a = _unique_rows(_canonical_rows(triples))
     block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(1, len(a)))
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, len(a), block):

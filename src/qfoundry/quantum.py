@@ -202,20 +202,26 @@ def reconstruct_state(
     expectation: Callable[[np.ndarray], np.ndarray],
     basis: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Rebuild the generating operator of a batched expectation-value oracle.
+    """Rebuild the generating operators of a batched expectation-value oracle.
 
-    The oracle is called once, on a (k, n, n) stack of Hermitian operators,
-    and returns their k real expectations.  The stack holds the n rank-1
-    projections e_i e_i*, which give the diagonal, then for every ordered
-    pair (i, j) the symmetric operator e_i e_j* + e_j e_i* and then for every
-    ordered pair the antisymmetric one i e_i e_j* - i e_j e_i*, so
-    k = n + 2n^2.  The (i, j) entry is half the symmetric expectation plus
-    i/2 times the antisymmetric one.  Both triangle halves are queried
+    basis must be n orthonormal vectors of C^n.  The oracle is called once,
+    on a (k, n, n) stack of Hermitian operators, and returns their k real
+    expectations, or for a batch of states a (..., k) array of them, which
+    gives the (..., n, n) batch of operators.  The stack holds the n
+    rank-1 projections e_i e_i*, which give the diagonal, then for every
+    ordered pair (i, j) the symmetric operator e_i e_j* + e_j e_i* and then
+    for every ordered pair the antisymmetric one i e_i e_j* - i e_j e_i*,
+    so k = n + 2n^2.  The (i, j) entry is half the symmetric expectation
+    plus i/2 times the antisymmetric one.  Both triangle halves are queried
     independently and must agree, otherwise the oracle cannot come from any
     Hermitian operator.
     """
     b = np.column_stack([np.asarray(e, dtype=complex) for e in basis])
     n = b.shape[1]
+    if b.shape != (n, n) or np.abs(b.conj().T @ b - np.eye(n)).max() > STRUCT_TOL:
+        raise ValueError(
+            f"basis must be n orthonormal vectors of C^n within 1e-10, got shape {b.shape}"
+        )
     outer = b.T[:, None, :, None] * b.T.conj()[None, :, None, :]  # [i, j] = e_i e_j*
     swapped = outer.transpose(1, 0, 2, 3)
     diagonal = np.arange(n)
@@ -226,15 +232,17 @@ def reconstruct_state(
     ])
     k = len(ops)
     values = np.asarray(expectation(ops))
-    if values.shape != (k,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+    if (values.shape[-1:] != (k,) or values.dtype.kind not in "iuf"
+            or not np.isfinite(values).all()):
         raise ValueError(
-            f"expectation oracle must return {k} finite reals of shape ({k},), "
-            f"got dtype {values.dtype} and shape {values.shape}"
+            f"expectation oracle must return {k} finite reals of shape ({k},) "
+            f"or (..., {k}), got dtype {values.dtype} and shape {values.shape}"
         )
-    f_vals, g_vals = values[n:].reshape(2, n, n)
+    batch = values.shape[:-1]
+    f_vals, g_vals = np.moveaxis(values[..., n:].reshape(*batch, 2, n, n), -3, 0)
     coords = 0.5 * f_vals + 0.5j * g_vals
-    coords[diagonal, diagonal] = values[:n]
-    if np.abs(coords - coords.conj().T).max() > STRUCT_TOL:
+    coords[..., diagonal, diagonal] = values[..., :n]
+    if np.abs(coords - coords.conj().swapaxes(-1, -2)).max(initial=0.0) > STRUCT_TOL:
         raise InconsistentOracleError(
             "oracle reconstruction is not Hermitian within 1e-10"
         )

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfoundry import cli
+from qfoundry import quantum as qt
 from qfoundry.datasets import build_cabello18, build_peres33
 from qfoundry.exact import VectorSet
 
@@ -135,6 +139,60 @@ def test_quantum_reconstruct(capsys):
     payload = run_json(capsys, "quantum", "reconstruct", "--dim", "3", "--seed", "11")
     assert payload["max_entry_error"] < 1e-10
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "dim, error", [(1, 0.0), (3, 1.3877787807814457e-17), (16, 0.0)]
+)
+def test_quantum_reconstruct_pinned(capsys, dim, error):
+    # figures of the per-state reconstruction at the default seed; the
+    # command now passes a stack of one state through the batched path
+    payload = run_json(capsys, "quantum", "reconstruct", "--dim", str(dim))
+    assert payload["max_entry_error"] == error
+
+
+def _per_trial_reconstruction_error(seed):
+    """verify-all's reconstruction figure as one reconstruct_state call per
+    trial state."""
+    worst = 0.0
+    for dim in (2, 3, 4):
+        basis = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
+        for trial in range(100):
+            state = cli._ginibre_state(np.random.default_rng((seed, dim, trial)), dim)
+            recovered = qt.reconstruct_state(
+                lambda ops: np.trace(state @ ops, axis1=1, axis2=2).real, basis
+            )
+            worst = max(worst, float(np.abs(recovered - state).max()))
+    return worst
+
+
+@pytest.mark.parametrize("seed", ["0xC0FFEE", "0x5EED", "1", "7"])
+def test_verify_all_reconstruction_matches_per_trial_calls(capsys, seed):
+    payload = run_json(capsys, "verify-all", "--json", "--seed", seed, "--shots", "20000")
+    (details,) = [c["details"] for c in payload["checks"] if c["check"] == "reconstruction"]
+    assert details["max_entry_error"] == _per_trial_reconstruction_error(int(seed, 0))
+
+
+def test_verify_all_does_not_import_numpy_ma():
+    # in a fresh process, since this one may have imported numpy.ma already,
+    # importing the qfoundry under test; numpy 1.x imports numpy.ma with
+    # numpy itself, so the check is that verify-all adds no import of it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from qfoundry import cli\n"
+        "assert cli.main(['verify-all']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=False)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == lines[0], "verify-all imported numpy.ma"
 
 
 def test_quantum_generator(capsys):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as Q
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qfoundry import meyer
@@ -206,6 +207,23 @@ def test_shuffled_antipodes_and_duplicates_match_reference():
     report = verify_meyer_conditions(points)
     assert report == _combinations_reference(points)
     assert (report.rays, report.pairs, report.triads) == (RAYS_25, PAIRS_25, TRIADS_25)
+
+
+def test_unique_rows_matches_np_unique():
+    rows = np.array([p.triple for p in enumerate_pyth_points(25)], dtype=np.int64)
+    rng = np.random.default_rng(5)
+    canonical = meyer._canonical_rows(rows)
+    cases = {
+        "shuffled": rng.permutation(canonical),
+        "duplicated": rng.permutation(np.concatenate([canonical, canonical[::3]])),
+        "antipodal": rng.permutation(np.concatenate([rows, -rows])),
+        "one": rows[:1],
+        "empty": rows[:0],
+    }
+    for name, t in cases.items():
+        got = meyer._unique_rows(t)
+        assert got.dtype == np.int64 and got.shape[1:] == (3,), name
+        assert np.array_equal(got, np.unique(t, axis=0)), name
 
 
 def test_empty_point_list():

@@ -241,13 +241,76 @@ def test_reconstruct_calls_oracle_once():
         lambda ops: np.trace(ops, axis1=1, axis2=2),  # complex
         lambda ops: np.full(len(ops), np.nan),
         lambda ops: ["0.1"] * len(ops),
+        lambda ops: np.zeros((3, len(ops) - 1)),
+        lambda ops: np.zeros((3, len(ops), 1)),
     ],
-    ids=["scalar", "short", "column", "complex", "nan", "strings"],
+    ids=["scalar", "short", "column", "complex", "nan", "strings", "batch-short",
+         "batch-column"],
 )
 def test_reconstruct_rejects_malformed_oracle_values(oracle):
     basis = [np.eye(2, dtype=complex)[:, k] for k in range(2)]
     with pytest.raises(ValueError, match=r"must return 10 finite reals of shape \(10,\)"):
         qt.reconstruct_state(oracle, basis)
+
+
+def _hermitian(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return raw + raw.conj().T
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reconstruct_batch_equals_single_calls(dim):
+    rng = np.random.default_rng(100 + dim)
+    standard = [np.eye(dim, dtype=complex)[:, k] for k in range(dim)]
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    haar = list(np.linalg.qr(raw)[0].T)
+    states = [_hermitian(rng, dim) for _ in range(6)]
+    for basis in (standard, haar):
+        shapes = []
+
+        def oracle(ops):
+            shapes.append(ops.shape)
+            return np.array([_oracle_for(state)(ops) for state in states])
+
+        got = qt.reconstruct_state(oracle, basis)
+        assert shapes == [(dim + 2 * dim * dim, dim, dim)]
+        assert got.shape == (6, dim, dim)
+        for state, member in zip(states, got):
+            assert np.array_equal(member, qt.reconstruct_state(_oracle_for(state), basis))
+        # any leading batch shape, including an empty one
+        grid = qt.reconstruct_state(lambda ops: oracle(ops).reshape(2, 3, -1), basis)
+        assert np.array_equal(grid, got.reshape(2, 3, dim, dim))
+        empty = qt.reconstruct_state(lambda ops: oracle(ops)[:0], basis)
+        assert empty.shape == (0, dim, dim)
+
+
+def test_reconstruct_batch_with_one_inconsistent_member():
+    rng = np.random.default_rng(21)
+    basis = [np.eye(3, dtype=complex)[:, k] for k in range(3)]
+    states = [_hermitian(rng, 3) for _ in range(4)]
+
+    def oracle(ops):
+        values = np.array([_oracle_for(state)(ops) for state in states])
+        values[2] = 0.3  # a constant row, as in test_reconstruct_inconsistent_oracle
+        return values
+
+    with pytest.raises(qt.InconsistentOracleError):
+        qt.reconstruct_state(oracle, basis)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [np.array([1, 0]), np.array([1, 1]) / math.sqrt(2)],  # not orthogonal
+        [np.array([2, 0]), np.array([0, 1])],  # not normalised
+        [np.array([1, 0])],  # one vector of C^2
+    ],
+    ids=["oblique", "unnormalised", "incomplete"],
+)
+def test_reconstruct_requires_orthonormal_basis(basis):
+    state = np.diag([0.7, 0.3]).astype(complex)
+    with pytest.raises(ValueError, match="orthonormal"):
+        qt.reconstruct_state(_oracle_for(state), basis)
 
 
 def test_generator_base_cases():

@@ -163,8 +163,9 @@ def _complex_array(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _nonzero_vector(payload, dim: int, what: str) -> np.ndarray:
     vector = _complex_array(payload, (dim,), what)
-    if not vector.any():
-        raise CliError(f"{what} must be nonzero")
+    if not mkc.normalizable(vector):
+        raise CliError(f"{what} must be nonzero, with a squared norm that neither "
+                       "underflows nor overflows")
     return vector
 
 

@@ -5,12 +5,19 @@ bases; a valuation picks one marked vector per basis, lazily, with the
 trace-rule weights.  Sequential measurements re-draw the valuation from
 the collapsed state, which is the model's dynamics rule; the sequence
 simulator samples the collapse chain, which has the same distribution.
+
+The kernels work in closed form where one exists: total incompatibility
+sums the commutators' Frobenius norms from the two bases' overlaps, the
+nearest family observable runs an SVD only on the candidates a Frobenius
+bound cannot rule out, and the shots move down the collapse chain one
+level at a time as integer node indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -23,12 +30,12 @@ from .quantum import (
     categorical,
     collapse,
     spectral_projectors,
-    threshold_counts,
 )
 
 INCOMPATIBILITY_THRESHOLD = 1e-8
 RESAMPLE_BUDGET = 1000
 MAX_FAMILY_SIZE = 64
+NEAREST_MARGIN = 1e-9  # far above the 1e-15 tie window, see nearest_family_observable
 
 
 class FamilyGenerationError(RuntimeError):
@@ -104,17 +111,20 @@ def _trivial_value(mat: np.ndarray) -> Optional[int]:
     return None
 
 
-def _projectors_with_first_atom(bases: np.ndarray) -> np.ndarray:
-    """Nontrivial projections containing atom 0 of one basis (n, n) or a stack
-    (k, n, n), one per complement pair: shape (..., P, n, n)."""
-    n = bases.shape[-1]
-    subsets = np.array([  # 0/1 rows: atom 0 plus each proper subset of atoms 1..n-1
+@lru_cache(maxsize=None)
+def _first_atom_subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 rows s (P, n) of atom 0 plus each proper subset of atoms
+    1..n-1, one per complement pair of nontrivial projections
+    (P = 2^(n-1) - 1), and the (n*n, P) weights s_a (1 - s_b) that sum the
+    entries (a in S, b not in S) of a flattened n x n matrix."""
+    subsets = np.array([
         [j == 0 or j in rest for j in range(n)]
         for r in range(n - 1)
         for rest in combinations(range(1, n), r)
     ], dtype=float)
-    atoms = np.einsum("...ki,...kj->...kij", bases, bases.conj())
-    return np.einsum("sk,...kij->...sij", subsets, atoms)
+    across = np.einsum("sa,sb->abs", subsets, 1 - subsets).reshape(n * n, len(subsets))
+    subsets.flags.writeable = across.flags.writeable = False  # shared by every call
+    return subsets, across
 
 
 def totally_incompatible(b1: np.ndarray, b2: np.ndarray) -> bool:
@@ -123,23 +133,35 @@ def totally_incompatible(b1: np.ndarray, b2: np.ndarray) -> bool:
     b2 is one basis (n, n) or a stack (k, n, n); the result is True when b1
     is totally incompatible with every basis of the stack (so an empty
     stack gives True).  Since [1 - P, Q] = -[P, Q], testing the projections
-    that contain atom 0 on both sides covers every pair.  A commutator X
-    has ||X||_2 >= ||X||_F / sqrt(n), so one whose Frobenius norm exceeds
-    2 sqrt(n) times the threshold cannot commute within it; only the rest
-    are decided by the operator norm.
+    that contain atom 0 on both sides (atom subsets S of b1, T of b2) covers
+    every pair.
+
+    The test works in b1's coordinates, where P_S is the 0/1 diagonal s.
+    With the overlaps M_aj = <v_a|w_j> of b1's vectors v and b2's w (one
+    (k, n, n) product), Q_T becomes X = M_T M_T^* (the columns T of M), so
+    [P_S, X]_ab = (s_a - s_b) X_ab and, X being Hermitian,
+    ||[P_S, Q_T]||_F^2 = 2 sum_{a in S, b not in S} |X_ab|^2, one product
+    over every (T, k, S).  A commutator C has ||C||_2 >= ||C||_F / sqrt(n),
+    so one whose Frobenius norm exceeds 2 sqrt(n) times the threshold cannot
+    commute within it; only the few others are built and decided by the
+    operator norm, which the unitary change of basis leaves as it is.
     """
     b1, b2 = np.asarray(b1), np.asarray(b2)
     if b2.ndim not in (2, 3) or b2.shape[-2:] != b1.shape:
         raise ValueError(
             f"b2 must be one basis or a stack of bases of shape {b1.shape}, got {b2.shape}"
         )
-    p = _projectors_with_first_atom(b1)[:, None, None]
-    q = _projectors_with_first_atom(b2.reshape(-1, *b1.shape))
-    commutators = p @ q - q @ p  # (P, k, P, n, n)
-    bound = 2 * math.sqrt(b1.shape[0]) * INCOMPATIBILITY_THRESHOLD
-    near = commutators[np.linalg.norm(commutators, axis=(-2, -1)) <= bound]
-    if len(near) == 0:
+    n = b1.shape[0]
+    subsets, across = _first_atom_subsets(n)
+    overlaps = b2.reshape(-1, n, n).transpose(1, 0, 2) @ b1.conj().T  # [j, k, a] = M_aj
+    rank_one = overlaps[:, :, :, None] * overlaps[:, :, None, :].conj()  # M_aj conj(M_bj)
+    x = (subsets @ rank_one.reshape(n, -1)).reshape(len(subsets), -1, n * n)  # [T, k, ab]
+    frob_sq = 2 * ((x.real**2 + x.imag**2) @ across)  # [T, k, S]
+    bound = 2 * math.sqrt(n) * INCOMPATIBILITY_THRESHOLD
+    t, k, s = np.nonzero(frob_sq <= bound**2)
+    if len(t) == 0:
         return True
+    near = (subsets[s, :, None] - subsets[s, None, :]) * x[t, k].reshape(-1, n, n)
     return not np.any(np.linalg.norm(near, 2, axis=(1, 2)) <= INCOMPATIBILITY_THRESHOLD)
 
 
@@ -149,6 +171,13 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(raw)
     # fix the QR phase ambiguity for reproducibility
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def normalizable(vector: np.ndarray) -> bool:
+    """Whether |v|^2 is a finite normal float, so that v / |v| is a unit
+    vector; NaN entries, and tiny or huge ones whose squared norm underflows
+    or overflows, are not."""
+    return bool(np.finfo(float).tiny <= np.vdot(vector, vector).real <= np.finfo(float).max)
 
 
 def _basis_containing(rng: np.random.Generator, vector: np.ndarray) -> np.ndarray:
@@ -185,8 +214,9 @@ def generate_basis_family(
     if len(include) > size:
         raise ValueError("more planted vectors than bases")
     include = [np.asarray(vec, dtype=complex) for vec in include]
-    if not all(np.isfinite(v).all() and v.any() for v in include):
-        raise ValueError("planted vectors must be finite and nonzero")
+    if not all(normalizable(v) for v in include):
+        raise ValueError("planted vectors must be finite and nonzero, with a squared "
+                         "norm that neither underflows nor overflows")
     projectors = [np.outer(v, v.conj()) / np.vdot(v, v).real for v in include]
     for (i, p), (j, q) in combinations(enumerate(projectors), 2):
         if np.linalg.norm(p @ q - q @ p, 2) <= INCOMPATIBILITY_THRESHOLD:
@@ -266,21 +296,45 @@ def nearest_family_observable(
     (and vector matching) that minimizes the operator-norm distance.
     Returns (realized matrix, basis index, distance); on a tie within
     1e-15 the first basis and permutation in order win.
+
+    Only some candidates need the operator norm (an SVD each).  A difference
+    X has ||X||_2^2 = ||X^*X||_2, and every n x n matrix Y has
+    ||Y||_F / sqrt(n) <= ||Y||_2 <= ||Y||_F; on Y = X^*X this puts ||X||_2
+    between U / n^(1/4) and U = ||X^*X||_F^(1/2).  A candidate whose lower
+    bound exceeds the least U by NEAREST_MARGIN * (1 + U) is farther than
+    the nearest by more than that margin and is dropped.  Scanning the
+    survivors in their original order picks what a scan of every candidate
+    picks: the margin spans more than 2 K n! tie windows, so it holds a
+    window-wide gap with no distance in it; every candidate below the gap
+    survives and every one above it lies more than a window higher, so in
+    either scan the first candidate below the gap becomes the best and only
+    candidates below the gap follow it.  A non-finite bound keeps every
+    candidate.
     """
     mat = _as_matrix(observable)
     if np.abs(mat - mat.conj().T).max() > STRUCT_TOL:
         raise ValueError("observable must be Hermitian")
+    n = mat.shape[0]
     values, _ = np.linalg.eigh(mat)  # eigvalsh's values differ in the last bits
     atoms = family.atom_projectors()
-    perms = np.array(list(permutations(range(len(values)))))
+    perms = np.array(list(permutations(range(n))))
     # candidates[m, p] attaches values[k] to atom perms[p, k] of basis m
-    candidates = sum(values[k] * atoms[:, perms[:, k]] for k in range(len(values)))
-    dists = np.linalg.norm(mat - candidates, 2, axis=(2, 3)).ravel()
+    candidates = sum(values[k] * atoms[:, perms[:, k]] for k in range(n))
+    diffs = (mat - candidates).reshape(-1, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: kept below
+        gram = diffs.conj().transpose(0, 2, 1) @ diffs
+        upper = np.sqrt(np.linalg.norm(gram, axis=(1, 2)))
+    if np.isfinite(upper).all():
+        least = upper.min()
+        kept = np.flatnonzero(upper / n**0.25 <= least + NEAREST_MARGIN * (1 + least))
+    else:
+        kept = np.arange(len(diffs))
+    dists = np.linalg.norm(diffs[kept], 2, axis=(1, 2))
     best = 0
     for i, dist in enumerate(dists):
         if dist < dists[best] - 1e-15:
             best = i
-    m, p = divmod(best, len(perms))
+    m, p = divmod(int(kept[best]), len(perms))
     return candidates[m, p], m, float(dists[best])
 
 
@@ -332,9 +386,13 @@ def simulate_sequence(
     outcome is drawn from the trace-rule weights of the current state, which
     then collapses onto the outcome's eigenspace; this chain has the same
     distribution as the model's valuation re-draws on the collapsed state.
-    One depth-first walk of the chain sums each leaf's exact probability and
-    routes the shots: the shots reaching a node pick its branch by
-    categorical sampling of their uniform for that step.
+    The chain is walked one level (step) at a time.  Each level lists its
+    nodes in depth-first order; each node keeps its live (nonzero
+    probability) branches and their cdf, and each shot holds the index of
+    its node in a narrow integer array.  A shot picks its branch by
+    categorical sampling of its uniform for the step against its node's
+    cdf, and moves to that child.  The leaves' exact probabilities are
+    summed in depth-first order and their shots counted by one bincount.
     """
     realized = []
     distances = []
@@ -345,34 +403,43 @@ def simulate_sequence(
 
     rng = np.random.default_rng((seed, 0x5EC))
     uniforms = rng.random((shots, len(realized)))
+    # one level of the chain: (state, exact probability, outcome values) per
+    # node, in depth-first order, and each shot's node as an index into it
+    nodes = [(rho0, 1.0, ())]
+    codes = np.zeros(shots, dtype=np.uint8)
+    for step, groups in enumerate(realized):
+        cdf = np.full((len(groups) - 1, len(nodes)), np.inf)
+        first = np.empty(len(nodes), dtype=np.intp)  # a node's live children are consecutive
+        children = []
+        for i, (state, acc, values) in enumerate(nodes):
+            probs = np.array(
+                [max(0.0, np.trace(state.matrix @ proj).real) for _, proj in groups]
+            )
+            total = probs.sum()
+            probs = probs / total if total > 0 else probs
+            # zero-probability branches are dropped so samples always land on a branch
+            live = [k for k in range(len(groups)) if probs[k] > 1e-12]
+            cdf[: len(live) - 1, i] = np.cumsum(probs[live])[:-1]
+            first[i] = len(children)
+            for k in live:
+                value = round(groups[k][0], 12) + 0.0  # +0.0 kills -0.0
+                children.append(
+                    (collapse(state, groups[k][1]), acc * float(probs[k]), values + (value,))
+                )
+        # a shot's live branch is the count of its node's cdf entries <= its
+        # uniform, as in quantum.threshold_counts; the +inf padding never counts
+        u = uniforms[:, step]
+        picks = np.zeros(shots, dtype=np.uint8)
+        for row in cdf:
+            picks += u >= row.take(codes)
+        codes = first.astype(np.min_scalar_type(len(children) - 1)).take(codes) + picks
+        nodes = children
+
     counts: dict[tuple[float, ...], int] = {}
     exact: dict[tuple[float, ...], float] = {}
-
-    def expand(
-        state: DensityOperator, rows: np.ndarray, acc: float, values: tuple[float, ...]
-    ) -> None:
-        step = len(values)
-        if step == len(realized):
-            exact[values] = exact.get(values, 0.0) + acc
-            counts[values] = counts.get(values, 0) + len(rows)
-            return
-        groups = realized[step]
-        probs = np.array(
-            [max(0.0, np.trace(state.matrix @ proj).real) for _, proj in groups]
-        )
-        total = probs.sum()
-        probs = probs / total if total > 0 else probs
-        # zero-probability branches are dropped so samples always land on a branch
-        live = [k for k in range(len(groups)) if probs[k] > 1e-12]
-        picks = threshold_counts(uniforms[rows, step], np.cumsum(probs[live]))
-        branch = np.asarray(live)[picks]
-        for k in live:
-            value = round(groups[k][0], 12) + 0.0  # +0.0 kills -0.0
-            child = collapse(state, groups[k][1])
-            expand(child, rows[branch == k], acc * float(probs[k]), values + (value,))
-
-    expand(rho0, np.arange(shots), 1.0, ())
-    del expand  # break the closure's self-reference, so its arrays are freed on return
+    for (_, acc, values), hits in zip(nodes, np.bincount(codes, minlength=len(nodes)).tolist()):
+        exact[values] = exact.get(values, 0.0) + acc
+        counts[values] = counts.get(values, 0) + hits
     frequencies = {k: v / shots for k, v in sorted(counts.items()) if v}
 
     return SequenceReport(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfoundry import cli
+from qfoundry import cli, mkc
 from qfoundry import quantum as qt
 from qfoundry.datasets import build_cabello18, build_peres33
 from qfoundry.exact import VectorSet
@@ -536,12 +536,28 @@ OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for
         ({"include": [[[1, 0], [0, 0], [0, 0]], [[2, 0], [0, 0], [0, 0]]],
           "observables": [OBSERVABLE3]},
          "orthogonal or parallel planted vectors can never lie in totally incompatible bases"),
+        # squared norms that underflow to 0 (or to a subnormal) or overflow to inf
+        ({"include": [[[1e-320, 0], [0, 0], [0, 0]]], "observables": [OBSERVABLE3]},
+         "planted vector 0 must be nonzero, with a squared norm that neither underflows"),
+        ({"include": [[[1e300, 0], [1e300, 0], [0, 0]]], "observables": [OBSERVABLE3]},
+         "planted vector 0 must be nonzero, with a squared norm that neither underflows"),
+        ({"state": {"pure": [[1e-320, 0], [0, 0], [0, 0]]}, "observables": [OBSERVABLE3]},
+         "pure state must be nonzero, with a squared norm that neither underflows"),
+        ({"state": {"pure": [[1e-160, 0], [0, 0], [0, 0]]}, "observables": [OBSERVABLE3]},
+         "pure state must be nonzero, with a squared norm that neither underflows"),
+        ({"state": {"pure": [[1e300, 0], [1e300, 0], [0, 0]]}, "observables": [OBSERVABLE3]},
+         "pure state must be nonzero, with a squared norm that neither underflows"),
     ],
     ids=["include-not-pairs", "dimension-mismatch", "zero-include", "too-many-includes",
          "short-pure-state", "not-an-object", "non-hermitian-observable", "trace-two-density",
-         "orthogonal-includes", "parallel-includes"],
+         "orthogonal-includes", "parallel-includes", "tiny-include", "huge-include",
+         "tiny-pure-state", "subnormal-pure-state", "huge-pure-state"],
 )
-def test_program_usage_errors(capsys, tmp_path, program, fragment):
+def test_program_usage_errors(capsys, monkeypatch, tmp_path, program, fragment):
+    def no_draw(*args):  # every row is refused before a planted basis is drawn
+        raise AssertionError("a planted basis was drawn")
+
+    monkeypatch.setattr(mkc, "_basis_containing", no_draw)
     path = tmp_path / "program.json"
     path.write_text(json.dumps(program))
     got, out, err = run_cli(capsys, "mkc", "simulate", "--dim", "3", "--program", str(path))

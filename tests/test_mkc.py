@@ -48,21 +48,21 @@ def test_random_family_pairwise_incompatible():
 
 
 def _all_subsets_incompatible(b1, b2):
-    """Reference: every nontrivial projection of one basis against the other's."""
+    """Reference: every nontrivial projection of one basis against the other's,
+    each commutator by its operator norm."""
 
     def projections(basis):
         n = basis.shape[0]
-        return [
+        return np.array([
             sum(np.outer(basis[j], basis[j].conj()) for j in subset)
             for r in range(1, n)
             for subset in combinations(range(n), r)
-        ]
+        ])
 
-    return all(
-        np.linalg.norm(p @ q - q @ p, 2) > mkc.INCOMPATIBILITY_THRESHOLD
-        for p in projections(b1)
-        for q in projections(b2)
-    )
+    p = projections(b1)[:, None]
+    q = projections(b2)[None, :]
+    norms = np.linalg.norm(p @ q - q @ p, 2, axis=(2, 3))
+    return bool(np.all(norms > mkc.INCOMPATIBILITY_THRESHOLD))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -157,6 +157,15 @@ def _operator_norm_batches(monkeypatch):
     return batches
 
 
+def _tilted_basis(rng, b1, angle):
+    """A random basis containing b1's first vector rotated by `angle`."""
+    n = b1.shape[0]
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w -= b1[0] * np.vdot(b1[0], w)
+    w /= np.linalg.norm(w)
+    return mkc._basis_containing(rng, math.cos(angle) * b1[0] + math.sin(angle) * w)
+
+
 @pytest.mark.parametrize("n, angle", [(2, 1e-9), (3, 1e-9), (4, 1e-9), (2, 1.7e-8)])
 def test_near_threshold_pair_reaches_operator_norm(monkeypatch, n, angle):
     # b2 contains b1's first vector rotated by `angle`, so some commutators
@@ -165,10 +174,7 @@ def test_near_threshold_pair_reaches_operator_norm(monkeypatch, n, angle):
     # it) and Frobenius norm 2.4e-8, which lies below the 2 sqrt(2) 1e-8 bound
     rng = np.random.default_rng(n)
     b1 = mkc.random_unitary(rng, n).T
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w -= b1[0] * np.vdot(b1[0], w)
-    w /= np.linalg.norm(w)
-    b2 = mkc._basis_containing(rng, math.cos(angle) * b1[0] + math.sin(angle) * w)
+    b2 = _tilted_basis(rng, b1, angle)
     expected = _all_subsets_incompatible(b1, b2)
     assert expected == (angle > mkc.INCOMPATIBILITY_THRESHOLD)
     batches = _operator_norm_batches(monkeypatch)
@@ -185,6 +191,48 @@ def test_random_bases_never_reach_operator_norm(monkeypatch, n):
     batches = _operator_norm_batches(monkeypatch)
     assert mkc.totally_incompatible(b1, stack)
     assert batches == []
+
+
+PAIR_KINDS = ("random", "shared", "permuted-phased", "block-rotated", "tilt-1e-9", "tilt-1.7e-8")
+
+
+def _seeded_pair(rng, n, kind):
+    """(b1, b2) of one kind: independent draws, a shared vector, b1's vectors
+    permuted with random phases, b1 block-rotated (shared planes in d = 4),
+    or a basis holding b1's first vector rotated by 1e-9 or 1.7e-8."""
+    b1 = mkc.random_unitary(rng, n).T
+    if kind == "random":
+        b2 = mkc.random_unitary(rng, n).T
+    elif kind == "shared":
+        b2 = mkc._basis_containing(rng, b1[rng.integers(n)])
+    elif kind == "permuted-phased":
+        b2 = np.exp(2j * math.pi * rng.random(n))[:, None] * b1[rng.permutation(n)]
+    elif kind == "block-rotated":
+        b2 = _block_rotated(rng, b1)
+    else:
+        b2 = _tilted_basis(rng, b1, float(kind.removeprefix("tilt-")))
+    return b1, b2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_matches_all_subsets_on_seeded_pairs(n):
+    # 3 x 336 = 1008 pairs; every kind is drawn 56 times per dimension
+    rng = np.random.default_rng((0x1C, n))
+    verdicts = {kind: set() for kind in PAIR_KINDS}
+    for trial in range(336):
+        kind = PAIR_KINDS[trial % len(PAIR_KINDS)]
+        b1, b2 = _seeded_pair(rng, n, kind)
+        expected = _all_subsets_incompatible(b1, b2)
+        assert mkc.totally_incompatible(b1, b2) == expected, (kind, trial)
+        assert mkc.totally_incompatible(b2, b1) == expected, (kind, trial)
+        verdicts[kind].add(expected)
+    assert verdicts["random"] == {True}
+    for kind in ("shared", "permuted-phased", "tilt-1e-9"):
+        assert verdicts[kind] == {False}
+    assert verdicts["block-rotated"] == ({True} if n == 2 else {False})
+    # at 1.7e-8 the two rank-1 projections commute only up to 1.7e-8, above the
+    # threshold; in d >= 3 a pair of larger projections can still commute within it
+    assert verdicts["tilt-1.7e-8"] == ({True} if n == 2 else {True, False} if n == 3 else {False})
 
 
 def _pairwise_family(n, size, seed, include=()):
@@ -381,6 +429,92 @@ def test_nearest_matches_per_basis_reference(n, size):
         assert np.float64(dist).tobytes() == np.float64(ref_dist).tobytes()
 
 
+def _nearest_full_scan(observable, family):
+    """Reference: every candidate's operator norm, then one scan in order
+    where the first within 1e-15 of the best wins."""
+    mat = np.asarray(observable, dtype=complex)
+    values, _ = np.linalg.eigh(mat)
+    atoms = family.atom_projectors()
+    perms = np.array(list(permutations(range(len(values)))))
+    candidates = sum(values[k] * atoms[:, perms[:, k]] for k in range(len(values)))
+    dists = np.linalg.norm(mat - candidates, 2, axis=(2, 3)).ravel()
+    best = 0
+    for i, dist in enumerate(dists):
+        if dist < dists[best] - 1e-15:
+            best = i
+    m, p = divmod(best, len(perms))
+    return candidates[m, p], m, float(dists[best])
+
+
+def _seeded_observables(rng, family, count):
+    """Hermitian matrices of many kinds: random ones at several scales, family
+    atoms and degenerate sums of them (whose candidates tie), exact and
+    slightly perturbed family observables, random projectors, multiples of
+    the identity (every candidate ties) and huge ones (bounds overflow)."""
+    n, size = family.dimension, family.size
+
+    def hermitian(scale=1.0):
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return scale * (raw + raw.conj().T)
+
+    out = []
+    for i in range(count):
+        kind, m = i % 9, int(rng.integers(size))
+        if kind == 0:
+            out.append(hermitian())
+        elif kind == 1:
+            out.append(family.projector(m, int(rng.integers(n))))
+        elif kind == 2:
+            atoms = rng.permutation(n)[: int(rng.integers(1, n))]
+            out.append(sum(family.projector(m, int(j)) for j in atoms))
+        elif kind == 3:
+            out.append(sum(rng.standard_normal() * family.projector(m, j) for j in range(n)))
+        elif kind == 4:
+            exact = sum(rng.standard_normal() * family.projector(m, j) for j in range(n))
+            out.append(exact + hermitian(10.0 ** rng.integers(-15, -9)))
+        elif kind == 5:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            out.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        elif kind == 6:
+            out.append(rng.standard_normal() * np.eye(n, dtype=complex))
+        elif kind == 7:
+            out.append(hermitian(10.0 ** rng.uniform(-8, 8)))
+        else:
+            out.append(hermitian(1e160))  # the Gram bound overflows to inf
+    return out
+
+
+@pytest.mark.parametrize("n, size", [(2, 64), (3, 16), (4, 16), (4, 64)])
+def test_prefiltered_nearest_matches_full_scan(n, size):
+    family = mkc.generate_basis_family(n, size, seed=size + n)
+    rng = np.random.default_rng((0xF1, n, size))
+    for observable in _seeded_observables(rng, family, 207):
+        realized, m, dist = mkc.nearest_family_observable(observable, family)
+        ref_realized, ref_m, ref_dist = _nearest_full_scan(observable, family)
+        assert m == ref_m
+        assert np.float64(dist).tobytes() == np.float64(ref_dist).tobytes()
+        assert realized.tobytes() == ref_realized.tobytes()
+
+
+def test_prefilter_leaves_few_operator_norms(monkeypatch):
+    family = mkc.generate_basis_family(4, 64, seed=4)
+    candidates = 64 * 24
+    batches = _operator_norm_batches(monkeypatch)
+    mkc.nearest_family_observable(family.projector(9, 2), family)
+    # the exact hit and its ties within basis 9: the other atoms' values are
+    # equal, so the 3! matchings that keep atom 2 give the same candidate
+    assert batches == [6]
+    batches.clear()
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mkc.nearest_family_observable(raw + raw.conj().T, family)
+    assert len(batches) == 20 and sum(batches) < 20 * candidates / 10
+    batches.clear()
+    mkc.nearest_family_observable(1e160 * np.eye(4), family)
+    assert batches == [candidates]
+
+
 def _locate_per_basis(family, mat):
     """Reference: each basis's atom subset rebuilt and compared on its own."""
     n = family.dimension
@@ -483,8 +617,9 @@ def test_sequence_small_overlap_small_joint():
 
 
 def test_sequence_frees_its_arrays_on_return(family3, rho3):
-    # the recursive walk is a closure that refers to itself; the cycle would
-    # keep the (shots, steps) uniforms alive until the next gc pass
+    # the walk must leave no reference cycle behind (a recursive closure that
+    # refers to itself would be one): a cycle would keep the (shots, steps)
+    # uniforms alive until the next gc pass
     gc.collect()
     gc.disable()
     try:
@@ -524,6 +659,81 @@ def test_sequence_matches_per_shot_walk(family3, rho3):
     assert sum(report.exact_probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def _recursive_walk(rho0, observables, family, seed, shots):
+    """Reference: one depth-first recursion over the collapse chain; the
+    shots reaching a node are binned by quantum.threshold_counts over its
+    live branches.  Returns (frequencies, exact probabilities)."""
+    realized = [
+        qt.spectral_projectors(mkc.nearest_family_observable(obs, family)[0])
+        for obs in observables
+    ]
+    uniforms = np.random.default_rng((seed, 0x5EC)).random((shots, len(realized)))
+    counts, exact = {}, {}
+
+    def expand(state, rows, acc, values):
+        step = len(values)
+        if step == len(realized):
+            exact[values] = exact.get(values, 0.0) + acc
+            counts[values] = counts.get(values, 0) + len(rows)
+            return
+        groups = realized[step]
+        probs = np.array([max(0.0, np.trace(state.matrix @ p).real) for _, p in groups])
+        total = probs.sum()
+        probs = probs / total if total > 0 else probs
+        live = [k for k in range(len(groups)) if probs[k] > 1e-12]
+        branch = np.asarray(live)[qt.threshold_counts(uniforms[rows, step], np.cumsum(probs[live]))]
+        for k in live:
+            value = round(groups[k][0], 12) + 0.0
+            child = qt.collapse(state, groups[k][1])
+            expand(child, rows[branch == k], acc * float(probs[k]), values + (value,))
+
+    expand(rho0, np.arange(shots), 1.0, ())
+    return {k: v / shots for k, v in sorted(counts.items()) if v}, exact
+
+
+def _sequence_programs(family3, rho3):
+    """(start state, observables, family) with 1 to 4 steps: degenerate
+    groups, a one-group step, zero-probability branches and d = 2 and 4."""
+    f = family3.projector
+    # atoms 0 and 1 of basis 2 in equal parts: atom 2 (eigenvalue 0 in the
+    # first step, the lowest group) is a dead branch before two live ones
+    superposed = qt.DensityOperator.pure(family3.bases[2][0] + family3.bases[2][1])
+    family2 = mkc.generate_basis_family(2, 8, seed=2)
+    family4 = mkc.generate_basis_family(4, 8, seed=4)
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {
+        "one-step": (rho3, [f(0, 0)], family3),
+        "three-steps": (rho3, [f(0, 0), np.diag([1.0, 2.0, 3.0]), f(5, 2)], family3),
+        "degenerate-four-steps": (
+            rho3, [np.diag([1.0, 1.0, 2.0]), f(1, 0) + f(1, 1), np.eye(3), f(2, 1)], family3),
+        "zero-probability": (superposed, [f(2, 0) + 2 * f(2, 1), f(2, 0), f(2, 2)], family3),
+        "dim-2": (qt.DensityOperator.maximally_mixed(2),
+                  [family2.projector(0, 0), family2.projector(3, 1)], family2),
+        "dim-4": (qt.DensityOperator.maximally_mixed(4), [raw + raw.conj().T] * 2, family4),
+    }
+
+
+@pytest.mark.parametrize("shots", [1, 7, SHOTS])
+@pytest.mark.parametrize("seed", [0, 1, 23, SEED])
+def test_level_walk_matches_recursive_walk(family3, rho3, shots, seed):
+    for name, (rho, observables, family) in _sequence_programs(family3, rho3).items():
+        report = mkc.simulate_sequence(rho, observables, family, seed, shots)
+        frequencies, exact = _recursive_walk(rho, observables, family, seed, shots)
+        assert repr(list(report.frequencies.items())) == repr(list(frequencies.items())), name
+        assert repr(list(report.exact_probabilities.items())) == repr(list(exact.items())), name
+
+
+def test_zero_probability_branches_are_dropped(family3, rho3):
+    rho, observables, family = _sequence_programs(family3, rho3)["zero-probability"]
+    report = mkc.simulate_sequence(rho, observables, family, seed=1, shots=1000)
+    # no outcome has value 0 in the first step, and after it every step has
+    # one live branch
+    assert list(report.exact_probabilities) == [(1.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
+    assert list(report.frequencies) == [(1.0, 1.0, 0.0), (2.0, 0.0, 0.0)]
+    assert sum(report.frequencies.values()) == 1.0
+
+
 def test_sequence_cabello_one_ninth():
     e1 = np.ones(3) / math.sqrt(3)
     e2 = np.array([1.0, 1.0, -1.0]) / math.sqrt(3)
@@ -551,11 +761,31 @@ def test_family_generation_validation():
         mkc.generate_basis_family(3, 0, seed=0)  # an empty family has no (K, n, n) shape
 
 
-@pytest.mark.parametrize("vector", [np.zeros(3), np.array([1.0, np.nan, 0.0])], ids=["zero", "nan"])
-def test_planted_vector_must_be_finite_and_nonzero(vector):
-    # unchecked, a zero vector normalises to NaN and the basis completion never ends
+@pytest.mark.parametrize(
+    "vector",
+    [np.zeros(3), np.array([1.0, np.nan, 0.0]), np.array([1e-320, 0.0, 0.0]),
+     np.array([1e-160, 0.0, 0.0]), np.array([1e300, 1e300, 0.0]), np.array([0.0, 1e200j, 0.0])],
+    ids=["zero", "nan", "tiny", "subnormal-square", "huge", "huge-imaginary"],
+)
+def test_planted_vector_must_be_finite_and_nonzero(monkeypatch, vector):
+    # unchecked, a vector whose squared norm underflows to 0 normalises to NaN
+    # and the basis completion never ends; the patch makes that a failure
+    def no_draw(*args):
+        raise AssertionError("a basis was drawn")
+
+    monkeypatch.setattr(mkc, "_basis_containing", no_draw)
     with pytest.raises(ValueError, match="finite and nonzero"):
         mkc.generate_basis_family(3, 4, 0, include=[vector])
+
+
+@pytest.mark.parametrize(
+    "vector, expected",
+    [(np.array([1e-150, 0.0]), True), (np.array([1e153, 1e153]), True),
+     (np.array([1e-160, 0.0]), False), (np.array([1e155, 0.0]), False),
+     (np.array([np.inf, 0.0]), False), (np.zeros(2), False)],
+)
+def test_normalizable_means_a_normal_squared_norm(vector, expected):
+    assert mkc.normalizable(vector.astype(complex)) is expected
 
 
 @pytest.mark.parametrize(

@@ -163,7 +163,7 @@ def _complex_array(payload, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _nonzero_vector(payload, dim: int, what: str) -> np.ndarray:
     vector = _complex_array(payload, (dim,), what)
-    if not mkc.normalizable(vector):
+    if not qt.normalizable(vector):
         raise CliError(f"{what} must be nonzero, with a squared norm that neither "
                        "underflows nor overflows")
     return vector

@@ -57,9 +57,6 @@ class Coloring:
 
     assignment: tuple[int, ...]
 
-    def value(self, index: int) -> int:
-        return self.assignment[index]
-
 
 @dataclass(frozen=True)
 class ExhaustionCertificate:

@@ -33,9 +33,33 @@ def _range_basis(projection: np.ndarray) -> np.ndarray:
     return vectors[:, values > 0.5]
 
 
+def _containment(atoms: np.ndarray) -> np.ndarray:
+    """leq[b, a]: whether atom a lies below atom b, decided by the norm
+    norm(P_b Q_a - Q_a, 2) <= CONTAINMENT_TOL on every pair of the (N, d, d)
+    stack at once (in row blocks of at most CONTAINMENT_BLOCK pairs, to bound
+    memory).
+
+    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a pair whose Frobenius
+    norm is at most half the tolerance passes and one whose Frobenius norm
+    exceeds 2 sqrt(d) times it fails, both with a factor 2 to spare for
+    rounding; only the pairs in between take the operator-norm SVD.
+    """
+    rows = max(1, CONTAINMENT_BLOCK // len(atoms))
+    bound = 2 * np.sqrt(atoms.shape[-1]) * CONTAINMENT_TOL
+    blocks = []
+    for lo in range(0, len(atoms), rows):
+        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
+        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
+        leq = frobenius <= CONTAINMENT_TOL / 2
+        unsure = ~leq & (frobenius <= bound)
+        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= CONTAINMENT_TOL
+        blocks.append(leq)
+    return np.concatenate(blocks)
+
+
 def projector_leq(p: np.ndarray, q: np.ndarray) -> bool:
-    """Range inclusion P <= Q decided by the norm of QP - P."""
-    return float(np.linalg.norm(q @ p - p, 2)) <= CONTAINMENT_TOL
+    """Range inclusion P <= Q, by _containment on the pair."""
+    return bool(_containment(np.array([p, q], dtype=complex))[1, 0])
 
 
 class Subspace:
@@ -187,55 +211,61 @@ class Context:
 class ContextPoset:
     """A finite poset of contexts ordered by algebra inclusion.
 
-    Always contains the trivial context first, and each algebra once (later
-    copies are dropped), so inclusion is antisymmetric.  Inclusion i <= j
-    means every atom of context j refines into (lies below) an atom of
-    context i; refinement maps, and a table of every mask's expansion along
-    each, are precomputed so lattice elements are pure bitmask data.
+    Inclusion i <= j means every atom of context j refines into (lies below)
+    an atom of context i.  One _containment call over the atoms of the
+    trivial context and of every given context decides it for every pair,
+    and it alone decides algebra identity too: a context included both ways
+    in an earlier kept one is the same algebra and is dropped (the first
+    copy wins).  So the poset always contains the trivial context first and
+    each algebra once, and inclusion is antisymmetric.  Refinement maps, and
+    a table of every mask's expansion along each, are precomputed so lattice
+    elements are pure bitmask data.
     """
 
     def __init__(self, contexts: Iterable[Context]) -> None:
         contexts = list(contexts)
         dim = contexts[0].atoms[0].shape[0]
-        trivial = Context(atoms=(np.eye(dim, dtype=complex),), name="trivial")
-        self.contexts: list[Context] = []
-        seen_keys: set[frozenset] = set()
-        for ctx in [trivial, *contexts]:
-            # order-independent algebra fingerprint (+0.0 normalizes signed zeros)
-            key = frozenset((np.round(a, 9) + 0.0).tobytes() for a in ctx.atoms)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                self.contexts.append(ctx)
-        n = len(self.contexts)
-        self.dimension = dim
+        contexts.insert(0, Context(atoms=(np.eye(dim, dtype=complex),), name="trivial"))
+        bounds = np.cumsum([0, *(ctx.size for ctx in contexts)])
+        leq = _containment(np.concatenate([np.array(ctx.atoms, dtype=complex)
+                                           for ctx in contexts]))
+        # included[i, j]: every atom of context j lies below an atom of context i
+        included = np.logical_and.reduceat(np.logical_or.reduceat(leq, bounds[:-1], axis=0),
+                                           bounds[:-1], axis=1)
+        # a context included both ways in an earlier kept one is that algebra again
+        same = included & included.T
+        keep: list[int] = []
+        for j in range(len(contexts)):
+            if not same[keep, j].any():
+                keep.append(j)
+        self.contexts = [contexts[k] for k in keep]
+        self._included = included[np.ix_(keep, keep)]
+        n = len(keep)
         sizes = [ctx.size for ctx in self.contexts]
         self._full = [(1 << size) - 1 for size in sizes]
         # the narrowest unsigned dtype holding every mask; mask tables in it
         # move a fraction of the memory an int64 table would
         self.mask_dtype = np.min_scalar_type(max(self._full))
-        starts = np.cumsum([0, *sizes])
-        leq = _containment(np.concatenate([np.array(ctx.atoms, dtype=complex)
-                                           for ctx in self.contexts]))
         # refine[i][j][k] = index of the atom of context i containing atom k
         # of context j (the first one, in atom order), present only when
         # context i is included in context j
         self.refine: list[list[Optional[list[int]]]] = [[None] * n for _ in range(n)]
         self._expand: list[list[Optional[np.ndarray]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            block = leq[starts[i] : starts[i + 1]]
-            parent = block.argmax(axis=0)
+        spans = [slice(bounds[k], bounds[k + 1]) for k in keep]  # each kept context's atoms
+        for i, span in enumerate(spans):
+            parent = leq[span].argmax(axis=0)
             masks = np.arange(1 << sizes[i])
-            for j in np.flatnonzero(np.logical_and.reduceat(block.any(axis=0), starts[:-1])):
-                self.refine[i][j] = parent[starts[j] : starts[j + 1]].tolist()
+            for j in np.flatnonzero(self._included[i]):
+                self.refine[i][j] = parent[spans[j]].tolist()
                 # the expansion of every mask of context i, indexed by mask
                 self._expand[i][j] = sum((masks >> p & 1) << k for k, p in
                                          enumerate(self.refine[i][j])).astype(self.mask_dtype)
-        self._subs = [tuple(i for i in range(n) if self.included(i, j)) for j in range(n)]
-        self._supers = [tuple(j for j in range(n) if self.included(i, j)) for i in range(n)]
+        self._subs = [tuple(np.flatnonzero(col).tolist()) for col in self._included.T]
+        self._supers = [tuple(np.flatnonzero(row).tolist()) for row in self._included]
 
     def included(self, i: int, j: int) -> bool:
         """Whether context i's algebra is contained in context j's."""
-        return self.refine[i][j] is not None
+        return bool(self._included[i, j])
 
     def sub_contexts(self, j: int) -> tuple[int, ...]:
         """Contexts included in context j (j among them), ascending."""
@@ -254,29 +284,6 @@ class ContextPoset:
 
     def full_mask(self, i: int) -> int:
         return self._full[i]
-
-
-def _containment(atoms: np.ndarray) -> np.ndarray:
-    """leq[b, a]: whether atom a lies below atom b, by projector_leq's test
-    norm(P_b Q_a - Q_a, 2) on every pair of the (N, d, d) stack at once (in
-    row blocks of at most CONTAINMENT_BLOCK pairs, to bound memory).
-
-    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a pair whose Frobenius
-    norm is at most half the tolerance passes and one whose Frobenius norm
-    exceeds 2 sqrt(d) times it fails, both with a factor 2 to spare for
-    rounding; only the pairs in between take the operator-norm SVD.
-    """
-    rows = max(1, CONTAINMENT_BLOCK // len(atoms))
-    bound = 2 * np.sqrt(atoms.shape[-1]) * CONTAINMENT_TOL
-    blocks = []
-    for lo in range(0, len(atoms), rows):
-        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
-        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
-        leq = frobenius <= CONTAINMENT_TOL / 2
-        unsure = ~leq & (frobenius <= bound)
-        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= CONTAINMENT_TOL
-        blocks.append(leq)
-    return np.concatenate(blocks)
 
 
 def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
@@ -316,9 +323,6 @@ class ContextFunction:
 
     def __repr__(self) -> str:
         return f"ContextFunction{self.masks}"
-
-    def value(self, poset: ContextPoset, i: int) -> np.ndarray:
-        return poset.contexts[i].mask_to_projection(self.masks[i])
 
 
 VARIANT_DOWN = "l3"  # finer contexts carry smaller projections

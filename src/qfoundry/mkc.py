@@ -29,6 +29,7 @@ from .quantum import (
     _as_matrix,
     categorical,
     collapse,
+    normalizable,
     spectral_projectors,
 )
 
@@ -55,7 +56,6 @@ class BasisFamily:
 
     dimension: int
     bases: np.ndarray
-    seed: int
 
     @property
     def size(self) -> int:
@@ -173,13 +173,6 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def normalizable(vector: np.ndarray) -> bool:
-    """Whether |v|^2 is a finite normal float, so that v / |v| is a unit
-    vector; NaN entries, and tiny or huge ones whose squared norm underflows
-    or overflows, are not."""
-    return bool(np.finfo(float).tiny <= np.vdot(vector, vector).real <= np.finfo(float).max)
-
-
 def _basis_containing(rng: np.random.Generator, vector: np.ndarray) -> np.ndarray:
     """An orthonormal basis whose first vector is the given unit vector."""
     n = vector.shape[0]
@@ -235,7 +228,7 @@ def generate_basis_family(
         if totally_incompatible(basis, bases[:k]):
             bases[k] = basis
             k += 1
-    return BasisFamily(dimension=n, bases=bases, seed=seed)
+    return BasisFamily(dimension=n, bases=bases)
 
 
 def mkc_probability(rho: DensityOperator, projection, family: BasisFamily) -> float:

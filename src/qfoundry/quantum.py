@@ -49,6 +49,23 @@ def _as_matrix(obj) -> np.ndarray:
     return arr
 
 
+def normalizable(vector: np.ndarray) -> bool:
+    """Whether |v|^2 is a finite normal float, so that v / |v| is a unit
+    vector; NaN entries, and tiny or huge ones whose squared norm underflows
+    or overflows, are not."""
+    return bool(np.finfo(float).tiny <= np.vdot(vector, vector).real <= np.finfo(float).max)
+
+
+def _ray_projector(vector: Sequence[complex]) -> np.ndarray:
+    """The rank-one projector v v* / |v|^2, for a normalizable v."""
+    v = np.asarray(vector, dtype=complex)
+    if not normalizable(v):
+        raise ValueError("vector must be nonzero, with a squared norm that neither "
+                         "underflows nor overflows")
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 class DensityOperator:
     """Hermitian, positive-semidefinite, unit-trace matrix."""
 
@@ -63,15 +80,9 @@ class DensityOperator:
             raise ValueError(f"negative eigenvalue {eigenvalues.min():.3e}")
         self.matrix = mat
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def pure(cls, vector: Sequence[complex]) -> "DensityOperator":
-        v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
+        return cls(_ray_projector(vector))
 
     @classmethod
     def maximally_mixed(cls, dimension: int) -> "DensityOperator":
@@ -89,26 +100,9 @@ class ProjectionOp:
             raise ValueError("projection must be idempotent within 1e-10")
         self.matrix = mat
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.matrix).real))
-
     @classmethod
     def onto(cls, vector: Sequence[complex]) -> "ProjectionOp":
-        v = np.asarray(vector, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def identity(cls, dimension: int) -> "ProjectionOp":
-        return cls(np.eye(dimension, dtype=complex))
-
-    def complement(self) -> "ProjectionOp":
-        return ProjectionOp(np.eye(self.dimension) - self.matrix)
+        return cls(_ray_projector(vector))
 
 
 def born_probability(rho: DensityOperator, proj: ProjectionOp) -> float:

@@ -640,6 +640,7 @@ def test_batched_refinement_matches_per_pair_containment(seed):
         n = len(poset.contexts)
         for i, j in product(range(n), repeat=2):
             assert poset.refine[i][j] == _reference_refine(poset.contexts, i, j)
+            assert i == j or not (poset.included(i, j) and poset.included(j, i))
             if poset.included(i, j):
                 masks = range(poset.full_mask(i) + 1)
                 assert [poset.expand_mask(i, j, mask) for mask in masks] == \
@@ -678,11 +679,29 @@ def test_containment_prefilter_matches_svd(dim, seed, monkeypatch):
     atoms = _tilted_atoms(dim, seed)
     want = _svd_containment(atoms)
     assert np.array_equal(logic._containment(atoms), want)
+    assert all(logic.projector_leq(atoms[a], atoms[b]) == want[b, a]
+               for a, b in product(range(len(atoms)), repeat=2))
     monkeypatch.setattr(logic, "CONTAINMENT_BLOCK", 3 * len(atoms) + 1)  # uneven row blocks
     assert np.array_equal(logic._containment(atoms), want)
     # the untilted atom lies below its 0.5-tilted copy and not below the 2-tilted one
     step = 2 if dim > 2 else 1
     assert want[step, 0] and not want[3 * step, 0]
+
+
+def _rotation_basis(theta):
+    return np.array([[math.cos(theta), math.sin(theta)],
+                     [-math.sin(theta), math.cos(theta)]], dtype=complex)
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_near_duplicate_bases_are_one_algebra(variant):
+    # two bases 2e-12 apart whose atom entry cos^2 theta straddles a
+    # 9-digit rounding boundary (0.30000000049999990 vs 0.30000000050183284)
+    theta = math.acos(math.sqrt(0.3000000005))
+    poset = logic.poset_from_bases([_rotation_basis(theta), _rotation_basis(theta - 2e-12)])
+    assert [ctx.name for ctx in poset.contexts] == ["trivial", "basis0"]
+    report = logic.check_heyting_laws(poset, variant, exhaustive=True)
+    assert report.passed and report.element_count == 5
 
 
 def test_permuted_repeats_are_merged():

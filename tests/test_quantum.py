@@ -97,6 +97,17 @@ def test_collapse_zero_probability():
         qt.collapse(rho, proj)
 
 
+@pytest.mark.parametrize("vector", [[1e-160, 0, 0], [1e300, 1e300, 0], [1e-320, 0, 0]],
+                         ids=["subnormal-square", "overflowing-square", "zero-square"])
+@pytest.mark.parametrize("build", [qt.DensityOperator.pure, qt.ProjectionOp.onto],
+                         ids=["pure", "onto"])
+def test_unnormalizable_vectors_are_refused(build, vector):
+    with pytest.raises(ValueError) as caught:
+        build(vector)
+    assert str(caught.value) == ("vector must be nonzero, with a squared norm that neither "
+                                 "underflows nor overflows")
+
+
 def test_tensor_examples():
     assert np.allclose(qt.tensor(np.eye(2), np.eye(2)), np.eye(4))
     up, _ = qt.spin_projectors(0.0, 0.0)

@@ -76,7 +76,7 @@ def load_vector_set(name: str) -> VectorSet:
             raise CliError(f"vector-set file not found: {name}")
         try:
             return VectorSet.load(name)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {name}: {exc}") from exc
         except ValueError as exc:
             raise CliError(str(exc)) from exc

@@ -5,7 +5,10 @@ Every rational point of S^2 lies on the axis of a primitive integer triple
 of the third coordinate of that primitive triple: odd maps to 0, even to 1.
 A RationalPoint holds that primitive triple, so the enumeration and the
 check run on int64 arrays of triples, with exact integer dot and cross
-products; only the violations come back as tuples.
+products; only the violations come back as tuples.  Both sieve on residues
+mod 4: a primitive triple's residues lie in 12 classes, so the enumeration
+scans only the z that a row's class allows, and the pair scan multiplies
+only the classes whose dot product can vanish.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .exact import RationalPoint
 
-# largest `meyer verify --max-n`; the O(R^2) pair scan takes seconds there
+# largest `meyer verify --max-n`; its 32595 rays take about a second, most
+# of it in the pair scan over a third of the R^2 / 2 products
 MAX_N = 200
 # int64 dot and cross products of rays with coordinates up to 2^30 are exact
 MAX_COORDINATE = 1 << 30
@@ -79,45 +83,123 @@ def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
     """All primitive Pythagorean rays with hypotenuse at most max_n.
 
     Scans the integer points of the half cube x >= 0 of [-max_n, max_n]^3
-    in int64 slabs of at most _BLOCK_ENTRIES points, in (x, y, z) order,
-    and keeps those with x^2 + y^2 + z^2 = n^2 for an integer
-    0 < n <= max_n, coprime coordinates and a positive first nonzero
-    coordinate.  Returns one rational sphere point per axis, built from its
-    triple by the checking RationalPoint.from_triple, in sorted ray order.
+    that can lie on a primitive ray, in int64 slabs of at most
+    _BLOCK_ENTRIES points, and keeps those with x^2 + y^2 + z^2 = n^2 for
+    an integer 0 < n <= max_n, coprime coordinates and a positive first
+    nonzero coordinate.  Returns one rational sphere point per axis, built
+    from its triple by the checking RationalPoint.from_triple, in sorted
+    ray order.
+
+    A primitive triple has exactly one odd coordinate (see
+    verify_meyer_conditions), so n is odd and n^2 = 1 mod 8.  Since x^2 mod
+    8 is 0, 1, 4, 1 for x = 0, 1, 2, 3 mod 4, the residues of (x, y, z) mod
+    4 lie in the 12 classes whose squares sum to 1 mod 8: one odd
+    coordinate and two even ones that agree mod 4.  So each (x, y) row
+    scans only the z of the residues mod 4 its class allows: none when x
+    and y are both odd, one residue when one of them is odd, and the two
+    odd residues when both are even and agree mod 4.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     line = np.arange(-max_n, max_n + 1, dtype=np.int64)
-    # the (x, y) rows of the half cube, each holding every z of the line
+    # the (x, y) rows of the half cube
     xs, ys = np.repeat(line[max_n:], len(line)), np.tile(line, max_n + 1)
-    xy2, z2 = xs * xs + ys * ys, line * line
+    xy2 = xs * xs + ys * ys
     # root[s] = n where s = n^2 for 0 < n <= max_n, else 0; s past the
     # table reads its last entry
     root = np.zeros(max_n * max_n + 2, dtype=np.int64)
-    root[z2[max_n:]] = line[max_n:]
-    step = max(1, _BLOCK_ENTRIES // len(line))
+    root[line[max_n:] ** 2] = line[max_n:]
+    square_mod_8 = np.array([0, 1, 4, 1])
+    allowed = (square_mod_8[:, None, None] + square_mod_8[:, None] + square_mod_8) % 8 == 1
+    allowed = allowed[xs % 4, ys % 4]
     found = []
-    for lo in range(0, len(xs), step):
-        s = xy2[lo:lo + step, None] + z2
-        n = root[np.minimum(s, len(root) - 1, out=s)]
-        r, c = np.nonzero(n)
-        t = np.column_stack([xs[lo + r], ys[lo + r], line[c]])
-        keep = (np.gcd.reduce(t, axis=1) == 1) & (_first_nonzero(t) > 0)
-        found.append(np.column_stack([t[keep], n[r, c][keep]]))
-    return [RationalPoint.from_triple(x, y, z, n)
-            for x, y, z, n in np.concatenate(found).tolist()]
+    for residue in range(4):
+        rows = np.flatnonzero(allowed[:, residue])
+        zs = line[line % 4 == residue]
+        step = max(1, _BLOCK_ENTRIES // max(1, len(zs)))
+        for lo in range(0, len(rows), step):
+            row = rows[lo:lo + step]
+            s = xy2[row, None] + zs * zs
+            n = root[np.minimum(s, len(root) - 1, out=s)]
+            r, c = np.nonzero(n)
+            t = np.column_stack([xs[row[r]], ys[row[r]], zs[c]])
+            keep = (np.gcd.reduce(t, axis=1) == 1) & (_first_nonzero(t) > 0)
+            found.append(np.column_stack([t[keep], n[r, c][keep]]))
+    found = np.concatenate(found)
+    found = found[np.lexsort(found[:, 2::-1].T)]
+    return [RationalPoint.from_triple(x, y, z, n) for x, y, z, n in found.tolist()]
+
+
+def _orthogonal_pairs(a):
+    """The pairs i < j of rows of a with a[i] . a[j] == 0, in lexicographic order.
+
+    The rows are primitive Pythagorean rays.  A dot product is 0 only if it
+    is 0 mod 4, and its residue mod 4 depends only on the two rows' residues
+    mod 4.  So the rows are grouped by their residue vector mod 4, and int64
+    products are formed only between groups whose residues have dot product
+    0 mod 4, in row blocks of about _BLOCK_ENTRIES entries.  No group meets
+    itself: rays p, q with the same residues have p . q = p . p = n^2 mod 4,
+    and n is odd.  The corpus has 12 groups and 24 meeting pairs of groups,
+    so a third of the upper triangle's products are formed.
+    """
+    key = (a % 4) @ np.array([16, 4, 1])
+    counts = np.bincount(key, minlength=64)
+    order = np.argsort(key, kind="stable")
+    grouped = a[order]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    classes = np.flatnonzero(counts)
+    residues = np.array(np.unravel_index(classes, (4, 4, 4))).T
+    meets = (residues @ residues.T) % 4 == 0
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for m, c in enumerate(classes):
+        later = classes[m + 1:][meets[m, m + 1:]]
+        if not len(later):
+            continue
+        col = np.concatenate([np.arange(starts[d], ends[d]) for d in later])
+        other = grouped[col].T
+        block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // len(col))
+        for lo in range(starts[c], ends[c], block):
+            # flatnonzero and divmod take half the time of a 2-D nonzero
+            zero = np.flatnonzero(grouped[lo:min(lo + block, ends[c])] @ other == 0)
+            i, j = np.divmod(zero, len(col))
+            rows.append(order[i + lo])
+            cols.append(order[col[j]])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    first = np.lexsort((j, i))
+    return i[first], j[first]
+
+
+def _find_rows(a, w):
+    """The index of each row of w among the distinct sorted rows of a, or -1.
+
+    One stable lexsort of a stacked over w puts each row of w after every
+    row of a that is not greater, so the last row of a before it is the
+    only candidate.  Rows are compared entry by entry, so a row of w with
+    entries past those of a finds none.
+    """
+    stacked = np.concatenate([a, w])
+    order = np.lexsort(stacked[:, ::-1].T)
+    # the rows of a come in increasing index, so a running maximum gives
+    # the last one at or before each position (-1 before the first)
+    ray = np.maximum.accumulate(np.where(order < len(a), order, -1))
+    hit = (ray >= 0) & (stacked[order] == a[ray]).all(axis=1)
+    k = np.empty(len(stacked), dtype=np.intp)
+    k[order] = np.where(hit, ray, -1)
+    return k[len(a):]
 
 
 def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     """Check antipodal invariance, the pair rule and the triad sum rule.
 
     Works on the int64 array of the points' primitive triples; points on
-    the same axis are merged.  Orthogonal pairs come from one scan of the
-    upper triangle of the ray Gram matrix in row blocks, triads from
-    looking up the canonical reduced cross product of each pair, as a
-    tuple, in an index of the rays; both are listed in sorted ray order.
-    Raises ValueError when a primitive coordinate exceeds MAX_COORDINATE,
-    where int64 products could overflow.
+    the same axis are merged.  Orthogonal pairs come from int64 products
+    between the groups of rays whose residues mod 4 allow a zero dot
+    product; triads from finding the canonical reduced cross product of
+    each pair among the rays with one sort.  Both are listed in sorted ray
+    order.  Raises ValueError when a primitive coordinate exceeds
+    MAX_COORDINATE, where int64 products could overflow.
 
     Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
     or 1 mod 4, so the number of odd coordinates of x^2 + y^2 + z^2 = n^2
@@ -138,14 +220,7 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     antipodal_violations = tuple(points[k].coords() for k in antipodal.tolist())
 
     a = _unique_rows(_canonical_rows(triples))
-    block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(1, len(a)))
-    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(a), block):
-        i, j = np.nonzero(a[lo:lo + block] @ a[lo:].T == 0)
-        upper = j > i
-        rows.append(i[upper] + lo)
-        cols.append(j[upper] + lo)
-    i, j = np.concatenate(rows), np.concatenate(cols)
+    i, j = _orthogonal_pairs(a)
     pairs = len(i)
 
     def rays_at(index):
@@ -155,12 +230,10 @@ def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
     bad = colors[i] + colors[j] < 1
     pair_violations = tuple(zip(rays_at(i[bad]), rays_at(j[bad])))
 
-    # the canonical reduced cross product of each pair, looked up among the
+    # the canonical reduced cross product of each pair, found among the
     # rays (-1 when it is none); each triad once, from its first two rays
     w = np.cross(a[i], a[j])
-    w = _canonical_rows(w // np.gcd.reduce(w, axis=1, keepdims=True))
-    index = {ray: k for k, ray in enumerate(map(tuple, a.tolist()))}
-    k = np.array([index.get(ray, -1) for ray in map(tuple, w.tolist())], dtype=np.intp)
+    k = _find_rows(a, _canonical_rows(w // np.gcd.reduce(w, axis=1, keepdims=True)))
     third = k > j
     i, j, k = i[third], j[third], k[third]
     bad = colors[i] + colors[j] + colors[k] != 2

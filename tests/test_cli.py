@@ -483,6 +483,7 @@ def _coord(num, den=1):
         (["ks", "check", "--set", _VectorFile([{"entries": [_coord(1)]},
                                                 {"entries": [_coord(-2)]}])], 2,
          "duplicate ray"),
+        (["ks", "parity", "--set", _BytesFile(b'{"dimension": "\xff"}')], 2, "cannot read "),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
@@ -494,7 +495,7 @@ def _coord(num, den=1):
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
          "zero-dimension", "empty-vector-list", "count-over-limit",
-         "complete-pairs-in-dimension-4", "duplicate-ray"],
+         "complete-pairs-in-dimension-4", "duplicate-ray", "non-utf8-vector-set"],
 )
 def test_usage_errors(capsys, tmp_path, argv, code, fragment):
     # a _VectorFile, _BytesFile or _Directory argument is made under tmp_path

@@ -98,7 +98,7 @@ def test_antipodal_invariance():
 
 # rays, pairs and triads of the corpus by max_n
 FROZEN_COUNTS = {25: (RAYS_25, PAIRS_25, TRIADS_25), 60: (2943, 4215, 1093),
-                 100: (8247, 12831, 3053)}
+                 100: (8247, 12831, 3053), 200: (32595, 55443, 12129)}
 
 
 @pytest.mark.parametrize("max_n", FROZEN_COUNTS)
@@ -118,10 +118,10 @@ def test_check_runs_on_triples_without_fractions(monkeypatch):
     assert report.violations == 0
 
 
-def test_ray_count_oracle_n12():
+@pytest.mark.parametrize("max_n", [1, 2, 5, 12])
+def test_ray_count_oracle(max_n):
     """Independent oracle: enumerate all (not only primitive) triples and
     reduce each to its primitive ray."""
-    max_n = 12
     rays = set()
     for x in range(-max_n, max_n + 1):
         for y in range(-max_n, max_n + 1):
@@ -186,7 +186,7 @@ def _combinations_reference(points):
     )
 
 
-@pytest.mark.parametrize("max_n", [25, 40])
+@pytest.mark.parametrize("max_n", [1, 5, 25, 40])
 def test_block_scan_matches_combinations_reference(max_n):
     points = enumerate_pyth_points(max_n)
     assert verify_meyer_conditions(points) == _combinations_reference(points)
@@ -261,27 +261,77 @@ def test_coordinate_over_int64_bound_rejected():
         verify_meyer_conditions([RationalPoint(0, 0, 1), far])
 
 
-def test_triad_of_large_rays_found():
-    # coordinates near 2^28, whose cross products pass 2^56: the triad
-    # through the z axis must still be found
+def _large_rays():
+    # coordinates near 2^28, whose cross products pass 2^56
     m = 1 << 14
     n = m * m + 1
-    points = [RationalPoint(0, 0, 1), RationalPoint(Q(2 * m, n), Q(m * m - 1, n), 0),
-              RationalPoint(Q(m * m - 1, n), Q(-2 * m, n), 0), RationalPoint(Q(3, 5), Q(4, 5), 0)]
+    return [RationalPoint(0, 0, 1), RationalPoint(Q(2 * m, n), Q(m * m - 1, n), 0),
+            RationalPoint(Q(m * m - 1, n), Q(-2 * m, n), 0), RationalPoint(Q(3, 5), Q(4, 5), 0)]
+
+
+def _rays_with_cross_product_past_bound():
+    # the rays' entries lie in [-24, 24]; (0, 4, 3) x (12, 3, -4) reduces to
+    # (25, -36, 48), which packed base 51 without a bound would alias the ray
+    # (24, 16, -3)
+    return [RationalPoint(Q(x, n), Q(y, n), Q(z, n)) for x, y, z, n in
+            ((0, 4, 3, 5), (0, 7, -24, 25), (12, 3, -4, 13), (24, 16, -3, 29))]
+
+
+def test_triad_of_large_rays_found():
+    # the triad through the z axis must still be found
+    points = _large_rays()
     report = verify_meyer_conditions(points)
     assert (report.rays, report.pairs, report.triads) == (4, 4, 1)
     assert report == _combinations_reference(points)
 
 
 def test_cross_product_past_ray_bound_is_no_ray():
-    # the rays' entries lie in [-24, 24]; (0, 4, 3) x (12, 3, -4) reduces to
-    # (25, -36, 48), which packed base 51 without a bound would alias the ray
-    # (24, 16, -3): it must not count as a triad
-    points = [RationalPoint(Q(x, n), Q(y, n), Q(z, n)) for x, y, z, n in
-              ((0, 4, 3, 5), (0, 7, -24, 25), (12, 3, -4, 13), (24, 16, -3, 29))]
+    # (25, -36, 48) must not count as a triad
+    points = _rays_with_cross_product_past_bound()
     report = verify_meyer_conditions(points)
     assert (report.pairs, report.triads) == (1, 0)
     assert report == _combinations_reference(points)
+
+
+def _ray_array(points):
+    """The distinct canonical rays of points as a sorted (R, 3) int64 array."""
+    triples = np.array([p.triple for p in points], dtype=np.int64).reshape(-1, 3)
+    return meyer._unique_rows(meyer._canonical_rows(triples))
+
+
+def _upper_triangle_pairs(a):
+    """Reference pair scan: the zeros above the diagonal of the Gram matrix
+    of the sorted rays a, in row blocks of at least 16 rows, in order."""
+    block = max(16, (1 << 15) // max(1, len(a)))
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(a), block):
+        i, j = np.nonzero(a[lo:lo + block] @ a[lo:].T == 0)
+        upper = j > i
+        rows.append(i[upper] + lo)
+        cols.append(j[upper] + lo)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _class_gram(a):
+    """Dot products mod 4 of the distinct residue vectors mod 4 of the rows of a."""
+    classes = np.unique(a % 4, axis=0)
+    return classes @ classes.T % 4
+
+
+@pytest.mark.parametrize("points", [
+    *(pytest.param(lambda n=n: enumerate_pyth_points(n), id=f"corpus-{n}")
+      for n in (1, 5, 25, 40, 60, 100)),
+    pytest.param(lambda: _mixed_points(25, 1), id="mixed-25"),
+    pytest.param(_large_rays, id="large-rays"),
+    pytest.param(_rays_with_cross_product_past_bound, id="cross-product-past-bound"),
+])
+def test_residue_sieve_matches_upper_triangle_scan(points):
+    a = _ray_array(points())
+    i, j = meyer._orthogonal_pairs(a)
+    ref_i, ref_j = _upper_triangle_pairs(a)
+    assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+    # the sieve never pairs a class with itself: p . p = n^2 = 1 mod 4
+    assert (np.diag(_class_gram(a)) == 1).all()
 
 
 def test_denominators_over_int64_rejected_before_conversion():
@@ -313,3 +363,8 @@ def test_parity_lemma_max_n_25():
               if w > v and (u, w) in orth_set and (v, w) in orth_set]
     assert len(triads) == TRIADS_25
     assert all(sum(r[2] % 2 for r in t) == 1 for t in triads)
+    # the two even coordinates agree mod 4, so the rays fall in the 12
+    # residue classes mod 4, of which 24 pairs can be orthogonal
+    gram = _class_gram(np.array(rays, dtype=np.int64))
+    assert len(gram) == 12
+    assert np.count_nonzero(np.triu(gram == 0)) == 24

@@ -55,17 +55,7 @@ def emit(report: dict, args: argparse.Namespace) -> None:
         for key, value in rows:
             print(f"{key},{value}")
     else:
-        print(json.dumps(report, indent=2, default=_json_default, allow_nan=False))
-
-
-def _json_default(obj):
-    if isinstance(obj, Q):
-        return {"numerator": obj.numerator, "denominator": obj.denominator}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def load_vector_set(name: str) -> VectorSet:
@@ -683,7 +673,8 @@ def _common_options(defaults: bool) -> argparse.ArgumentParser:
                         help="flat key,value output")
     common.add_argument("--tolerance", type=_bounded(float, "--tolerance", 0),
                         default=None if defaults else suppress,
-                        help="override the pass tolerance of verification commands")
+                        help="override the pass tolerance of quantum reconstruct "
+                             "and quantum generator")
     return common
 
 
@@ -758,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     logic_parser = sub.add_parser("logic", help="lattice law checking")
     logic_sub = logic_parser.add_subparsers(dest="subcommand", required=True)
     lh = logic_sub.add_parser("heyting", parents=[local])
-    lh.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
+    lh.add_argument("--dim", type=_bounded(int, "--dim", 2, 4), default=2)
     lh.add_argument("--bases", type=_bounded(int, "--bases", 1, logic.MAX_POSET_BASES),
                     default=2)
     lh.add_argument("--variant", choices=("l2", "l3"), default="l3")

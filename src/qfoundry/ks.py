@@ -11,16 +11,18 @@ complete backtracking with unit propagation, so a negative answer is an
 exhaustion certificate.  Its state is two int bitsets over the vectors,
 those fixed to 1 and those fixed to 0, passed down the recursion; each
 basis is one mask, and propagation visits only the bases of a changed
-vector.  Counting runs on the same state: after every decision the free
-vectors are split again into connected parts, whose counts multiply, and
-each part's count is cached by its free-vector mask for one call.
+vector.  One branching rule, `_Search.branches`, lists the decisions at
+a node for both searches: the decision stops at its first coloring, and
+counting, on the same state, splits the free vectors again into connected
+parts after every decision, multiplies the parts' counts and caches each
+part's count by its free-vector mask for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Optional
 
 from .exact import (
     DegenerateInputError,
@@ -68,12 +70,15 @@ class ExhaustionCertificate:
 @dataclass(frozen=True)
 class SearchResult:
     coloring: Optional[Coloring]
-    certificate: Optional[ExhaustionCertificate]
     nodes_explored: int
 
     @property
     def colorable(self) -> bool:
         return self.coloring is not None
+
+    @property
+    def certificate(self) -> Optional[ExhaustionCertificate]:
+        return None if self.colorable else ExhaustionCertificate(self.nodes_explored)
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,8 @@ def _bits(mask: int):
 
 
 class _Search:
-    """Backtracking over two int bitsets: the vectors fixed to 1 and to 0."""
+    """Propagation and the one branching rule over two int bitsets: the
+    vectors fixed to 1 and to 0."""
 
     def __init__(self, structure: OrthStructure):
         self.n = len(structure.vectors)
@@ -171,7 +177,8 @@ class _Search:
         for i, j in structure.pairs:
             self.orth[i] |= 1 << j
             self.orth[j] |= 1 << i
-        self.nodes = 0
+        self.full = (1 << self.n) - 1
+        self.neg_degree = [-m.bit_count() for m in self.orth]
 
     def propagate(self, ones: int, zeros: int, queue: list[int]) -> Optional[tuple[int, int]]:
         """Close (ones, zeros) under the forcing rules; None on contradiction.
@@ -198,50 +205,50 @@ class _Search:
                     queue.append(open_.bit_length() - 1)
         return ones, zeros
 
-    def colorings(self, ones: int, zeros: int) -> Iterator[int]:
-        """Depth-first search; yields the `ones` mask of each coloring found."""
-        self.nodes += 1
-        # the first basis with no 1 and the fewest open members
-        basis = min((m for m in self.basis_masks if not m & ones),
-                    key=lambda m: (m & ~zeros).bit_count(), default=None)
-        if basis is not None:
-            # highest orthogonality degree first, ties by ascending index
-            for u in sorted(_bits(basis & ~zeros),
-                            key=lambda u: (-self.orth[u].bit_count(), u)):
-                state = self.propagate(ones | 1 << u, zeros, [u])
-                if state:
-                    yield from self.colorings(*state)
-            return
-        # all bases satisfied: branch the remaining pair-only vectors, 1 first
-        free = ~(ones | zeros) & ((1 << self.n) - 1)
+    def branches(self, ones: int, zeros: int) -> list[tuple[int, int, list[int]]]:
+        """The decisions at a propagated node, as `propagate` arguments: each
+        open member of the first basis with no 1 and the fewest open members
+        set to 1, highest degree first, ties by index; when every basis holds
+        a 1, the lowest free vector set to 1, then to 0; none when no vector
+        is free.  After propagation a basis has an open member exactly when
+        it holds no 1, so the rule reads the same on one connected part, as
+        `branches(0, ~part)`.
+        """
+        free = ~(ones | zeros) & self.full
+        basis = min((m & free for m in self.basis_masks if m & free),
+                    key=int.bit_count, default=0)
+        if basis:
+            return [(ones | 1 << u, zeros, [u])
+                    for u in sorted(_bits(basis), key=self.neg_degree.__getitem__)]
         if not free:
-            yield ones
-            return
+            return []
         v = (free & -free).bit_length() - 1
-        for state in ((ones | 1 << v, zeros), (ones, zeros | 1 << v)):
-            state = self.propagate(*state, [v])
-            if state:
-                yield from self.colorings(*state)
-
-    def solutions(self) -> Iterator[int]:
-        """Every coloring's `ones` mask, lazily: the search stops when the
-        caller does, so `nodes` counts only the nodes visited so far."""
-        state = self.propagate(0, 0, list(range(self.n)))
-        return self.colorings(*state) if state else iter(())
-
-    def run(self, count_all: bool) -> tuple[list[tuple[int, ...]], int]:
-        """All colorings, or only the first, as 0/1 tuples; and the nodes."""
-        found = islice(self.solutions(), None if count_all else 1)
-        solutions = [tuple(ones >> v & 1 for v in range(self.n)) for ones in found]
-        return solutions, self.nodes
+        return [(ones | 1 << v, zeros, [v]), (ones, zeros | 1 << v, [v])]
 
 
 def search_coloring(structure: OrthStructure) -> SearchResult:
     """Find a satisfying coloring or certify by exhaustion that none exists."""
-    solutions, nodes = _Search(structure).run(count_all=False)
-    if solutions:
-        return SearchResult(Coloring(solutions[0]), None, nodes)
-    return SearchResult(None, ExhaustionCertificate(nodes), nodes)
+    search = _Search(structure)
+    nodes = 0
+
+    def first(ones: int, zeros: int) -> Optional[int]:
+        """Depth-first; the `ones` mask of the first coloring below the node."""
+        nonlocal nodes
+        nodes += 1
+        decisions = search.branches(ones, zeros)
+        if not decisions:
+            return ones
+        for decision in decisions:
+            state = search.propagate(*decision)
+            found = first(*state) if state else None
+            if found is not None:
+                return found
+        return None
+
+    state = search.propagate(0, 0, list(range(search.n)))
+    found = first(*state) if state else None
+    coloring = None if found is None else Coloring(tuple(found >> v & 1 for v in range(search.n)))
+    return SearchResult(coloring, nodes)
 
 
 def count_colorings(structure: OrthStructure) -> int:
@@ -249,11 +256,11 @@ def count_colorings(structure: OrthStructure) -> int:
 
     After unit propagation the free vectors split into connected parts
     (linked by a shared basis or pair), and the count is the product of
-    the parts' counts.  A part is counted by branching on its basis with
-    the fewest free members, one branch per member set to 1, and each
-    branch is propagated and split again.  Part counts are cached by the
-    part's free-vector mask for the length of one call; no coloring is
-    stored, and a vector in no basis and no pair is a factor of 2.
+    the parts' counts.  A part is counted over the decisions of
+    `_Search.branches`, and each branch is propagated and split again.
+    Part counts are cached by the part's free-vector mask for the length
+    of one call; no coloring is stored, and a vector in no basis and no
+    pair is a factor of 2.
     """
     if len(structure.vectors) > COUNT_LIMIT:
         raise NotApplicableError(
@@ -261,7 +268,6 @@ def count_colorings(structure: OrthStructure) -> int:
             f"enumeration limit of {COUNT_LIMIT}"
         )
     search = _Search(structure)
-    full = (1 << search.n) - 1
     # Why the free mask alone is a sound key: after propagation every
     # neighbour of a 1 is 0, so a basis that still has a free member holds
     # no 1 and asks for exactly one 1 among its free members (all in one
@@ -272,7 +278,7 @@ def count_colorings(structure: OrthStructure) -> int:
 
     def residual(ones: int, zeros: int) -> int:
         """Product of the counts of the connected parts of the free vectors."""
-        free = ~(ones | zeros) & full
+        free = ~(ones | zeros) & search.full
         total = 1
         while free and total:
             part, grown = 0, free & -free
@@ -286,18 +292,9 @@ def count_colorings(structure: OrthStructure) -> int:
 
     def part_count(part: int) -> int:
         if part not in cache:
-            outside = ~part
-            basis = min((m & part for m in search.basis_masks if m & part),
-                        key=int.bit_count, default=0)
-            if basis:
-                # exactly one free member of the basis is 1
-                branches = [(1 << u, outside, u) for u in _bits(basis)]
-            else:
-                v = (part & -part).bit_length() - 1
-                branches = [(1 << v, outside, v), (0, outside | 1 << v, v)]
             total = 0
-            for ones, zeros, v in branches:
-                state = search.propagate(ones, zeros, [v])
+            for decision in search.branches(0, ~part):
+                state = search.propagate(*decision)
                 if state:
                     total += residual(*state)
             cache[part] = total

@@ -208,6 +208,15 @@ def test_bell_chsh_paper_angles(capsys):
     assert payload["value"] == pytest.approx(2.8284271, abs=1e-6)
 
 
+def test_bell_chsh_grid(capsys):
+    payload = run_json(
+        capsys, "bell", "chsh", "--angles", "0,1.5707963,5.4977871,3.9269908", "--grid"
+    )
+    assert payload["tsirelson"] == 2 * math.sqrt(2)
+    # the degree grid holds the optimal angles, so it reaches the bound
+    assert payload["tsirelson"] - 1e-12 <= payload["grid_max"] <= payload["tsirelson"]
+
+
 def test_bell_chsh_bad_angles(capsys):
     code, _, err = run_cli(capsys, "bell", "chsh", "--angles", "1,2,3")
     assert code == 2
@@ -358,6 +367,25 @@ def test_csv_output(capsys):
     assert rows["coefficient"] == "4/55"
 
 
+def test_csv_output_indexes_list_entries(capsys):
+    code, out, _ = run_cli(capsys, "bell", "chsh", "--angles", "0,1,2.5,3", "--csv")
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.strip().splitlines())
+    assert [rows[f"angles[{k}]"] for k in range(4)] == ["0.0", "1.0", "2.5", "3.0"]
+    assert "angles" not in rows
+
+
+def test_library_value_error_is_a_numeric_failure(capsys, monkeypatch):
+    def singular(*angles):
+        raise ValueError("singular matrix")
+
+    monkeypatch.setattr(cli.bell, "chsh_value", singular)
+    code, out, err = run_cli(capsys, "bell", "chsh", "--angles", "0,1,2,3")
+    assert code == 1
+    assert out == ""
+    assert err == "numeric failure: singular matrix\n"
+
+
 def test_verify_all_human_output(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--shots", "20000")
     assert code == 0
@@ -458,6 +486,7 @@ def _coord(num, den=1):
          "--tolerance must lie in [0, inf), got inf"),
         (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, 64]"),
         (["logic", "heyting", "--bases", "65"], 2, "--bases must lie in [1, 64], got 65"),
+        (["logic", "heyting", "--dim", "5"], 2, "--dim must lie in [2, 4], got 5"),
         (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf), got -1"),
         (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
@@ -491,7 +520,7 @@ def _coord(num, den=1):
          "too-many-bases", "negative-shots", "program-directory", "non-utf8-program",
          "nan-eps", "nan-tolerance", "negative-tolerance",
          "inf-tolerance", "zero-heyting-bases",
-         "heyting-bases-over-cap",
+         "heyting-bases-over-cap", "heyting-dim-over-cap",
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
          "zero-dimension", "empty-vector-list", "count-over-limit",

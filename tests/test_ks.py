@@ -13,7 +13,6 @@ from qfoundry.ks import (
     Coloring,
     NotApplicableError,
     OrthStructure,
-    _Search,
     build_orth_structure,
     cabello_parity_witness,
     complete_pairs_to_triads,
@@ -155,7 +154,7 @@ def test_count_multiplies_parts_with_bases():
 
 
 def _unsplit_count(structure):
-    return sum(1 for _ in _Search(structure).solutions())
+    return len(_trail_search(structure, count_all=True)[0])
 
 
 @pytest.mark.parametrize("base, dropped, expected", [
@@ -215,7 +214,7 @@ def test_search_nodes_are_frozen(peres, cabello):
 def _trail_search(structure, count_all):
     """Reference search on an assignment array with a trail, undone on backtrack.
 
-    Same rules and tie-breaks as ks._Search; returns (solutions, nodes).
+    Same rules and tie-breaks as ks.search_coloring; returns (solutions, nodes).
     """
     n, unset = len(structure.vectors), -1
     adj = [set() for _ in range(n)]
@@ -295,8 +294,11 @@ def test_search_matches_trail_reference(peres, cabello):
             cases.append(build_orth_structure(VectorSet(full.dimension, kept)))
     cases += [build_orth_structure(_random_structure(rng)) for _ in range(10)]
     for structure in cases:
-        for count_all in (False, True):
-            assert _Search(structure).run(count_all) == _trail_search(structure, count_all)
+        first, nodes = _trail_search(structure, count_all=False)
+        result = search_coloring(structure)
+        assert ([result.coloring.assignment] if result.colorable else []) == first
+        assert result.nodes_explored == nodes
+        assert count_colorings(structure) == _unsplit_count(structure)
 
 
 def _e8_rays() -> VectorSet:

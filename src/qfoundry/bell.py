@@ -2,10 +2,9 @@
 variant, the imprecise-measurement probability bound, and the free-will
 robustness counting.
 
-Closed forms are cross-checked against the dense linear algebra of
-:mod:`qfoundry.quantum`; hidden-variable strategies live on explicit
-response tables so the deterministic bound of 2 can be certified by
-exhaustion with exact integer arithmetic.
+Hidden-variable strategies live on explicit response tables so the
+deterministic bound of 2 can be certified by exhaustion with exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .exact import cross_product
 from .ks import OrthStructure, NotApplicableError
-from .quantum import SINGLET, categorical_counts, spin_operator, spin_projectors, tensor
+from .quantum import SINGLET, categorical_counts, spin_projectors
 
 GRID_STEP_DEGREES = 1  # exhaustive sweeps use the 1-degree grid
 
@@ -37,12 +36,6 @@ def singlet_correlation(r1: AngleSetting, r2: AngleSetting) -> float:
     return -math.cos(r1.phi) * math.cos(r2.phi) - math.cos(
         r1.theta - r2.theta
     ) * math.sin(r1.phi) * math.sin(r2.phi)
-
-
-def singlet_correlation_matrix(r1: AngleSetting, r2: AngleSetting) -> float:
-    """The same expectation from the dense tensor-product computation."""
-    op = tensor(spin_operator(r1.theta, r1.phi), spin_operator(r2.theta, r2.phi))
-    return float(np.real(SINGLET.conj() @ op @ SINGLET))
 
 
 def chsh_value(
@@ -101,19 +94,6 @@ class LhvStrategy:
                 raise ValueError("response table length must match hidden samples")
             if any(r not in (-1, 1) for r in table):
                 raise ValueError("responses must be +-1")
-
-    def correlation(self, x: int, y: int) -> Q:
-        """Exact expectation of the product of the two responses."""
-        return sum(
-            p * a * b
-            for p, a, b in zip(
-                self.hidden_probabilities, self.responses_a[x], self.responses_b[y]
-            )
-        )
-
-    def exact_chsh(self) -> Q:
-        e = self.correlation
-        return abs(e(0, 0) - e(0, 1)) + abs(e(1, 0) + e(1, 1))
 
 
 def anticorrelated_strategy() -> LhvStrategy:
@@ -258,11 +238,6 @@ def sequential_logical_bell(
 def prob_sum_is_two(p1: float, p2: float, p3: float) -> float:
     """Probability that exactly two of three independent 0/1 results are 1."""
     return (1 - p1) * p2 * p3 + p1 * (1 - p2) * p3 + p1 * p2 * (1 - p3)
-
-
-def violates_rounded_sum_rule(p1: float, p2: float, p3: float) -> bool:
-    """Whether the rounded (most probable) outcomes break the two-of-three rule."""
-    return sum(1 for p in (p1, p2, p3) if p >= 0.5) != 2
 
 
 def imprecise_sum_grid_sup(steps: int = 101) -> tuple[float, tuple[float, float, float]]:

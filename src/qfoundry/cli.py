@@ -47,15 +47,22 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, repr(value) if isinstance(value, float) else str(value)))
 
 
+def _write(text: str) -> None:
+    """Print to stdout; once its reader is gone, send all output to os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the command goes on to return its own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def emit(report: dict, args: argparse.Namespace) -> None:
     report = {"schema": SCHEMA, **report}
     if args.csv:
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
-        for key, value in rows:
-            print(f"{key},{value}")
+        _write("\n".join(f"{key},{value}" for key, value in rows))
     else:
-        print(json.dumps(report, indent=2, allow_nan=False))
+        _write(json.dumps(report, indent=2, allow_nan=False))
 
 
 def load_vector_set(name: str) -> VectorSet:
@@ -97,14 +104,17 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 def _bounded(convert: Callable, option: str, low=-math.inf, high=math.inf) -> Callable:
     """Argument type: a finite number in [low, high] (an infinite end is open)."""
     span = f"{'(' if low == -math.inf else '['}{low}, {high}{')' if high == math.inf else ']'}"
+    kind = "a number" if convert is float else "an integer"
 
     def checked(text: str):
-        value = convert(text)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise CliError(f"{option} must be {kind} in {span}, got {text}") from None
         if not low <= value <= high or value in (-math.inf, math.inf):
             raise CliError(f"{option} must lie in {span}, got {text}")
         return value
 
-    checked.__name__ = convert.__name__  # argparse names the type in parse errors
     return checked
 
 
@@ -421,7 +431,7 @@ def cmd_data_export(args) -> int:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
         emit({"set": args.set, "written": args.out, "vectors": len(vset)}, args)
     else:
-        print(json.dumps(vset.to_json_dict(), indent=1))
+        _write(json.dumps(vset.to_json_dict(), indent=1))
     return 0
 
 
@@ -645,9 +655,9 @@ def cmd_verify_all(args) -> int:
         for r in results:
             status = "PASS" if r["passed"] else "FAIL"
             extra = "" if r["passed"] else f"  ({r['error']})"
-            print(f"[{status}] {r['check']}{extra}")
-        print(f"{'all checks passed' if all_passed else 'FAILURES present'} "
-              f"(seed={args.seed:#x})")
+            _write(f"[{status}] {r['check']}{extra}")
+        _write(f"{'all checks passed' if all_passed else 'FAILURES present'} "
+               f"(seed={args.seed:#x})")
     return 0 if all_passed else CHECK_FAILURE
 
 

@@ -1,10 +1,9 @@
 """Subspace logic and context-indexed Heyting algebras.
 
-Three structures are implemented: the lattice of closed subspaces with
-span/intersection/orthocomplement connectives, its extension by finite
-unions of subspaces, and two lattices of context-indexed projection
-assignments over a finite poset of abelian algebras (one monotone along
-inclusion, one against it).  Within each context everything is an exact
+Two structures are implemented: the lattice of closed subspaces with
+span/intersection/orthocomplement connectives, and two lattices of
+context-indexed projection assignments over a finite poset of abelian
+algebras (one monotone along inclusion, one against it).  Within each context everything is an exact
 bitmask over that context's atoms; floating point only enters when
 projections are related across contexts.
 """
@@ -22,7 +21,6 @@ from .quantum import STRUCT_TOL, ProjectionOp, _as_matrix
 
 CONTAINMENT_TOL = 1e-9
 MAX_SUBSPACE_DIM = 4
-MAX_UNION_COMPONENTS = 8
 MAX_EXHAUSTIVE_ELEMENTS = 512  # the law check holds (E, E, C) mask tables
 MAX_POSET_BASES = 64  # the poset build compares every pair of contexts
 CONTAINMENT_BLOCK = 1 << 14  # atom pairs per batched containment test
@@ -57,11 +55,6 @@ def _containment(atoms: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def projector_leq(p: np.ndarray, q: np.ndarray) -> bool:
-    """Range inclusion P <= Q, by _containment on the pair."""
-    return bool(_containment(np.array([p, q], dtype=complex))[1, 0])
-
-
 class Subspace:
     """A closed subspace of C^n, held as its orthogonal projection."""
 
@@ -86,17 +79,6 @@ class Subspace:
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         keep = u[:, s > CONTAINMENT_TOL]
         return cls(keep @ keep.conj().T)
-
-    @classmethod
-    def zero(cls, dimension: int) -> "Subspace":
-        return cls(np.zeros((dimension, dimension), dtype=complex))
-
-    @classmethod
-    def full(cls, dimension: int) -> "Subspace":
-        return cls(np.eye(dimension, dtype=complex))
-
-    def __le__(self, other: "Subspace") -> bool:
-        return projector_leq(self.projection, other.projection)
 
     def isclose(self, other: "Subspace") -> bool:
         return float(np.linalg.norm(self.projection - other.projection, 2)) <= CONTAINMENT_TOL
@@ -123,34 +105,6 @@ def ql_meet(a: Subspace, b: Subspace) -> Subspace:
 
 def ql_ortho(a: Subspace) -> Subspace:
     return Subspace(np.eye(a.dimension) - a.projection)
-
-
-def orthomodular_holds(p: Subspace, q: Subspace) -> bool:
-    """P <= Q implies Q = P v (Q ^ not-P)."""
-    if not p <= q:
-        return True
-    rebuilt = ql_join(p, ql_meet(q, ql_ortho(p)))
-    return rebuilt.isclose(q)
-
-
-def l1_union(subspaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
-    """An element of the union lattice: a finite union of closed subspaces."""
-    if len(subspaces) > MAX_UNION_COMPONENTS:
-        raise ValueError(f"unions capped at {MAX_UNION_COMPONENTS} components")
-    return tuple(subspaces)
-
-
-def l1_join(a: Sequence[Subspace], b: Sequence[Subspace]) -> tuple[Subspace, ...]:
-    return tuple(ql_join(x, y) for x in a for y in b)
-
-
-def l1_meet(a: Sequence[Subspace], b: Sequence[Subspace]) -> tuple[Subspace, ...]:
-    return tuple(ql_meet(x, y) for x in a for y in b)
-
-
-def l1_double_negation(a: Sequence[Subspace]) -> Subspace:
-    """The smallest closed subspace containing the union."""
-    return ql_join(*a)
 
 
 @dataclass(frozen=True)
@@ -186,27 +140,6 @@ class Context:
     def size(self) -> int:
         return len(self.atoms)
 
-    def mask_to_projection(self, mask: int) -> np.ndarray:
-        dim = self.atoms[0].shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, atom in enumerate(self.atoms):
-            if mask >> k & 1:
-                out = out + atom
-        return out
-
-    def projection_to_mask(self, projection) -> Optional[int]:
-        """The atom subset realizing a projection, or None if not in P(C)."""
-        mat = _as_matrix(projection)
-        mask = 0
-        for k, atom in enumerate(self.atoms):
-            weight = np.trace(atom @ mat).real / np.trace(atom).real
-            if weight > 0.5:
-                mask |= 1 << k
-        rebuilt = self.mask_to_projection(mask)
-        if np.linalg.norm(rebuilt - mat, 2) <= CONTAINMENT_TOL:
-            return mask
-        return None
-
 
 class ContextPoset:
     """A finite poset of contexts ordered by algebra inclusion.
@@ -239,7 +172,7 @@ class ContextPoset:
             if not same[keep, j].any():
                 keep.append(j)
         self.contexts = [contexts[k] for k in keep]
-        self._included = included[np.ix_(keep, keep)]
+        included = included[np.ix_(keep, keep)]
         n = len(keep)
         sizes = [ctx.size for ctx in self.contexts]
         self._full = [(1 << size) - 1 for size in sizes]
@@ -255,17 +188,13 @@ class ContextPoset:
         for i, span in enumerate(spans):
             parent = leq[span].argmax(axis=0)
             masks = np.arange(1 << sizes[i])
-            for j in np.flatnonzero(self._included[i]):
+            for j in np.flatnonzero(included[i]):
                 self.refine[i][j] = parent[spans[j]].tolist()
                 # the expansion of every mask of context i, indexed by mask
                 self._expand[i][j] = sum((masks >> p & 1) << k for k, p in
                                          enumerate(self.refine[i][j])).astype(self.mask_dtype)
-        self._subs = [tuple(np.flatnonzero(col).tolist()) for col in self._included.T]
-        self._supers = [tuple(np.flatnonzero(row).tolist()) for row in self._included]
-
-    def included(self, i: int, j: int) -> bool:
-        """Whether context i's algebra is contained in context j's."""
-        return bool(self._included[i, j])
+        self._subs = [tuple(np.flatnonzero(col).tolist()) for col in included.T]
+        self._supers = [tuple(np.flatnonzero(row).tolist()) for row in included]
 
     def sub_contexts(self, j: int) -> tuple[int, ...]:
         """Contexts included in context j (j among them), ascending."""
@@ -388,18 +317,6 @@ def top(poset: ContextPoset) -> ContextFunction:
     return ContextFunction([poset.full_mask(i) for i in range(len(poset.contexts))])
 
 
-def cf_leq(a: ContextFunction, b: ContextFunction) -> bool:
-    return all((am & ~bm) == 0 for am, bm in zip(a.masks, b.masks))
-
-
-def cf_join(a: ContextFunction, b: ContextFunction) -> ContextFunction:
-    return ContextFunction([am | bm for am, bm in zip(a.masks, b.masks)])
-
-
-def cf_meet(a: ContextFunction, b: ContextFunction) -> ContextFunction:
-    return ContextFunction([am & bm for am, bm in zip(a.masks, b.masks)])
-
-
 def _require_monotone(poset, elements, variant):
     for el in elements:
         if not is_monotone(poset, el, variant):
@@ -441,19 +358,6 @@ def l2_implication(
     """Largest context projection below every finer complement-join."""
     _require_monotone(poset, (s1, s2), VARIANT_UP)
     return ContextFunction(_arrow(poset, VARIANT_UP, *np.array([s1.masks, s2.masks])).tolist())
-
-
-def embed_projection(poset: ContextPoset, projection) -> ContextFunction:
-    """The canonical downward-monotone element of a single projection:
-    the projection itself where expressible, the identity elsewhere."""
-    masks = []
-    for i, ctx in enumerate(poset.contexts):
-        mask = ctx.projection_to_mask(projection)
-        masks.append(mask if mask is not None else poset.full_mask(i))
-    element = ContextFunction(masks)
-    if not is_monotone(poset, element, VARIANT_DOWN):
-        raise ValueError("projection embedding is not monotone on this poset")
-    return element
 
 
 def enumerate_elements(poset: ContextPoset, variant: str) -> list[ContextFunction]:

@@ -69,11 +69,6 @@ def _unique_rows(t):
     return t[first]
 
 
-def meyer_color(p: RationalPoint) -> int:
-    """0 when the primitive triple's third coordinate is odd, else 1."""
-    return _triple_color(p.triple)
-
-
 def _triple_color(t):
     """The color rule on a triple, or on the rows of a (3, R) int array."""
     return 1 - t[2] % 2

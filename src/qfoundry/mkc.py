@@ -331,23 +331,6 @@ def nearest_family_observable(
     return candidates[m, p], m, float(dists[best])
 
 
-def factorization_defect(observable, dims: tuple[int, int] = (2, 2)) -> float:
-    """Distance of a two-party operator from the one-sided product form.
-
-    Returns the operator-norm gap between the matrix and X (x) 1 for the
-    best X, which is the normalized partial trace over the second factor.
-    A realized family observable for a composite system generically has a
-    large defect: the family does not respect the tensor-product split.
-    """
-    mat = _as_matrix(observable)
-    d1, d2 = dims
-    if mat.shape[0] != d1 * d2:
-        raise ValueError(f"operator dimension {mat.shape[0]} is not {d1}*{d2}")
-    blocks = mat.reshape(d1, d2, d1, d2)
-    partial = np.einsum("ikjk->ij", blocks) / d2
-    return float(np.linalg.norm(mat - np.kron(partial, np.eye(d2)), 2))
-
-
 @dataclass(frozen=True)
 class SequenceReport:
     """Aggregated outcomes of a repeated measurement sequence."""

@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Trace-rule probabilities, projective collapse, categorical sampling, spin
-operators, Kronecker products, reconstruction of a state from an
+operators, reconstruction of a state from an
 expectation-value oracle, and the single-generator construction for tuples
 of orthogonal projections.
 
@@ -180,15 +180,6 @@ def spin_projectors(theta: float, phi: float) -> tuple[ProjectionOp, ProjectionO
     return ProjectionOp((eye + sigma) / 2), ProjectionOp((eye - sigma) / 2)
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor varies slowest (e1⊗e1 is the
-    first coordinate of the product basis)."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape[0] * bm.shape[0] > MAX_DIM:
-        raise ValueError("tensor product dimension exceeds the cap of 16")
-    return np.kron(am, bm)
-
-
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2.0)
 
 
@@ -242,25 +233,6 @@ def reconstruct_state(
         )
     # coords holds <e_i, U e_j>; assemble U in the original coordinates
     return b @ coords @ b.conj().T
-
-
-def dispersive_direction(state: np.ndarray) -> np.ndarray:
-    """A unit vector e with 0 < Tr(U P_e) < 1, witnessing dispersion.
-
-    Any unit-trace positive operator admits one: mix the leading eigenvector
-    with an orthogonal completion direction.
-    """
-    mat = _as_matrix(state)
-    _, vectors = np.linalg.eigh(mat)
-    top = vectors[:, -1]
-    other = vectors[:, 0]
-    for weight in (0.5, 0.25, 0.75):
-        e = math.sqrt(weight) * top + math.sqrt(1 - weight) * other
-        e = e / np.linalg.norm(e)
-        p = float(np.real(e.conj() @ mat @ e))
-        if ARITH_TOL < p < 1 - ARITH_TOL:
-            return e
-    raise ValueError("no dispersive direction found; operator is not a state")
 
 
 def generator_alphas(n: int) -> list[float]:

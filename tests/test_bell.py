@@ -7,7 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qfoundry import bell, ks
+from qfoundry import bell, ks, meyer
+from qfoundry import quantum as qt
 from qfoundry.datasets import build_cabello18, build_peres33
 
 PAPER_CHSH_ANGLES = (0.0, math.pi / 2, 7 * math.pi / 4, 5 * math.pi / 4)
@@ -25,13 +26,15 @@ def test_singlet_correlation_examples():
 
 
 def test_singlet_correlation_closed_form_matches_matrices():
+    # against <singlet| sigma_r1 (x) sigma_r2 |singlet> in dense tensor algebra
     rng = np.random.default_rng(31)
     for _ in range(60):
         t1, t2 = rng.uniform(0, 2 * math.pi, 2)
         p1, p2 = rng.uniform(0, math.pi, 2)
         r1, r2 = bell.AngleSetting(t1, p1), bell.AngleSetting(t2, p2)
+        op = np.kron(qt.spin_operator(t1, p1), qt.spin_operator(t2, p2))
         assert bell.singlet_correlation(r1, r2) == pytest.approx(
-            bell.singlet_correlation_matrix(r1, r2), abs=1e-12
+            float(np.real(qt.SINGLET.conj() @ op @ qt.SINGLET)), abs=1e-12
         )
 
 
@@ -68,18 +71,29 @@ def test_chsh_random_angles_below_tsirelson():
         assert bell.chsh_value(*angles) <= bell.TSIRELSON + 1e-12
 
 
+def _correlation(strategy, x, y):
+    """Exact expectation of the product of the two responses."""
+    return sum(p * a * b for p, a, b in zip(
+        strategy.hidden_probabilities, strategy.responses_a[x], strategy.responses_b[y]))
+
+
+def _exact_chsh(strategy):
+    e = [[_correlation(strategy, x, y) for y in (0, 1)] for x in (0, 1)]
+    return abs(e[0][0] - e[0][1]) + abs(e[1][0] + e[1][1])
+
+
 def test_anticorrelated_strategy_exact():
     strategy = bell.anticorrelated_strategy()
     # enumerate the four hidden values by hand: E(x,y) = -delta_{xy}
-    assert strategy.correlation(0, 0) == Q(-1)
-    assert strategy.correlation(0, 1) == Q(0)
-    assert strategy.correlation(1, 1) == Q(-1)
-    assert strategy.exact_chsh() == Q(2)
+    assert _correlation(strategy, 0, 0) == Q(-1)
+    assert _correlation(strategy, 0, 1) == Q(0)
+    assert _correlation(strategy, 1, 1) == Q(-1)
+    assert _exact_chsh(strategy) == Q(2)
 
 
 def test_random_strategy_chsh_zero():
     strategy = bell.random_response_strategy()
-    assert strategy.exact_chsh() == Q(0)
+    assert _exact_chsh(strategy) == Q(0)
     value, sigma = bell.lhv_chsh_monte_carlo(strategy, 100_000, seed=5)
     assert abs(value) <= 5 * sigma
 
@@ -268,7 +282,7 @@ def test_imprecise_grid_sup():
     sup, arg = bell.imprecise_sum_grid_sup(101)
     assert sup <= 0.5 + 1e-9
     assert sup >= 0.5 - 1e-3
-    assert bell.violates_rounded_sum_rule(*arg)
+    assert sum(p >= 0.5 for p in arg) != 2  # the rounded outcomes break the rule
 
 
 def _meshgrid_grid_sup(steps):
@@ -291,17 +305,15 @@ def test_imprecise_grid_sup_matches_meshgrid(steps):
 
 def test_prob_sum_two_exceeds_half_off_region():
     assert bell.prob_sum_is_two(0.95, 0.95, 0.05) > 0.5
-    assert not bell.violates_rounded_sum_rule(0.95, 0.95, 0.05)
+    assert sum(p >= 0.5 for p in (0.95, 0.95, 0.05)) == 2
 
 
 def test_appleby_bound_from_meyer_neighborhoods():
     """Couple the bound to the dense coloring: outcome probabilities are
     neighborhood averages of actual colors around a rational triad."""
-    from qfoundry.meyer import enumerate_pyth_points, meyer_color
-
-    points = enumerate_pyth_points(25)
+    points = meyer.enumerate_pyth_points(25)
     unit = {p.triple: np.array(p.triple, dtype=float) / p.n for p in points}
-    colors = {p.triple: meyer_color(p) for p in points}
+    colors = {p.triple: meyer._triple_color(p.triple) for p in points}
     triad = [(2, 2, 1), (2, -1, -2), (1, -2, 2)]
     radius = 0.35
     probs = []
@@ -314,7 +326,7 @@ def test_appleby_bound_from_meyer_neighborhoods():
         ]
         assert near, "empty neighborhood"
         probs.append(float(np.mean(near)))
-    if bell.violates_rounded_sum_rule(*probs):
+    if sum(p >= 0.5 for p in probs) != 2:
         assert bell.prob_sum_is_two(*probs) <= 0.5 + 1e-12
 
 

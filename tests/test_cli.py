@@ -173,13 +173,16 @@ def test_verify_all_reconstruction_matches_per_trial_calls(capsys, seed):
     assert details["max_entry_error"] == _per_trial_reconstruction_error(int(seed, 0))
 
 
+def _env_importing_this_qfoundry():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_verify_all_does_not_import_numpy_ma():
     # in a fresh process, since this one may have imported numpy.ma already,
     # importing the qfoundry under test; numpy 1.x imports numpy.ma with
     # numpy itself, so the check is that verify-all adds no import of it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
         "import sys\n"
         "import numpy\n"
@@ -189,10 +192,27 @@ def test_verify_all_does_not_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=False)
+                         env=_env_importing_this_qfoundry(), check=False)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[-1] == lines[0], "verify-all imported numpy.ma"
+
+
+@pytest.mark.parametrize("argv", [["ks", "check", "--set", "peres33"],
+                                  ["data", "export", "--set", "peres33"], ["verify-all"]],
+                         ids=["ks-check", "data-export", "verify-all"])
+def test_closed_stdout_is_not_an_error(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "qfoundry.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True,
+                             env=_env_importing_this_qfoundry(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_quantum_generator(capsys):
@@ -513,6 +533,12 @@ def _coord(num, den=1):
                                                 {"entries": [_coord(-2)]}])], 2,
          "duplicate ray"),
         (["ks", "parity", "--set", _BytesFile(b'{"dimension": "\xff"}')], 2, "cannot read "),
+        (["meyer", "verify", "--max-n", "2.5"], 2,
+         "--max-n must be an integer in [1, 200], got 2.5"),
+        (["logic", "heyting", "--dim", "abc"], 2, "--dim must be an integer in [2, 4], got abc"),
+        (["logic", "heyting", "--seed", "xyz"], 2, "--seed must be an integer in [0, inf)"),
+        (["fwt", "bounds", "--eps-s", "abc", "--eps-t", "0"], 2,
+         "--eps-s must be a number in [0, 1], got abc"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
@@ -524,7 +550,8 @@ def _coord(num, den=1):
          "negative-seed", "inf-eps", "infinite-tolerance", "heyting-over-exhaustive-limit",
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
          "zero-dimension", "empty-vector-list", "count-over-limit",
-         "complete-pairs-in-dimension-4", "duplicate-ray", "non-utf8-vector-set"],
+         "complete-pairs-in-dimension-4", "duplicate-ray", "non-utf8-vector-set",
+         "fractional-max-n", "non-numeric-dim", "non-numeric-seed", "non-numeric-eps"],
 )
 def test_usage_errors(capsys, tmp_path, argv, code, fragment):
     # a _VectorFile, _BytesFile or _Directory argument is made under tmp_path

@@ -13,7 +13,6 @@ from qfoundry.exact import RationalPoint
 from qfoundry.meyer import (
     ConditionReport,
     enumerate_pyth_points,
-    meyer_color,
     verify_meyer_conditions,
 )
 
@@ -40,14 +39,14 @@ def test_pyth_triple_validation():
 
 
 def test_color_examples():
-    assert meyer_color(RationalPoint(0, 0, 1)) == 0
-    assert meyer_color(RationalPoint(1, 0, 0)) == 1
-    assert meyer_color(RationalPoint(Q(2, 3), Q(2, 3), Q(1, 3))) == 0
+    assert meyer._triple_color(RationalPoint(0, 0, 1).triple) == 0
+    assert meyer._triple_color(RationalPoint(1, 0, 0).triple) == 1
+    assert meyer._triple_color(RationalPoint(Q(2, 3), Q(2, 3), Q(1, 3)).triple) == 0
 
 
 def test_coordinate_triad_colors():
     triad = [RationalPoint(1, 0, 0), RationalPoint(0, 1, 0), RationalPoint(0, 0, 1)]
-    colors = [meyer_color(p) for p in triad]
+    colors = [meyer._triple_color(p.triple) for p in triad]
     assert colors == [1, 1, 0]
     assert sum(colors) == 2
 
@@ -59,14 +58,14 @@ def test_primitive_triad_colors():
         for b in range(a + 1, 3):
             assert sum(x * y for x, y in zip(triad[a], triad[b])) == 0
     points = [RationalPoint(Q(x, 3), Q(y, 3), Q(z, 3)) for x, y, z in triad]
-    colors = [meyer_color(p) for p in points]
+    colors = [meyer._triple_color(p.triple) for p in points]
     assert colors == [0, 1, 1]
     assert sum(colors) == 2
 
 
 def test_orthogonal_pair_rule():
     pair = [RationalPoint(0, 0, 1), RationalPoint(1, 0, 0)]
-    assert meyer_color(pair[0]) + meyer_color(pair[1]) >= 1
+    assert meyer._triple_color(pair[0].triple) + meyer._triple_color(pair[1].triple) >= 1
 
 
 def test_enumerate_n1():
@@ -93,7 +92,7 @@ def test_exactly_one_odd_coordinate():
 
 def test_antipodal_invariance():
     for p in enumerate_pyth_points(10):
-        assert meyer_color(p) == meyer_color(-p)
+        assert meyer._triple_color(p.triple) == meyer._triple_color((-p).triple)
 
 
 # rays, pairs and triads of the corpus by max_n
@@ -166,7 +165,8 @@ def _combinations_reference(points):
     """The pair scan as plain Python: every pair of sorted primitive rays,
     exact dot products, triads from the gcd-reduced cross products."""
     rays = sorted({_sign_flip(p.triple) for p in points})
-    antipodal = tuple(p.coords() for p in points if meyer_color(p) != meyer_color(-p))
+    antipodal = tuple(p.coords() for p in points
+                      if meyer._triple_color(p.triple) != meyer._triple_color((-p).triple))
     colors = {r: meyer._triple_color(r) for r in rays}
     orth = [(u, v) for u, v in combinations(rays, 2) if _dot(u, v) == 0]
     triads = set()

@@ -807,18 +807,20 @@ def test_commuting_planted_vectors_refused_before_any_draw(monkeypatch, planted)
         mkc.generate_basis_family(3, 4, 0, include=planted)
 
 
+def _factorization_defect(mat):
+    """Operator-norm distance of a two-qubit operator from X (x) 1 for the
+    best X, which is its normalized partial trace over the second qubit."""
+    partial = np.einsum("ikjk->ij", mat.reshape(2, 2, 2, 2)) / 2
+    return float(np.linalg.norm(mat - np.kron(partial, np.eye(2)), 2))
+
+
 def test_composite_family_not_factorizable():
     # a one-sided observable realized in a dim-4 family is generically
     # non-local: its realization is far from every X (x) 1
     family = mkc.generate_basis_family(4, 6, seed=19)
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     one_sided = np.kron(sigma_z, np.eye(2))
-    assert mkc.factorization_defect(one_sided) < 1e-12
+    assert _factorization_defect(one_sided) < 1e-12
     realized, _, dist = mkc.nearest_family_observable(one_sided, family)
     assert dist > 0.1  # random bases never contain the product observable
-    assert mkc.factorization_defect(realized) > 0.05
-
-
-def test_factorization_defect_validation():
-    with pytest.raises(ValueError):
-        mkc.factorization_defect(np.eye(6))
+    assert _factorization_defect(realized) > 0.05

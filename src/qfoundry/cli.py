@@ -262,8 +262,7 @@ def cmd_ks_parity(args) -> int:
 
 
 def cmd_meyer_verify(args) -> int:
-    points = meyer.enumerate_pyth_points(args.max_n)
-    report = meyer.verify_meyer_conditions(points)
+    report = meyer.verify_meyer_conditions(meyer.enumerate_pyth_points(args.max_n))
     emit(
         {
             "max_n": args.max_n,
@@ -664,73 +663,67 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
-def _common_options(defaults: bool) -> argparse.ArgumentParser:
-    """Global options; accepted both before and after the subcommand."""
-    common = argparse.ArgumentParser(add_help=False)
-    suppress = argparse.SUPPRESS
+# the options that only some commands read; each command names its own
+_SHARED_OPTIONS = {
+    "--seed": dict(type=_bounded(lambda s: int(s, 0), "--seed", 0), default=DEFAULT_SEED,
+                   help="RNG seed (default 0xC0FFEE)"),
+    "--shots": dict(type=_bounded(int, "--shots", 1, MAX_SHOTS), default=100_000,
+                    help="Monte Carlo sample count (default 100000)"),
+    "--tolerance": dict(type=_bounded(float, "--tolerance", 0), default=None,
+                        help="override the pass tolerance"),
+}
 
-    common.add_argument("--seed", type=_bounded(lambda s: int(s, 0), "--seed", 0),
-                        default=DEFAULT_SEED if defaults else suppress,
-                        help="RNG seed (default 0xC0FFEE)")
-    common.add_argument("--shots", type=_bounded(int, "--shots", 1, MAX_SHOTS),
-                        default=100_000 if defaults else suppress,
-                        help="Monte Carlo sample count (default 100000)")
-    common.add_argument("--json", action="store_true",
-                        default=False if defaults else suppress,
-                        help="machine-readable output")
-    common.add_argument("--csv", action="store_true",
-                        default=False if defaults else suppress,
-                        help="flat key,value output")
-    common.add_argument("--tolerance", type=_bounded(float, "--tolerance", 0),
-                        default=None if defaults else suppress,
-                        help="override the pass tolerance of quantum reconstruct "
-                             "and quantum generator")
-    return common
+
+def _command(sub, name: str, *options: str, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand that takes --json, --csv and the named shared options."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--csv", action="store_true", help="flat key,value output")
+    for option in options:
+        parser.add_argument(option, **_SHARED_OPTIONS[option])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = _common_options(defaults=True)
-    local = _common_options(defaults=False)
     parser = argparse.ArgumentParser(
         prog="qfoundry",
         description="Finite checkable computations from quantum foundations.",
-        parents=[top],
     )
     parser.add_argument("--version", action="version", version=f"qfoundry {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ks_parser = sub.add_parser("ks", help="coloring of orthogonality structures")
     ks_sub = ks_parser.add_subparsers(dest="subcommand", required=True)
-    check = ks_sub.add_parser(
-        "check", parents=[local], help="decide colorability by exhaustive search"
-    )
+    check = _command(ks_sub, "check", help="decide colorability by exhaustive search")
     check.add_argument("--set", required=True, help="peres33, cabello18 or a .json file")
     check.add_argument("--count", action="store_true", help="also count all colorings")
     check.add_argument("--complete-pairs", action="store_true",
                        help="complete leftover pairs to triads first (dim 3)")
     check.set_defaults(func=cmd_ks_check)
-    parity = ks_sub.add_parser("parity", parents=[local], help="double-membership parity witness")
+    parity = _command(ks_sub, "parity", help="double-membership parity witness")
     parity.add_argument("--set", required=True)
     parity.set_defaults(func=cmd_ks_parity)
 
     meyer_parser = sub.add_parser("meyer", help="rational-sphere coloring")
     meyer_sub = meyer_parser.add_subparsers(dest="subcommand", required=True)
-    mv = meyer_sub.add_parser("verify", parents=[local], help="check the three coloring conditions")
+    mv = _command(meyer_sub, "verify", help="check the three coloring conditions")
     mv.add_argument("--max-n", type=_bounded(int, "--max-n", 1, meyer.MAX_N), default=25)
     mv.set_defaults(func=cmd_meyer_verify)
 
     quantum_parser = sub.add_parser("quantum", help="dense linear-algebra checks")
     quantum_sub = quantum_parser.add_subparsers(dest="subcommand", required=True)
-    qr = quantum_sub.add_parser("reconstruct", parents=[local], help="state reconstruction round-trip")
+    qr = _command(quantum_sub, "reconstruct", "--seed", "--tolerance",
+                  help="state reconstruction round-trip")
     qr.add_argument("--dim", type=_bounded(int, "--dim", 1, qt.MAX_DIM), default=3)
     qr.set_defaults(func=cmd_quantum_reconstruct)
-    qg = quantum_sub.add_parser("generator", parents=[local], help="single-generator residuals")
+    qg = _command(quantum_sub, "generator", "--seed", "--tolerance",
+                  help="single-generator residuals")
     qg.add_argument("--n", type=_bounded(int, "--n", 1, qt.MAX_GENERATOR_TUPLE), default=3)
     qg.set_defaults(func=cmd_quantum_generator)
 
     mkc_parser = sub.add_parser("mkc", help="hidden-variable simulator")
     mkc_sub = mkc_parser.add_subparsers(dest="subcommand", required=True)
-    ms = mkc_sub.add_parser("simulate", parents=[local], help="run a measurement program")
+    ms = _command(mkc_sub, "simulate", "--seed", "--shots", help="run a measurement program")
     ms.add_argument("--dim", type=_bounded(int, "--dim", 2, 4), default=3)
     ms.add_argument("--bases", type=_bounded(int, "--bases", 1, mkc.MAX_FAMILY_SIZE), default=16)
     ms.add_argument("--program", required=True, help="JSON program file")
@@ -738,44 +731,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     bell_parser = sub.add_parser("bell", help="Bell inequalities")
     bell_sub = bell_parser.add_subparsers(dest="subcommand", required=True)
-    bc = bell_sub.add_parser("chsh", parents=[local], help="CHSH value at four angles")
+    bc = _command(bell_sub, "chsh", help="CHSH value at four angles")
     bc.add_argument("--angles", required=True, help="t1,t1p,t2,t2p in radians")
     bc.add_argument("--grid", action="store_true", help="also sweep the degree grid")
     bc.set_defaults(func=cmd_bell_chsh)
-    bl = bell_sub.add_parser("logical", parents=[local], help="conjunction inequality")
+    bl = _command(bell_sub, "logical", help="conjunction inequality")
     bl.add_argument("--angles", default="0.0,2.0943951023931953,3.141592653589793,1.0471975511965976")
     bl.add_argument("--sequential", action="store_true")
     bl.set_defaults(func=cmd_bell_logical)
 
     fwt_parser = sub.add_parser("fwt", help="free-will robustness bounds")
     fwt_sub = fwt_parser.add_subparsers(dest="subcommand", required=True)
-    fb = fwt_sub.add_parser("bounds", parents=[local])
+    fb = _command(fwt_sub, "bounds")
     fb.add_argument("--eps-s", type=_bounded(float, "--eps-s", 0, 1), required=True)
     fb.add_argument("--eps-t", type=_bounded(float, "--eps-t", 0, 1), required=True)
     fb.set_defaults(func=cmd_fwt_bounds)
-    fc = fwt_sub.add_parser("counts", parents=[local])
+    fc = _command(fwt_sub, "counts")
     fc.set_defaults(func=cmd_fwt_counts)
 
     logic_parser = sub.add_parser("logic", help="lattice law checking")
     logic_sub = logic_parser.add_subparsers(dest="subcommand", required=True)
-    lh = logic_sub.add_parser("heyting", parents=[local])
+    lh = _command(logic_sub, "heyting", "--seed")
     lh.add_argument("--dim", type=_bounded(int, "--dim", 2, 4), default=2)
     lh.add_argument("--bases", type=_bounded(int, "--bases", 1, logic.MAX_POSET_BASES),
                     default=2)
     lh.add_argument("--variant", choices=("l2", "l3"), default="l3")
     lh.add_argument("--exhaustive", action="store_true")
     lh.set_defaults(func=cmd_logic_heyting)
-    lp = logic_sub.add_parser("popper", parents=[local], help="distributivity counterexample")
+    lp = _command(logic_sub, "popper", help="distributivity counterexample")
     lp.set_defaults(func=cmd_logic_popper)
 
     data_parser = sub.add_parser("data", help="embedded datasets")
     data_sub = data_parser.add_subparsers(dest="subcommand", required=True)
-    de = data_sub.add_parser("export", parents=[local])
+    de = _command(data_sub, "export")
     de.add_argument("--set", required=True)
     de.add_argument("--out", default=None)
     de.set_defaults(func=cmd_data_export)
 
-    verify = sub.add_parser("verify-all", parents=[local], help="run the full acceptance suite")
+    verify = _command(sub, "verify-all", "--seed", "--shots",
+                      help="run the full acceptance suite")
     verify.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -785,7 +779,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         # argument types raise CliError for values out of range
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:
+            raise CliError(f"unrecognized arguments: {' '.join(unread)}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exact vectors over Q(sqrt2, sqrt3) and exact points of the rational sphere.
+"""Exact vectors over Q(sqrt2, sqrt3).
 
 A scalar a + b*sqrt2 + c*sqrt3 + d*sqrt6 is held as its four rational
 coefficients; there is no field arithmetic on scalars.  Direction vectors
@@ -6,8 +6,7 @@ are kept unnormalized, and each carries a primitive ray key: its entries
 scaled by a nonzero field element to integer coefficients over
 (1, sqrt2, sqrt3, sqrt6).  Ray identity, orthogonality and cross products
 are integer computations on that key under the one product rule `_mul`,
-never floating point.  A rational sphere point is held as its primitive
-integer triple.
+never floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
@@ -105,7 +103,7 @@ class QuadScalar:
 def _rational(coef) -> Q:
     """coef as a Fraction of Python ints; TypeError unless it is rational."""
     if not isinstance(coef, numbers.Rational):
-        raise TypeError(f"coefficient or coordinate {coef!r} is not rational")
+        raise TypeError(f"coefficient {coef!r} is not rational")
     # a numpy integer would otherwise stay the Fraction's int64 numerator
     return Q(int(coef.numerator), int(coef.denominator))
 
@@ -253,53 +251,6 @@ def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:
     return ExactVector(
         [QuadScalar(*row) for row in rows], f"({u.label})x({v.label})" if u.label else ""
     )
-
-
-class RationalPoint:
-    """A point of the rational unit sphere S^2 ∩ Q^3.
-
-    Held as its primitive integer triple (x, y, z) and n > 0, the lcm of the
-    reduced denominators: the point is (x, y, z) / n with x^2 + y^2 + z^2 = n^2.
-    """
-
-    __slots__ = ("triple", "n")
-
-    def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike) -> None:
-        coords = [_rational(c) for c in (x, y, z)]
-        self.n = math.lcm(*(c.denominator for c in coords))
-        # on the sphere the triple is primitive: a prime dividing all three
-        # divides n, so not the one whose denominator holds all of it in n
-        self.triple = tuple(c.numerator * (self.n // c.denominator) for c in coords)
-        if sum(c * c for c in self.triple) != self.n * self.n:
-            raise ValueError("(%s, %s, %s) is not on the unit sphere" % tuple(coords))
-
-    @classmethod
-    def from_triple(cls, x: int, y: int, z: int, n: int) -> "RationalPoint":
-        """The point (x, y, z) / n of a primitive triple with x^2 + y^2 + z^2 = n^2."""
-        x, y, z, n = map(operator.index, (x, y, z, n))
-        if n <= 0 or math.gcd(x, y, z) != 1 or x * x + y * y + z * z != n * n:
-            raise ValueError(f"({x}, {y}, {z}) / {n} is not a primitive point of the unit sphere")
-        point = object.__new__(cls)
-        point.triple, point.n = (x, y, z), n
-        return point
-
-    def coords(self) -> tuple[Q, Q, Q]:
-        return tuple(Q(c, self.n) for c in self.triple)
-
-    def __neg__(self) -> "RationalPoint":
-        return RationalPoint.from_triple(*(-c for c in self.triple), self.n)
-
-    # the primitive triple determines n, so it alone identifies the point
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPoint):
-            return NotImplemented
-        return self.triple == other.triple
-
-    def __hash__(self) -> int:
-        return hash(self.triple)
-
-    def __repr__(self) -> str:
-        return "RationalPoint(%s, %s, %s)" % self.coords()
 
 
 def _is_coordinate(coeffs) -> bool:

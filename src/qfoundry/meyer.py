@@ -1,14 +1,13 @@
 """Dense 0/1 coloring of the rational unit sphere via Pythagorean triples.
 
-Every rational point of S^2 lies on the axis of a primitive integer triple
-(x, y, z) with x^2 + y^2 + z^2 = n^2.  The color is decided by the parity
-of the third coordinate of that primitive triple: odd maps to 0, even to 1.
-A RationalPoint holds that primitive triple, so the enumeration and the
-check run on int64 arrays of triples, with exact integer dot and cross
-products; only the violations come back as tuples.  Both sieve on residues
-mod 4: a primitive triple's residues lie in 12 classes, so the enumeration
-scans only the z that a row's class allows, and the pair scan multiplies
-only the classes whose dot product can vanish.
+Every rational point of S^2 is (x, y, z) / n for a primitive integer triple
+with x^2 + y^2 + z^2 = n^2, so the layer holds the corpus as one sorted
+(R, 4) int64 array of rows [x, y, z, n], from the enumeration to the
+verdict.  The color is decided by the parity of the third coordinate: odd
+maps to 0, even to 1.  Dot and cross products are exact int64 products;
+only the violations come back as tuples.  One table of the 12 residue
+classes mod 4 of primitive triples, and of the class pairs that can be
+orthogonal, drives both the enumeration's sieve and the pair scan.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exact import RationalPoint
 
 # largest `meyer verify --max-n`; its 32595 rays take about a second, most
 # of it in the pair scan over a third of the R^2 / 2 products
@@ -29,10 +26,32 @@ _BLOCK_ENTRIES = 1 << 15
 # rows of a scan block at least, so that above 2^15 rays a block is not one row
 _MIN_BLOCK_ROWS = 16
 
+# The residue classes mod 4 of primitive triples (Meyer, PRL 83 (1999) 3751).
+# Squares are 0 or 1 mod 4, so the number of odd coordinates of
+# x^2 + y^2 + z^2 = n^2 is 0 or 1 mod 4; a primitive triple has some odd
+# coordinate, so it has exactly one, n is odd and n^2 = 1 mod 8.  Since x^2
+# mod 8 depends only on x mod 4 (0, 1, 4, 1), the residues of (x, y, z) mod 4
+# lie in the 12 classes whose squares sum to 1 mod 8: one odd coordinate and
+# two even ones that agree mod 4.  A dot product is 0 only if it is 0 mod 4,
+# and its residue mod 4 depends only on the two rays' classes, so only the
+# 24 class pairs that _MEETS marks can hold an orthogonal pair.  No class
+# meets itself: p . q = p . p = n^2 = 1 mod 4 for rays in one class.
+# Two orthogonal rays thus have their odd coordinate in different places, so
+# an orthogonal pair holds at most one ray with odd z (color 0), and a
+# triad, whose three odd places are distinct, exactly one: every pair sum is
+# at least 1 and every triad sum is 2.  The scan still checks each pair and
+# triad; the argument explains its result.
+_RESIDUES = np.indices((4, 4, 4)).reshape(3, -1).T
+_RESIDUES = _RESIDUES[(_RESIDUES * _RESIDUES).sum(axis=1) % 8 == 1]
+# _CLASS[x % 4, y % 4, z % 4]: the row of _RESIDUES, or -1 off the classes
+_CLASS = np.full((4, 4, 4), -1)
+_CLASS[tuple(_RESIDUES.T)] = np.arange(len(_RESIDUES))
+_MEETS = _RESIDUES @ _RESIDUES.T % 4 == 0
+
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Violation tally for the three coloring conditions over a point list."""
+    """Violation tally for the three coloring conditions over a row array."""
 
     rays: int
     pairs: int
@@ -74,25 +93,18 @@ def _triple_color(t):
     return 1 - t[2] % 2
 
 
-def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
+def enumerate_pyth_points(max_n: int) -> np.ndarray:
     """All primitive Pythagorean rays with hypotenuse at most max_n.
 
     Scans the integer points of the half cube x >= 0 of [-max_n, max_n]^3
     that can lie on a primitive ray, in int64 slabs of at most
     _BLOCK_ENTRIES points, and keeps those with x^2 + y^2 + z^2 = n^2 for
     an integer 0 < n <= max_n, coprime coordinates and a positive first
-    nonzero coordinate.  Returns one rational sphere point per axis, built
-    from its triple by the checking RationalPoint.from_triple, in sorted
-    ray order.
-
-    A primitive triple has exactly one odd coordinate (see
-    verify_meyer_conditions), so n is odd and n^2 = 1 mod 8.  Since x^2 mod
-    8 is 0, 1, 4, 1 for x = 0, 1, 2, 3 mod 4, the residues of (x, y, z) mod
-    4 lie in the 12 classes whose squares sum to 1 mod 8: one odd
-    coordinate and two even ones that agree mod 4.  So each (x, y) row
-    scans only the z of the residues mod 4 its class allows: none when x
-    and y are both odd, one residue when one of them is odd, and the two
-    odd residues when both are even and agree mod 4.
+    nonzero coordinate.  Returns the (R, 4) int64 array of rows
+    [x, y, z, n], one per axis, in sorted ray order.  Each (x, y) row scans
+    only the z whose residue mod 4 puts (x, y, z) in a class of _RESIDUES:
+    none when x and y are both odd, one residue when one of them is odd,
+    and the two odd residues when both are even and agree mod 4.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -104,9 +116,7 @@ def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
     # table reads its last entry
     root = np.zeros(max_n * max_n + 2, dtype=np.int64)
     root[line[max_n:] ** 2] = line[max_n:]
-    square_mod_8 = np.array([0, 1, 4, 1])
-    allowed = (square_mod_8[:, None, None] + square_mod_8[:, None] + square_mod_8) % 8 == 1
-    allowed = allowed[xs % 4, ys % 4]
+    allowed = _CLASS[xs % 4, ys % 4] >= 0
     found = []
     for residue in range(4):
         rows = np.flatnonzero(allowed[:, residue])
@@ -121,34 +131,26 @@ def enumerate_pyth_points(max_n: int) -> list[RationalPoint]:
             keep = (np.gcd.reduce(t, axis=1) == 1) & (_first_nonzero(t) > 0)
             found.append(np.column_stack([t[keep], n[r, c][keep]]))
     found = np.concatenate(found)
-    found = found[np.lexsort(found[:, 2::-1].T)]
-    return [RationalPoint.from_triple(x, y, z, n) for x, y, z, n in found.tolist()]
+    return found[np.lexsort(found[:, 2::-1].T)]
 
 
 def _orthogonal_pairs(a):
     """The pairs i < j of rows of a with a[i] . a[j] == 0, in lexicographic order.
 
-    The rows are primitive Pythagorean rays.  A dot product is 0 only if it
-    is 0 mod 4, and its residue mod 4 depends only on the two rows' residues
-    mod 4.  So the rows are grouped by their residue vector mod 4, and int64
-    products are formed only between groups whose residues have dot product
-    0 mod 4, in row blocks of about _BLOCK_ENTRIES entries.  No group meets
-    itself: rays p, q with the same residues have p . q = p . p = n^2 mod 4,
-    and n is odd.  The corpus has 12 groups and 24 meeting pairs of groups,
-    so a third of the upper triangle's products are formed.
+    The rows are primitive Pythagorean rays.  They are grouped by their
+    class in _RESIDUES, and int64 products are formed only between groups
+    that _MEETS marks, in row blocks of about _BLOCK_ENTRIES entries: a
+    third of the upper triangle's products on the corpus.
     """
-    key = (a % 4) @ np.array([16, 4, 1])
-    counts = np.bincount(key, minlength=64)
+    key = _CLASS[tuple((a % 4).T)]
+    counts = np.bincount(key, minlength=len(_RESIDUES))
     order = np.argsort(key, kind="stable")
     grouped = a[order]
     ends = np.cumsum(counts)
     starts = ends - counts
-    classes = np.flatnonzero(counts)
-    residues = np.array(np.unravel_index(classes, (4, 4, 4))).T
-    meets = (residues @ residues.T) % 4 == 0
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for m, c in enumerate(classes):
-        later = classes[m + 1:][meets[m, m + 1:]]
+    for c in np.flatnonzero(counts):
+        later = np.flatnonzero(_MEETS[c, c + 1:] & (counts[c + 1:] > 0)) + c + 1
         if not len(later):
             continue
         col = np.concatenate([np.arange(starts[d], ends[d]) for d in later])
@@ -185,34 +187,47 @@ def _find_rows(a, w):
     return k[len(a):]
 
 
-def verify_meyer_conditions(points: list[RationalPoint]) -> ConditionReport:
+def _checked_rows(rows) -> np.ndarray:
+    """rows as an (R, 4) int64 array of primitive points of the sphere, or ValueError."""
+    rows = np.asarray(rows)
+    # Python ints past int64 make an object array, and uint64 may not fit
+    if rows.ndim != 2 or rows.shape[1] != 4 or not (
+            rows.dtype.kind in "iu" and np.can_cast(rows.dtype, np.int64)):
+        raise ValueError(f"rows must be an (R, 4) integer array of [x, y, z, n], "
+                         f"not {rows.dtype} of shape {rows.shape}")
+    rows = rows.astype(np.int64, copy=False)
+    t, n = rows[:, :3], rows[:, 3]
+    if len(t) and not (-MAX_COORDINATE <= t.min() and t.max() <= MAX_COORDINATE):
+        raise ValueError(f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound")
+    # the square sum is below 3 * 2^60, so an n past 2 * MAX_COORDINATE is off
+    # the sphere, and clipping it keeps n^2 in int64
+    clipped = np.minimum(n, 2 * MAX_COORDINATE)
+    bad = (n <= 0) | (np.gcd.reduce(t, axis=1) != 1) | ((t * t).sum(axis=1) != clipped * clipped)
+    if bad.any():
+        x, y, z, n = rows[np.argmax(bad)].tolist()
+        raise ValueError(f"({x}, {y}, {z}) / {n} is not a primitive point of the unit sphere")
+    return rows
+
+
+def verify_meyer_conditions(rows) -> ConditionReport:
     """Check antipodal invariance, the pair rule and the triad sum rule.
 
-    Works on the int64 array of the points' primitive triples; points on
-    the same axis are merged.  Orthogonal pairs come from int64 products
-    between the groups of rays whose residues mod 4 allow a zero dot
-    product; triads from finding the canonical reduced cross product of
-    each pair among the rays with one sort.  Both are listed in sorted ray
-    order.  Raises ValueError when a primitive coordinate exceeds
-    MAX_COORDINATE, where int64 products could overflow.
-
-    Why there are no violations (Meyer, PRL 83 (1999) 3751): squares are 0
-    or 1 mod 4, so the number of odd coordinates of x^2 + y^2 + z^2 = n^2
-    is 0 or 1 mod 4; a primitive triple has some odd coordinate, so it has
-    exactly one (and n is odd).  Two orthogonal primitive rays have their
-    odd coordinate in different places, since otherwise their dot product
-    is odd.  So an orthogonal pair holds at most one ray with odd z
-    (color 0), and a triad, whose three odd places are distinct, exactly
-    one: every pair sum is at least 1 and every triad sum is 2.  The scan
-    still checks each pair and triad; the lemma explains its result.
+    Takes an (R, 4) integer array of rows [x, y, z, n], such as
+    enumerate_pyth_points returns; rows on the same axis are merged.
+    Orthogonal pairs come from int64 products between the groups of rays
+    whose classes mod 4 can meet; triads from finding the canonical reduced
+    cross product of each pair among the rays with one sort.  Both are
+    listed in sorted ray order, and an antipodal violation is its input
+    row.  Raises ValueError for a row that is not a primitive point of the
+    sphere, and when a coordinate of the triple exceeds MAX_COORDINATE,
+    where int64 products could overflow.  Why there are no violations: see
+    the comment on _RESIDUES.
     """
-    coordinates = [c for p in points for c in p.triple]
-    if max(map(abs, coordinates), default=0) > MAX_COORDINATE:
-        raise ValueError(f"a primitive coordinate exceeds {MAX_COORDINATE}, the int64 bound")
-    triples = np.array(coordinates, dtype=np.int64).reshape(-1, 3)
+    rows = _checked_rows(rows)
+    triples = rows[:, :3]
 
     antipodal = np.flatnonzero(_triple_color(triples.T) != _triple_color(-triples.T))
-    antipodal_violations = tuple(points[k].coords() for k in antipodal.tolist())
+    antipodal_violations = tuple(map(tuple, rows[antipodal].tolist()))
 
     a = _unique_rows(_canonical_rows(triples))
     i, j = _orthogonal_pairs(a)

@@ -311,9 +311,9 @@ def test_prob_sum_two_exceeds_half_off_region():
 def test_appleby_bound_from_meyer_neighborhoods():
     """Couple the bound to the dense coloring: outcome probabilities are
     neighborhood averages of actual colors around a rational triad."""
-    points = meyer.enumerate_pyth_points(25)
-    unit = {p.triple: np.array(p.triple, dtype=float) / p.n for p in points}
-    colors = {p.triple: meyer._triple_color(p.triple) for p in points}
+    rows = meyer.enumerate_pyth_points(25)
+    unit = {tuple(r[:3].tolist()): r[:3] / r[3] for r in rows}
+    colors = {t: meyer._triple_color(t) for t in unit}
     triad = [(2, 2, 1), (2, -1, -2), (1, -2, 2)]
     radius = 0.35
     probs = []

@@ -484,7 +484,7 @@ def _coord(num, den=1):
         (["data", "export", "--set", "peres33", "--out", "/nonexistent/x.json"],
          2, "cannot write /nonexistent/x.json"),
         (["bell", "chsh", "--angles", "0,nan,1,2"], 2, "must be finite"),
-        (["--shots", "0", "verify-all"], 2, "--shots must lie in [1, 10000000], got 0"),
+        (["verify-all", "--shots", "0"], 2, "--shots must lie in [1, 10000000], got 0"),
         (["verify-all", "--shots", "10000001"], 2,
          "--shots must lie in [1, 10000000], got 10000001"),
         (["meyer", "verify", "--max-n", "0"], 2, "--max-n must lie in [1, 200], got 0"),
@@ -498,16 +498,16 @@ def _coord(num, den=1):
         (["mkc", "simulate", "--program", _BytesFile(b'{"observables": "\xff"}')], 2,
          "cannot read "),
         (["fwt", "bounds", "--eps-s", "nan", "--eps-t", "0"], 2, "--eps-s must lie in [0, 1]"),
-        (["--tolerance", "nan", "quantum", "reconstruct"], 2,
+        (["quantum", "reconstruct", "--tolerance", "nan"], 2,
          "--tolerance must lie in [0, inf), got nan"),
-        (["--tolerance", "-1", "quantum", "reconstruct"], 2,
+        (["quantum", "reconstruct", "--tolerance", "-1"], 2,
          "--tolerance must lie in [0, inf), got -1"),
         (["quantum", "reconstruct", "--tolerance", "inf"], 2,
          "--tolerance must lie in [0, inf), got inf"),
         (["logic", "heyting", "--bases", "0"], 2, "--bases must lie in [1, 64]"),
         (["logic", "heyting", "--bases", "65"], 2, "--bases must lie in [1, 64], got 65"),
         (["logic", "heyting", "--dim", "5"], 2, "--dim must lie in [2, 4], got 5"),
-        (["--seed", "-1", "quantum", "reconstruct"], 2, "--seed must lie in [0, inf), got -1"),
+        (["quantum", "reconstruct", "--seed", "-1"], 2, "--seed must lie in [0, inf), got -1"),
         (["fwt", "bounds", "--eps-s", "0", "--eps-t", "inf"], 2, "--eps-t must lie"),
         (["quantum", "generator", "--tolerance=-inf"], 2, "--tolerance must lie"),
         (["logic", "heyting", "--dim", "3", "--bases", "2", "--exhaustive"], 2,
@@ -539,6 +539,11 @@ def _coord(num, den=1):
         (["logic", "heyting", "--seed", "xyz"], 2, "--seed must be an integer in [0, inf)"),
         (["fwt", "bounds", "--eps-s", "abc", "--eps-t", "0"], 2,
          "--eps-s must be a number in [0, 1], got abc"),
+        (["ks", "check", "--set", "peres33", "--seed", "3"], 2,
+         "unrecognized arguments: --seed 3"),
+        (["quantum", "generator", "--shots", "5"], 2, "unrecognized arguments: --shots 5"),
+        (["verify-all", "--tolerance", "1e-300"], 2, "unrecognized arguments: --tolerance 1e-300"),
+        (["--json", "verify-all"], 2, "unrecognized arguments: --json"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
@@ -551,7 +556,8 @@ def _coord(num, den=1):
          "vector-without-entries", "zero-denominator", "string-coefficient", "short-coordinate",
          "zero-dimension", "empty-vector-list", "count-over-limit",
          "complete-pairs-in-dimension-4", "duplicate-ray", "non-utf8-vector-set",
-         "fractional-max-n", "non-numeric-dim", "non-numeric-seed", "non-numeric-eps"],
+         "fractional-max-n", "non-numeric-dim", "non-numeric-seed", "non-numeric-eps",
+         "unread-seed", "unread-shots", "unread-tolerance", "json-before-command"],
 )
 def test_usage_errors(capsys, tmp_path, argv, code, fragment):
     # a _VectorFile, _BytesFile or _Directory argument is made under tmp_path
@@ -562,6 +568,17 @@ def test_usage_errors(capsys, tmp_path, argv, code, fragment):
     assert out == ""
     assert fragment in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--tolerance", "1e-300", "verify-all"],
+                                  ["--seed", "3", "ks", "check", "--set", "peres33"]],
+                         ids=["tolerance", "seed"])
+def test_option_before_the_command_is_refused(argv):
+    # the top-level parser takes no option but --help and --version, so the
+    # option's value is read as the command
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
 
 
 OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for i in range(3)]

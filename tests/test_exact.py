@@ -1,4 +1,4 @@
-"""Exact scalars, vectors and rational sphere points.
+"""Exact scalars and vectors.
 
 The package has no field arithmetic on scalars; the references below are
 built from its one product rule `_mul` and `_adjugate` over coefficient
@@ -16,13 +16,11 @@ import numpy as np
 import pytest
 
 from qfoundry.datasets import load_builtin
-from qfoundry.meyer import enumerate_pyth_points
 from qfoundry.exact import (
     DegenerateInputError,
     DimensionMismatchError,
     ExactVector,
     QuadScalar,
-    RationalPoint,
     VectorSet,
     _adjugate,
     _mul,
@@ -236,57 +234,6 @@ def test_ray_equality_field_scale():
 def test_zero_vector_rejected():
     with pytest.raises(DegenerateInputError):
         ExactVector([0, 0, 0])
-
-
-def test_rational_point_validation():
-    p = RationalPoint(Q(3, 5), Q(-4, 5), 0)
-    assert (p.triple, p.n) == ((3, -4, 0), 5)
-    assert RationalPoint.from_triple(3, -4, 0, 5) == p
-    with pytest.raises(ValueError):
-        RationalPoint(Q(1, 2), Q(1, 2), 0)
-
-
-def test_rational_point_coordinates_must_be_rational():
-    with pytest.raises(TypeError, match="is not rational"):
-        RationalPoint("3/5", "-4/5", 0)
-    with pytest.raises(TypeError, match="is not rational"):
-        RationalPoint(1.0, 0.0, 0)
-    p = RationalPoint(np.int64(0), np.int64(1), 0)
-    assert p.triple == (0, 1, 0) and p.n == 1
-    assert all(type(c) is int for c in (*p.triple, p.n))
-
-
-@pytest.mark.parametrize("triple", [(2, 0, 0, 2), (1, 0, 0, -1), (1, 1, 1, 2)])
-def test_from_triple_rejects_non_primitive_or_off_sphere(triple):
-    with pytest.raises(ValueError, match="not a primitive point"):
-        RationalPoint.from_triple(*triple)
-
-
-@pytest.mark.parametrize("coords", [
-    (1, 1, 0),
-    (Q(2, 3), Q(2, 3), Q(2, 3)),
-    (Q(3, 5), Q(4, 7), 0),
-    # a sphere point (2m, m^2 - 1, 0) / n, n = m^2 + 1 with m = 2^40, and z = 1 / n:
-    # the square sum is 1 + 1 / n^2
-    (Q(2 << 40, (1 << 80) + 1), Q((1 << 80) - 1, (1 << 80) + 1), Q(1, (1 << 80) + 1)),
-])
-def test_rational_point_rejects_off_sphere(coords):
-    with pytest.raises(ValueError, match="not on the unit sphere"):
-        RationalPoint(*coords)
-
-
-def test_rational_point_negation():
-    p = RationalPoint(Q(2, 3), Q(-2, 3), Q(1, 3))
-    q = -p
-    assert q == RationalPoint(Q(-2, 3), Q(2, 3), Q(-1, 3))
-    assert hash(q) == hash(RationalPoint(Q(-2, 3), Q(2, 3), Q(-1, 3)))
-    assert all(isinstance(c, Q) for c in q.coords())
-    assert -q == p
-    for p in enumerate_pyth_points(12):
-        for q in (p, -p):
-            assert RationalPoint(*q.coords()) == q
-            assert hash(RationalPoint(*q.coords())) == hash(q)
-            assert -(-q) == q
 
 
 def test_vector_set_json_roundtrip(tmp_path):

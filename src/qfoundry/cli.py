@@ -776,8 +776,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
+        # the top-level parser takes no option but --help and --version, so it
+        # would read a command option's value as the command
+        for arg in argv:
+            if not arg.startswith("-"):
+                break
+            if arg.split("=", 1)[0] in ("--json", "--csv", *_SHARED_OPTIONS):
+                raise CliError(f"{arg.split('=', 1)[0]} goes after the command")
         # argument types raise CliError for values out of range
         args, unread = parser.parse_known_args(argv)
         if unread:

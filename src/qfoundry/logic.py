@@ -10,10 +10,9 @@ projections are related across contexts.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +23,8 @@ MAX_SUBSPACE_DIM = 4
 MAX_EXHAUSTIVE_ELEMENTS = 512  # the law check holds (E, E, C) mask tables
 MAX_POSET_BASES = 64  # the poset build compares every pair of contexts
 CONTAINMENT_BLOCK = 1 << 14  # atom pairs per batched containment test
+TRIPLE_BLOCK = 1 << 14  # (s, t, r) triples per blocked triple-law test
+GATHER_BLOCK = 1 << 18  # table lookups per block of a grouped reduction
 
 
 def _range_basis(projection: np.ndarray) -> np.ndarray:
@@ -31,28 +32,56 @@ def _range_basis(projection: np.ndarray) -> np.ndarray:
     return vectors[:, values > 0.5]
 
 
+def _norm_within(mats: np.ndarray, tol: float) -> np.ndarray:
+    """norm(X, 2) <= tol for every X of a (..., d, d) stack.
+
+    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a matrix whose Frobenius
+    norm is at most tol / 2 passes and one whose Frobenius norm exceeds
+    2 sqrt(d) tol fails, both with a factor 2 to spare for rounding; only
+    the matrices in between take the operator-norm SVD.
+    """
+    frobenius = np.sqrt(np.add.reduce((mats.conj() * mats).real, axis=(-2, -1)))
+    within = frobenius <= tol / 2
+    unsure = ~within & (frobenius <= 2 * np.sqrt(mats.shape[-1]) * tol)
+    if unsure.any():
+        within[unsure] = np.linalg.norm(mats[unsure], 2, axis=(-2, -1)) <= tol
+    return within
+
+
 def _containment(atoms: np.ndarray) -> np.ndarray:
     """leq[b, a]: whether atom a lies below atom b, decided by the norm
-    norm(P_b Q_a - Q_a, 2) <= CONTAINMENT_TOL on every pair of the (N, d, d)
-    stack at once (in row blocks of at most CONTAINMENT_BLOCK pairs, to bound
-    memory).
+    norm(P_b Q_a - Q_a, 2) <= CONTAINMENT_TOL on every pair of an (N, d, d)
+    stack of projections.
 
-    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a pair whose Frobenius
-    norm is at most half the tolerance passes and one whose Frobenius norm
-    exceeds 2 sqrt(d) times it fails, both with a factor 2 to spare for
-    rounding; only the pairs in between take the operator-norm SVD.
+    One Gram product rules out the far pairs.  For Hermitian idempotent P
+    and Q, ||P Q - Q||_F^2 = tr(Q^H P^H P Q) - 2 Re tr(Q^H P Q) + tr(Q^H Q)
+    = tr Q - tr(P Q^H), and tr(P Q^H) = <P, Q>_F = sum_ij P_ij conj(Q_ij);
+    so one (N, 2 d^2) x (2 d^2, N) real product gives
+    g[b, a] = tr Q_a - Re <P_b, Q_a>_F for every pair.  The atoms are
+    projections within STRUCT_TOL = e: Hermitian to e per entry (so
+    ||A^H - A||_2 <= d e) and idempotent to e in the operator norm, hence
+    ||A||_2 < 2.  Reaching g takes three replacements, P^H P -> P in the
+    first term, Q^H Q -> Q in the last and Q Q^H -> Q^H in the middle one
+    (after the first, -2 Re tr(Q^H P Q) + tr(Q^H P Q) leaves -Re tr(P Q Q^H));
+    each moves a trace of d-by-d matrices by at most d (2 d e + e) times a
+    norm bound of 4, 1 and 2, so |g - ||P Q - Q||_F^2| <= 7 d (2 d + 1) e,
+    and twice that also covers the rounding of g (below 1e-13 for d <= 16).
+    A pair that can pass has ||P Q - Q||_F <= 2 sqrt(d) CONTAINMENT_TOL (see
+    _norm_within), so every pair with g > 4 d CONTAINMENT_TOL^2
+    + 14 d (2 d + 1) e fails.  Only the other, near pairs form P_b Q_a - Q_a
+    and take _norm_within, in blocks of at most CONTAINMENT_BLOCK pairs.
     """
-    rows = max(1, CONTAINMENT_BLOCK // len(atoms))
-    bound = 2 * np.sqrt(atoms.shape[-1]) * CONTAINMENT_TOL
-    blocks = []
-    for lo in range(0, len(atoms), rows):
-        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
-        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
-        leq = frobenius <= CONTAINMENT_TOL / 2
-        unsure = ~leq & (frobenius <= bound)
-        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= CONTAINMENT_TOL
-        blocks.append(leq)
-    return np.concatenate(blocks)
+    count, dim = atoms.shape[:2]
+    flat = atoms.reshape(count, -1)
+    parts = np.concatenate([flat.real, flat.imag], axis=1)
+    slack = 4 * dim * CONTAINMENT_TOL**2 + 14 * dim * (2 * dim + 1) * STRUCT_TOL
+    gap = np.trace(atoms, axis1=1, axis2=2).real - parts @ parts.T  # g[b, a], tr Q_a by column
+    above, below = np.nonzero(gap <= slack)
+    leq = np.zeros((count, count), dtype=bool)
+    for lo in range(0, len(above), CONTAINMENT_BLOCK):
+        b, a = above[lo : lo + CONTAINMENT_BLOCK], below[lo : lo + CONTAINMENT_BLOCK]
+        leq[b, a] = _norm_within(atoms[b] @ atoms[a] - atoms[a], CONTAINMENT_TOL)
+    return leq
 
 
 class Subspace:
@@ -115,30 +144,43 @@ class Context:
     name: str = ""
 
     def __post_init__(self):
-        # every residual norm in one call, then the checks in the order of one
-        # atom at a time: the sum, then each atom's projection checks before
-        # its orthogonality to the later atoms
+        # every residual norm in one _norm_within call, then the checks in the
+        # order of one atom at a time: the sum, then each atom's projection
+        # checks before its orthogonality to the later atoms
         mats = np.array([_as_matrix(p) for p in self.atoms])
         count, dim = mats.shape[:2]
-        residual = mats[:, None] @ mats  # P_i P_j, which vanishes off the diagonal
-        residual[range(count), range(count)] -= mats  # P_i P_i - P_i
-        norms = np.linalg.norm(np.concatenate([[sum(mats) - np.eye(dim)],
-                                               residual.reshape(-1, dim, dim)]), 2, axis=(-2, -1))
-        if norms[0] > STRUCT_TOL:
+        residual = (mats[:, None] @ mats).reshape(-1, dim, dim)  # P_i P_j, 0 off the diagonal
+        residual[:: count + 1] -= mats  # P_i P_i - P_i
+        within = _norm_within(np.concatenate([[mats.sum(axis=0) - np.eye(dim)], residual]),
+                              STRUCT_TOL)
+        if not within[0]:
             raise ValueError(f"atoms of context {self.name!r} do not sum to identity")
-        norms = norms[1:].reshape(count, count)
+        within = within[1:].reshape(count, count).tolist()
         hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
-        for i in range(count):
+        for i, row in enumerate(within):
             if not hermitian[i]:
                 raise ValueError("projection must be Hermitian")
-            if norms[i, i] > STRUCT_TOL:
+            if not row[i]:
                 raise ValueError("projection must be idempotent within 1e-10")
-            if (norms[i, i + 1 :] > STRUCT_TOL).any():
+            if not all(row[i + 1 :]):
                 raise ValueError(f"atoms of context {self.name!r} are not orthogonal")
 
     @property
     def size(self) -> int:
         return len(self.atoms)
+
+
+class _Gather(NamedTuple):
+    """One table lookup per included (coarse, fine) pair: pair p maps the
+    mask x of its source context (full[p]: all its atoms) to
+    values[offset[p] + x].  Pairs are grouped by the context the values
+    belong to; groups[c] is the first pair of context c's group."""
+
+    source: np.ndarray
+    full: np.ndarray
+    offset: np.ndarray
+    values: np.ndarray
+    groups: np.ndarray
 
 
 class ContextPoset:
@@ -150,69 +192,89 @@ class ContextPoset:
     and it alone decides algebra identity too: a context included both ways
     in an earlier kept one is the same algebra and is dropped (the first
     copy wins).  So the poset always contains the trivial context first and
-    each algebra once, and inclusion is antisymmetric.  Refinement maps, and
-    a table of every mask's expansion along each, are precomputed so lattice
-    elements are pure bitmask data.
+    each algebra once, and inclusion is antisymmetric.
+
+    refine[i][j][k] is the index of the atom of context i containing atom k
+    of context j (the first one, in atom order), present only when context
+    i is included in context j.  Two gather tables, built once from these
+    maps over every included pair (each context's own pair among them),
+    make lattice elements pure bitmask data: _expand maps each mask of the
+    coarse context to its expansion into the fine context's atoms, grouped
+    by the fine context; _restrict maps each mask of the fine context to
+    the largest coarse mask whose expansion lies below it (from each coarse
+    atom's expansion), grouped by the coarse context.  _order is a linear
+    extension: contexts by their number of coarser contexts.
     """
 
     def __init__(self, contexts: Iterable[Context]) -> None:
         contexts = list(contexts)
         dim = contexts[0].atoms[0].shape[0]
         contexts.insert(0, Context(atoms=(np.eye(dim, dtype=complex),), name="trivial"))
-        bounds = np.cumsum([0, *(ctx.size for ctx in contexts)])
-        leq = _containment(np.concatenate([np.array(ctx.atoms, dtype=complex)
-                                           for ctx in contexts]))
+        sizes = np.array([ctx.size for ctx in contexts])
+        starts = np.cumsum(sizes) - sizes
+        leq = _containment(np.array([atom for ctx in contexts for atom in ctx.atoms],
+                                    dtype=complex))
+        # parent[i, a]: the first atom of context i above atom a, as widest minus
+        # the reduceat's rank, which is 0 where context i has no atom above a
+        widest = int(sizes.max())
+        rank = widest - (np.arange(len(leq)) - np.repeat(starts, sizes))
+        rank = np.maximum.reduceat(leq * rank[:, None], starts, axis=0)
         # included[i, j]: every atom of context j lies below an atom of context i
-        included = np.logical_and.reduceat(np.logical_or.reduceat(leq, bounds[:-1], axis=0),
-                                           bounds[:-1], axis=1)
-        # a context included both ways in an earlier kept one is that algebra again
+        included = np.logical_and.reduceat(rank > 0, starts, axis=1)
+        # a context included both ways in an earlier kept one is that algebra
+        # again; only a context with some earlier copy (its first copy, by
+        # argmax, before itself) can be, and in ascending order its earlier
+        # contexts are settled when it is reached
         same = included & included.T
-        keep: list[int] = []
-        for j in range(len(contexts)):
-            if not same[keep, j].any():
-                keep.append(j)
+        keep = list(range(len(contexts)))
+        for j in np.flatnonzero(same.argmax(axis=0) < np.arange(len(contexts))).tolist():
+            if same[[k for k in keep if k < j], j].any():
+                keep.remove(j)
         self.contexts = [contexts[k] for k in keep]
-        included = included[np.ix_(keep, keep)]
         n = len(keep)
-        sizes = [ctx.size for ctx in self.contexts]
-        self._full = [(1 << size) - 1 for size in sizes]
+        fine, coarse = np.nonzero(included[keep][:, keep].T)  # grouped by the fine context
+        sizes, starts, parent = sizes[keep], starts[keep], widest - rank[keep]
         # the narrowest unsigned dtype holding every mask; mask tables in it
         # move a fraction of the memory an int64 table would
-        self.mask_dtype = np.min_scalar_type(max(self._full))
-        # refine[i][j][k] = index of the atom of context i containing atom k
-        # of context j (the first one, in atom order), present only when
-        # context i is included in context j
+        self.mask_dtype = np.min_scalar_type((1 << widest) - 1)
+        self._full = ((1 << sizes) - 1).astype(self.mask_dtype)
+        # parent[p, k]: the atom of pair p's coarse context above atom k of its fine one
+        atom = np.arange(widest)
+        parent = parent[coarse[:, None], np.minimum(starts[fine, None] + atom, len(leq) - 1)]
         self.refine: list[list[Optional[list[int]]]] = [[None] * n for _ in range(n)]
-        self._expand: list[list[Optional[np.ndarray]]] = [[None] * n for _ in range(n)]
-        spans = [slice(bounds[k], bounds[k + 1]) for k in keep]  # each kept context's atoms
-        for i, span in enumerate(spans):
-            parent = leq[span].argmax(axis=0)
-            masks = np.arange(1 << sizes[i])
-            for j in np.flatnonzero(included[i]):
-                self.refine[i][j] = parent[spans[j]].tolist()
-                # the expansion of every mask of context i, indexed by mask
-                self._expand[i][j] = sum((masks >> p & 1) << k for k, p in
-                                         enumerate(self.refine[i][j])).astype(self.mask_dtype)
-        self._subs = [tuple(np.flatnonzero(col).tolist()) for col in included.T]
-        self._supers = [tuple(np.flatnonzero(row).tolist()) for row in included]
-
-    def sub_contexts(self, j: int) -> tuple[int, ...]:
-        """Contexts included in context j (j among them), ascending."""
-        return self._subs[j]
-
-    def super_contexts(self, i: int) -> tuple[int, ...]:
-        """Contexts that include context i (i among them), ascending."""
-        return self._supers[i]
-
-    def expand_mask(self, i: int, j: int, mask):
-        """Re-express a projection of context i as an atom mask of finer j
-        (mask may be an int, giving an int, or an int array); bits past
-        context i's atoms are ignored."""
-        found = self._expand[i][j][mask & self.full_mask(i)]
-        return found if isinstance(found, np.ndarray) else int(found)
+        for i, j, row in zip(coarse.tolist(), fine.tolist(), parent.tolist()):
+            self.refine[i][j] = row[: sizes[j]]
+        # every coarse mask x, expanded: bit k is bit parent[p, k] of x
+        offset, pair, x = _blocks(coarse, sizes)
+        bits = (x[:, None] >> parent[pair] & (atom < sizes[fine, None])[pair]) << atom
+        subs = np.bincount(fine, minlength=n)  # each context's coarser contexts, itself among them
+        self._expand = _Gather(coarse, self._full[coarse], offset, np.bitwise_or.reduce(
+            bits, axis=1).astype(self.mask_dtype), np.cumsum(subs) - subs)
+        # every fine mask y, restricted: bit k is set when the expansion of
+        # coarse atom k (a single-atom mask) lies in y
+        by_coarse = np.argsort(coarse, kind="stable")
+        fine, coarse = fine[by_coarse], coarse[by_coarse]
+        coarse_atom = atom < sizes[coarse, None]
+        single = self._expand.values[offset[by_coarse, None] + (coarse_atom << atom)]
+        offset, pair, y = _blocks(fine, sizes)
+        bits = ((single[pair] & ~y[:, None] == 0) & coarse_atom[pair]) << atom
+        supers = np.bincount(coarse, minlength=n)
+        self._restrict = _Gather(fine, self._full[fine], offset, np.bitwise_or.reduce(
+            bits, axis=1).astype(self.mask_dtype), np.cumsum(supers) - supers)
+        self._order = np.argsort(subs, kind="stable")
 
     def full_mask(self, i: int) -> int:
-        return self._full[i]
+        return int(self._full[i])
+
+
+def _blocks(source: np.ndarray, sizes: np.ndarray):
+    """(offset, pair, mask) of a gather table read from the source contexts:
+    pair p's block starts at offset[p] and holds one row per mask of its
+    source context; pair and mask label every row."""
+    lengths = 1 << sizes[source]
+    offset = np.cumsum(lengths) - lengths
+    pair = np.repeat(np.arange(len(source)), lengths)
+    return offset, pair, np.arange(len(pair)) - offset[pair]
 
 
 def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
@@ -226,13 +288,11 @@ def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
     for b_idx, basis in enumerate(bases):
         basis = np.asarray(basis, dtype=complex)
         dim = basis.shape[0]
-        atoms = tuple(np.outer(basis[k], basis[k].conj()) for k in range(dim))
-        contexts.append(Context(atoms=atoms, name=f"basis{b_idx}"))
+        atoms = basis[:, :, None] * basis[:, None].conj()  # the projections onto the vectors
+        contexts.append(Context(atoms=tuple(atoms), name=f"basis{b_idx}"))
         if dim >= 3:
-            eye = np.eye(dim, dtype=complex)
-            for k in range(dim):
-                block = (atoms[k], eye - atoms[k])
-                contexts.append(Context(atoms=block, name=f"basis{b_idx}:block{k}"))
+            for k, rest in enumerate(np.eye(dim) - atoms):
+                contexts.append(Context(atoms=(atoms[k], rest), name=f"basis{b_idx}:block{k}"))
     return ContextPoset(contexts)
 
 
@@ -258,51 +318,95 @@ VARIANT_DOWN = "l3"  # finer contexts carry smaller projections
 VARIANT_UP = "l2"  # finer contexts carry larger projections
 
 
-def _mask_bounds(poset, masks, i, variant) -> tuple[int, int]:
-    """(forced, allowed) atom masks of context i given its coarser contexts'
-    masks: a monotone element has forced <= masks[i] <= allowed there."""
-    coarser = [poset.expand_mask(d, i, masks[d]) for d in poset.sub_contexts(i) if d != i]
-    if variant == VARIANT_DOWN:  # S(fine) <= S(coarse)
-        return 0, reduce(operator.and_, coarser, poset.full_mask(i))
-    if variant == VARIANT_UP:  # S(coarse) <= S(fine)
-        return reduce(operator.or_, coarser, 0), poset.full_mask(i)
-    raise ValueError(f"unknown variant {variant!r}")
+def _check_variant(variant: str) -> None:
+    if variant not in (VARIANT_DOWN, VARIANT_UP):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
+def _lookup(table: _Gather, cols, pairs=slice(None)) -> np.ndarray:
+    """(P, R): the table's value for each of its pairs and each mask row of
+    the context-major (C, R) int mask array cols, read at the mask of the
+    pair's source context; bits past a context's atoms are ignored."""
+    return table.values[table.offset[pairs, None]
+                        + (cols[table.source[pairs]] & table.full[pairs, None])]
+
+
+def _grouped(poset: ContextPoset, table: _Gather, ufunc, cols) -> np.ndarray:
+    """(C, R): ufunc (np.bitwise_and or np.bitwise_or) reduced over each context's
+    group of the table's lookups for the (C, R) mask array cols.
+
+    A bitwise reduction acts on each bit alone, so the lookups of several
+    mask rows are packed into one 64-bit word, and reduceat runs over words;
+    columns go in blocks of at most GATHER_BLOCK lookups."""
+    lanes = 8 // poset.mask_dtype.itemsize
+    step = max(lanes, GATHER_BLOCK // len(table.source) // lanes * lanes)
+    out = np.empty((len(poset.contexts), cols.shape[1]), dtype=poset.mask_dtype)
+    for lo in range(0, cols.shape[1], step):
+        block = cols[:, lo : lo + step]
+        width = block.shape[1]
+        values = np.zeros((len(table.source), -(-width // lanes) * lanes), dtype=poset.mask_dtype)
+        values[:, :width] = _lookup(table, block)
+        words = ufunc.reduceat(values.view(np.uint64), table.groups)
+        out[:, lo : lo + width] = words.view(poset.mask_dtype)[:, :width]
+    return out
+
+
+def _initial(poset: ContextPoset, variant: str) -> "ContextFunction":
+    """The walk's starting masks, which a context's own pair leaves neutral."""
+    return top(poset) if variant == VARIANT_DOWN else bottom(poset)
 
 
 class ExhaustiveLimitError(ValueError):
     """More monotone elements than exhaustive checking takes."""
 
 
-def _walk(poset: ContextPoset, variant: str, choices) -> list[list[int]]:
-    """Monotone mask lists, filled coarse to fine along a linear extension:
-    each context takes every mask that choices(forced, allowed) returns.
+def _walk(poset: ContextPoset, variant: str) -> np.ndarray:
+    """Every monotone mask row, filled coarse to fine along the linear
+    extension: each context takes every mask between the bounds its coarser
+    contexts set, for all rows at once.
 
-    Every context offers at least one mask, so the count of partial lists
-    never falls: the walk refuses as soon as it passes
-    MAX_EXHAUSTIVE_ELEMENTS."""
-    partial = [[0] * len(poset.contexts)]
-    for i in sorted(range(len(poset.contexts)), key=lambda c: len(poset.sub_contexts(c))):
-        grown = []
-        for masks in partial:
-            grown += [masks[:i] + [mask] + masks[i + 1 :]
-                      for mask in choices(*_mask_bounds(poset, masks, i, variant))]
-            if len(grown) > MAX_EXHAUSTIVE_ELEMENTS:
-                raise ExhaustiveLimitError(
-                    f"poset has more than {MAX_EXHAUSTIVE_ELEMENTS} monotone {variant} "
-                    f"elements, the exhaustive limit"
-                )
-        partial = grown
-    return partial
+    Every context offers at least one mask, so the count of rows never
+    falls: the walk refuses as soon as it passes MAX_EXHAUSTIVE_ELEMENTS."""
+    _check_variant(variant)
+    rows = np.array([_initial(poset, variant).masks], dtype=poset.mask_dtype)
+    groups = np.append(poset._expand.groups, len(poset._expand.source)).tolist()
+    for i in poset._order.tolist():
+        expanded = _lookup(poset._expand, rows.T, slice(groups[i], groups[i + 1]))
+        masks = np.arange(poset.full_mask(i) + 1, dtype=poset.mask_dtype)
+        if variant == VARIANT_DOWN:  # below the meet of the coarser masks
+            fits = masks & ~np.bitwise_and.reduce(expanded)[:, None] == 0
+        else:  # above their join
+            fits = ~masks & np.bitwise_or.reduce(expanded)[:, None] == 0
+        which, chosen = np.nonzero(fits)
+        if len(which) > MAX_EXHAUSTIVE_ELEMENTS:
+            raise ExhaustiveLimitError(
+                f"poset has more than {MAX_EXHAUSTIVE_ELEMENTS} monotone {variant} "
+                f"elements, the exhaustive limit"
+            )
+        rows = rows[which]
+        rows[:, i] = masks[chosen]
+    return rows
 
 
 def _monotone(poset: ContextPoset, m: np.ndarray, variant: str) -> np.ndarray:
-    """is_monotone of every row of a (..., C) int mask array."""
-    cols = np.moveaxis(m, -1, 0)
-    holds = np.ones(m.shape[:-1], dtype=bool)
-    for i, mask in enumerate(cols):
-        forced, allowed = _mask_bounds(poset, cols, i, variant)
-        holds &= (mask | forced) & allowed == mask  # forced <= mask <= allowed
-    return holds
+    """is_monotone of every row of a (..., C) int mask array.
+
+    A context's own pair expands its mask to itself (within its atoms), so
+    with it among the coarser pairs, m is l3-monotone at c iff
+    m[c] & AND(expansions) == m[c], and l2-monotone iff
+    (m[c] | OR(expansions)) & full == m[c]."""
+    return _monotone_columns(poset, m.reshape(-1, m.shape[-1]).T, variant).reshape(m.shape[:-1])
+
+
+def _monotone_columns(poset: ContextPoset, cols, variant: str) -> np.ndarray:
+    """(R,): _monotone of each column of a context-major (C, R) mask array."""
+    _check_variant(variant)
+    if variant == VARIANT_DOWN:
+        holds = cols & _grouped(poset, poset._expand, np.bitwise_and, cols) == cols
+    else:
+        holds = (cols | _grouped(poset, poset._expand, np.bitwise_or, cols)) \
+            & poset._full[:, None] == cols
+    return holds.all(axis=0)
 
 
 def is_monotone(poset: ContextPoset, element: ContextFunction, variant: str) -> bool:
@@ -314,7 +418,7 @@ def bottom(poset: ContextPoset) -> ContextFunction:
 
 
 def top(poset: ContextPoset) -> ContextFunction:
-    return ContextFunction([poset.full_mask(i) for i in range(len(poset.contexts))])
+    return ContextFunction(poset._full.tolist())
 
 
 def _require_monotone(poset, elements, variant):
@@ -326,18 +430,13 @@ def _require_monotone(poset, elements, variant):
 def _arrow(poset: ContextPoset, variant: str, a, b) -> np.ndarray:
     """The implication a -> b of (..., C) int mask arrays that broadcast
     together, from the complement-join t = ~a | b at each context."""
-    contexts = range(len(poset.contexts))
-    t = [(poset.full_mask(d) & ~a[..., d]) | b[..., d] for d in contexts]
-    if variant == VARIANT_DOWN:  # the meet of t over the coarser contexts
-        cols = [reduce(operator.and_, [poset.expand_mask(d, c, t[d])
-                                       for d in poset.sub_contexts(c)]) for c in contexts]
-    elif variant == VARIANT_UP:  # the atoms that lie below t at every finer context
-        cols = [sum(reduce(operator.and_, [poset.expand_mask(c, d, 1 << k) & ~t[d] == 0
-                                           for d in poset.super_contexts(c)]) << k
-                    for k in range(poset.contexts[c].size)) for c in contexts]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return np.stack(cols, axis=-1).astype(np.result_type(a, b), copy=False)
+    _check_variant(variant)
+    t = (poset._full & ~a) | b
+    # l3: the meet of t's expansions from the coarser contexts; l2: the meet of
+    # t's restrictions from the finer contexts; c's own t among them
+    table = poset._expand if variant == VARIANT_DOWN else poset._restrict
+    arrow = _grouped(poset, table, np.bitwise_and, t.reshape(-1, t.shape[-1]).T)
+    return arrow.T.reshape(t.shape).astype(np.result_type(a, b), copy=False)
 
 
 def l3_implication(
@@ -367,26 +466,54 @@ def enumerate_elements(poset: ContextPoset, variant: str) -> list[ContextFunctio
     masks, and raises ExhaustiveLimitError once the poset is seen to have
     more than MAX_EXHAUSTIVE_ELEMENTS of them.
     """
-
-    def every(forced, allowed):
-        return [m for m in range(allowed + 1) if not (forced & ~m or m & ~allowed)]
-
-    return [ContextFunction(masks) for masks in sorted(_walk(poset, variant, every))]
+    return [ContextFunction(masks) for masks in sorted(_walk(poset, variant).tolist())]
 
 
 def sample_elements(
     poset: ContextPoset, variant: str, count: int, seed: int
 ) -> list[ContextFunction]:
-    """Seeded random monotone elements: each context keeps its forced atoms
-    and draws each other allowed atom, in ascending order, with chance 1/2."""
-    rng = np.random.default_rng(seed)
+    """Seeded random monotone elements, each filled along the walk's linear
+    extension: each context keeps its forced atoms and draws each other
+    allowed atom, in ascending order, with chance 1/2.
 
-    def draw(forced, allowed):
-        free = allowed & ~forced
-        return [forced | sum(1 << k for k in range(free.bit_length())
-                             if free >> k & 1 and rng.random() < 0.5)]
+    A sample draws at most one number per atom, so all the draws are taken
+    at once; rng.random(n) is the stream of n rng.random() calls."""
+    _check_variant(variant)
+    draws = iter(np.random.default_rng(seed).random(
+        count * sum(ctx.size for ctx in poset.contexts)).tolist())
+    table = poset._expand
+    values, offset, coarse, full = (a.tolist() for a in (table.values, table.offset,
+                                                         table.source, poset._full))
+    groups = np.append(table.groups, len(coarse)).tolist()
+    steps = [(i, full[i], [(offset[p], coarse[p]) for p in range(groups[i], groups[i + 1])])
+             for i in poset._order.tolist()]
+    meet = variant == VARIANT_DOWN
+    initial = _initial(poset, variant).masks
+    elements = []
+    for _ in range(count):
+        masks = list(initial)
+        for i, full_i, pairs in steps:
+            # l3: any atoms below the meet of the coarser masks; l2: the atoms of
+            # their join and any others (the masks so far lie within their atoms)
+            bound = full_i if meet else 0
+            for at, d in pairs:
+                if meet:
+                    bound &= values[at + masks[d]]
+                else:
+                    bound |= values[at + masks[d]]
+            mask, free = (0, bound) if meet else (bound, full_i & ~bound)
+            bit = 1
+            while bit <= free:
+                if free & bit and next(draws) < 0.5:
+                    mask |= bit
+                bit <<= 1
+            masks[i] = mask
+        elements.append(ContextFunction(masks))
+    return elements
 
-    return [ContextFunction(_walk(poset, variant, draw)[0]) for _ in range(count)]
+
+TRIPLE_LAWS = ("join associativity", "meet associativity", "meet-over-join distributivity",
+               "join-over-meet distributivity", "adjunction")
 
 
 @dataclass(frozen=True)
@@ -402,28 +529,44 @@ class LawReport:
         return not self.violations
 
 
-def _pair_laws_hold(poset: ContextPoset, variant: str, m, meet, arrow) -> bool:
+def _pair_laws_hold(poset: ContextPoset, m, meet, arrow) -> bool:
     """Conditions (a), (b) and (c) of check_heyting_laws on every pair of
-    the (E, C) elements m, given meet[s, t] = s & t and arrow[t, r] = t -> r."""
+    the exhaustive elements, given as context-major tables: m[:, s] is
+    element s, in lexicographic order, meet[:, s, t] = s & t and
+    arrow[:, t, r] = t -> r.  Closure holds, so s & t and r | g are
+    elements, and their implications are columns of the arrow table, found
+    by the mixed-radix number of each mask tuple, which orders them as m."""
 
     def below(x, y):
         return not (x & ~y).any()
 
-    if not below(m[:, None] & arrow, m):  # (a) t & (t -> r) <= r
-        return False
-    if not below(m[:, None], _arrow(poset, variant, m[None], meet)):  # (b) s <= t -> (s & t)
-        return False
-    holders = [m[(m[:, c] >> k & 1).astype(bool)]
-               for c, ctx in enumerate(poset.contexts) for k in range(ctx.size)]
-    generators = {tuple(np.bitwise_and.reduce(h).tolist()) for h in holders if len(h)}
-    # (c) t -> r <= t -> (r | g), one generator at a time to keep E^2 C memory;
-    # r | g is an element, so t -> (r | g) is a column of the arrow table
-    index = {row: k for k, row in enumerate(map(tuple, m.tolist()))}
+    radix = [int(full) + 1 for full in poset._full]
+    weights = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))],
+                       dtype=np.int64 if math.prod(radix) < 2**63 else object)
+    keys = weights @ m
 
-    def joined(g):
-        return [index[row] for row in map(tuple, (m | np.array(g, dtype=m.dtype)).tolist())]
+    def position(rows):  # the columns of m holding the (C, ...) element masks rows
+        return np.searchsorted(keys, (rows.T @ weights).T)
 
-    return all(below(arrow, arrow[:, joined(g)]) for g in generators)
+    if not below(m[:, :, None] & arrow, m[:, None]):  # (a) t & (t -> r) <= r
+        return False
+    # (b) s <= t -> (s & t)
+    if not below(m[:, :, None], arrow[:, np.arange(m.shape[1]), position(meet)]):
+        return False
+    # the generators: for each atom some element holds, the meet of the elements
+    # holding it (holds[c, k, e]: element e holds atom k of context c)
+    bits = np.arange(int(poset._full.max()).bit_length())[:, None]
+    holds = (m[:, None] >> bits & 1).astype(bool)
+    # meets[d, c, k]: the generator's mask at context d
+    meets = np.bitwise_and.reduce(
+        np.where(holds, m[:, None, None], poset._full[:, None, None, None]), axis=-1)
+    generators = m[:, list(dict.fromkeys(position(meets[:, holds.any(axis=-1)]).tolist()))]
+    # (c) t -> r <= t -> (r | g), for a block of generators at a time (at most
+    # TRIPLE_BLOCK (g, t, r) triples)
+    joined = position(m[:, None] | generators[:, :, None])  # joined[g, r]: r | g
+    step = max(1, TRIPLE_BLOCK // m.shape[1] ** 2)
+    return all(below(arrow[:, :, None], arrow[:, :, joined[lo : lo + step]])
+               for lo in range(0, len(joined), step))
 
 
 def check_heyting_laws(
@@ -437,9 +580,10 @@ def check_heyting_laws(
     closure of the monotone elements under join, meet and implication.
 
     The elements (all when exhaustive, else a seeded sample plus bottom and
-    top) form an (E, C) mask array m, so join and meet are `|` and `&`,
-    and the (E, E, C) arrow table is one _arrow call on m against itself
-    (the elements are monotone by construction, so it checks no input).
+    top) form a context-major (C, E) mask array m, so join and meet are `|`
+    and `&`, and the (C, E, E) arrow table is one _arrow call on m against
+    itself (the elements are monotone by construction, so it checks no
+    input).
     Idempotence is checked over E elements; commutativity, absorption and
     closure (monotonicity of join, meet and implication) over E x E pairs.
     triples_checked counts the E^3 triples on which both associativities,
@@ -460,9 +604,10 @@ def check_heyting_laws(
     Stone Spaces (1982), I.1).
 
     A sample is not the whole lattice, so there, and whenever closure or a
-    pair condition fails, the triples are checked one (E, E) comparison per
-    s. Violations are listed by s, then law, then (t, r) (pairs by law,
-    then (s, t), before the triples); the report keeps the first 16.
+    pair condition fails, the triples are checked directly, for a block of
+    s values at a time (at most TRIPLE_BLOCK triples). Violations are listed
+    by s, then law, then (t, r) (pairs by law, then (s, t), before the
+    triples); the report keeps the first 16.
     """
     if exhaustive:
         elements = enumerate_elements(poset, variant)
@@ -471,32 +616,50 @@ def check_heyting_laws(
         elements.extend([bottom(poset), top(poset)])
         elements = list(dict.fromkeys(elements))
 
-    m = np.array([el.masks for el in elements], dtype=poset.mask_dtype)
-    arrow = _arrow(poset, variant, m[:, None], m)  # arrow[t, r] = t -> r
-    join, meet = m[:, None] | m, m[:, None] & m  # join[t, r] = t | r
-    closed = _monotone(poset, np.stack([join, meet, arrow]), variant).all(axis=0)
+    # context-major tables: m[:, s] is element s, and two masks are the same
+    # element when they agree along axis 0
+    m = np.array([el.masks for el in elements], dtype=poset.mask_dtype).T
+    arrow = np.moveaxis(_arrow(poset, variant, m.T[:, None], m.T), -1, 0)  # arrow[:, t, r] = t -> r
+    join, meet = m[:, :, None] | m[:, None], m[:, :, None] & m[:, None]  # join[:, t, r] = t | r
+    closed = _monotone_columns(poset, np.stack([join, meet, arrow], axis=1).reshape(len(m), -1),
+                               variant).reshape(3, -1, m.shape[1]).all(axis=0)
     violations: list[str] = []
 
     def equal(a, b):
-        return (a == b).all(axis=-1)
+        return (a == b).all(axis=0)
 
-    def note(law, holds, *fixed):
-        for at in np.argwhere(~holds)[: 16 - len(violations)]:
+    def note(law, agree, *fixed):  # agree: a (C, ...) comparison, failing where a context differs
+        if agree.all():
+            return
+        for at in np.argwhere(~agree.all(axis=0))[: 16 - len(violations)]:
             where = ", ".join(str(elements[k]) for k in (*fixed, *at))
             violations.append(f"{law} fails at {where}")
 
-    note("idempotence", equal(m | m, m) & equal(m & m, m))
-    note("commutativity", equal(join, join.swapaxes(0, 1)) & equal(meet, meet.swapaxes(0, 1)))
-    note("absorption", equal(m[:, None] | meet, m[:, None]) & equal(m[:, None] & join, m[:, None]))
-    note("closure", closed)
-    if not (exhaustive and closed.all() and _pair_laws_hold(poset, variant, m, meet, arrow)):
-        for s in range(len(elements)):
-            note("join associativity", equal(m[s] | join, join[s, :, None] | m), s)
-            note("meet associativity", equal(m[s] & meet, meet[s, :, None] & m), s)
-            note("meet-over-join distributivity", equal(m[s] & join, meet[s, :, None] | meet[s]), s)
-            note("join-over-meet distributivity", equal(m[s] | meet, join[s, :, None] & join[s]), s)
-            adjoint = equal(m[s] & arrow, m[s])  # s <= (t -> r)
-            note("adjunction", equal(meet[s, :, None] & m, meet[s, :, None]) == adjoint, s)
+    s, r = m[:, :, None], m[:, None, None]  # s along axis 1, r along the last one
+    note("idempotence", ((m | m) == m) & ((m & m) == m))
+    note("commutativity", (join == join.swapaxes(1, 2)) & (meet == meet.swapaxes(1, 2)))
+    note("absorption", ((s | meet) == s) & ((s & join) == s))
+    note("closure", closed[None])
+    if not (exhaustive and closed.all() and _pair_laws_hold(poset, m, meet, arrow)):
+        # the five triple laws for a block of s at once, holds[s, law, t, r]
+        step = max(1, TRIPLE_BLOCK // len(elements) ** 2)
+        for lo in range(0, len(elements), step):
+            if len(violations) == 16:
+                break
+            block = slice(lo, lo + step)
+            s = m[:, block, None, None]
+            s_meet, s_join = meet[:, block, :, None], join[:, block, :, None]  # s & t, s | t
+            holds = np.stack([
+                equal(s | join[:, None], s_join | r),
+                equal(s & meet[:, None], s_meet & r),
+                equal(s & join[:, None], s_meet | meet[:, block, None]),
+                equal(s | meet[:, None], s_join & join[:, block, None]),
+                # the adjunction: s & t <= r exactly when s <= (t -> r)
+                equal(s_meet & r, s_meet) == equal(s & arrow[:, None], s),
+            ], axis=1)
+            for k, law, t, at_r in np.argwhere(~holds)[: 16 - len(violations)]:
+                violations.append(f"{TRIPLE_LAWS[law]} fails at "
+                                  f"{elements[lo + k]}, {elements[t]}, {elements[at_r]}")
     return LawReport(
         variant=variant,
         element_count=len(elements),

@@ -543,7 +543,7 @@ def _coord(num, den=1):
          "unrecognized arguments: --seed 3"),
         (["quantum", "generator", "--shots", "5"], 2, "unrecognized arguments: --shots 5"),
         (["verify-all", "--tolerance", "1e-300"], 2, "unrecognized arguments: --tolerance 1e-300"),
-        (["--json", "verify-all"], 2, "unrecognized arguments: --json"),
+        (["--json", "verify-all"], 2, "--json goes after the command"),
     ],
     ids=["unwritable-out", "nan-angle", "zero-shots", "shots-over-cap", "zero-max-n",
          "max-n-over-cap", "zero-generator-n",
@@ -573,12 +573,16 @@ def test_usage_errors(capsys, tmp_path, argv, code, fragment):
 @pytest.mark.parametrize("argv", [["--tolerance", "1e-300", "verify-all"],
                                   ["--seed", "3", "ks", "check", "--set", "peres33"]],
                          ids=["tolerance", "seed"])
-def test_option_before_the_command_is_refused(argv):
-    # the top-level parser takes no option but --help and --version, so the
-    # option's value is read as the command
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(argv)
-    assert excinfo.value.code == 2
+def test_option_before_the_command_is_refused(capsys, argv):
+    # the top-level parser takes no option but --help and --version; the
+    # error names the misplaced option, not its value read as the command
+    assert run_cli(capsys, *argv) == (2, "", f"error: {argv[0]} goes after the command\n")
+
+
+@pytest.mark.parametrize("argv", [["--csv", "fwt", "counts"], ["--shots=5", "verify-all"]])
+def test_every_shared_option_before_the_command_is_named(capsys, argv):
+    option = argv[0].split("=")[0]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {option} goes after the command\n")
 
 
 OBSERVABLE3 = [[[1.0, 0.0] if i == j == 0 else [0.0, 0.0] for j in range(3)] for i in range(3)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qfoundry import logic
+from qfoundry.quantum import STRUCT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +16,16 @@ def m2_poset():
     b0 = np.eye(2, dtype=complex)
     b1 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     return logic.poset_from_bases([b0, b1])
+
+
+def _subs(poset, j):
+    """Contexts included in context j (j among them), ascending."""
+    return tuple(i for i in range(len(poset.contexts)) if poset.refine[i][j] is not None)
+
+
+def _supers(poset, i):
+    """Contexts that include context i (i among them), ascending."""
+    return tuple(j for j in range(len(poset.contexts)) if poset.refine[i][j] is not None)
 
 
 def _random_subspace(rng, dim):
@@ -111,9 +122,9 @@ def test_l1_double_negation_minimality():
 def test_poset_structure(m2_poset):
     assert len(m2_poset.contexts) == 3
     assert m2_poset.contexts[0].name == "trivial"
-    assert m2_poset.super_contexts(0) == (0, 1, 2)
-    assert m2_poset.super_contexts(1) == (1,)
-    assert m2_poset.super_contexts(2) == (2,)
+    assert _supers(m2_poset, 0) == (0, 1, 2)
+    assert _supers(m2_poset, 1) == (1,)
+    assert _supers(m2_poset, 2) == (2,)
 
 
 def test_poset_dim3_intermediates():
@@ -125,8 +136,8 @@ def test_poset_dim3_intermediates():
     assert len(poset.contexts) == 5
     maximal = 1
     for i in range(2, 5):
-        assert maximal in poset.super_contexts(i)
-        assert i in poset.super_contexts(0)
+        assert maximal in _supers(poset, i)
+        assert i in _supers(poset, 0)
 
 
 # the lattice operations on elements are |, & and & ~ on each context's mask
@@ -267,7 +278,7 @@ def _reference_expand(poset, i, j, mask):
 
 def _reference_is_monotone(poset, masks, variant):
     for i, j in product(range(len(poset.contexts)), repeat=2):
-        if i == j or j not in poset.super_contexts(i):
+        if i == j or j not in _supers(poset, i):
             continue
         coarse_in_fine = _reference_expand(poset, i, j, masks[i])
         if variant == "l3" and masks[j] & ~coarse_in_fine:
@@ -288,13 +299,13 @@ def _reference_enumerate(poset, variant):
 
 def _reference_sample(poset, variant, count, seed):
     rng = np.random.default_rng(seed)
-    order = sorted(range(len(poset.contexts)), key=lambda i: len(poset.sub_contexts(i)))
+    order = sorted(range(len(poset.contexts)), key=lambda i: len(_subs(poset, i)))
     out = []
     for _ in range(count):
         masks = [0] * len(poset.contexts)
         for i in order:
             coarser = [_reference_expand(poset, d, i, masks[d])
-                       for d in poset.sub_contexts(i) if d != i]
+                       for d in _subs(poset, i) if d != i]
             if variant == "l3":
                 allowed = poset.full_mask(i)
                 for c in coarser:
@@ -430,14 +441,14 @@ def _reference_implication(poset, variant, s1, s2):
     for c, ctx in enumerate(poset.contexts):
         if variant == "l3":
             acc = full[c]
-            for d in poset.sub_contexts(c):
+            for d in _subs(poset, c):
                 acc &= _reference_expand(poset, d, c, target[d])
             masks.append(acc)
         else:
             masks.append(sum(
                 1 << k for k in range(ctx.size)
                 if all(not _reference_expand(poset, c, d, 1 << k) & ~target[d]
-                       for d in poset.super_contexts(c))
+                       for d in _supers(poset, c))
             ))
     return masks
 
@@ -631,20 +642,35 @@ def _seeded_poset(seed):
     return logic.poset_from_bases(bases + repeats[: int(rng.integers(0, 3))])
 
 
+def _assert_tables_match_reference(poset, seed, rows=6):
+    """_monotone and _arrow on random, mostly non-monotone mask arrays (rows
+    of them, and a (3, rows, rows, C) stack) against the _reference_expand-based
+    references, for both variants."""
+    rng = np.random.default_rng(seed)
+    full = [poset.full_mask(i) for i in range(len(poset.contexts))]
+    a, b = (rng.integers(0, np.array(full) + 1, size=(rows, len(full))) for _ in range(2))
+    stack = rng.integers(0, np.array(full) + 1, size=(3, rows, rows, len(full)))
+    for variant in ("l2", "l3"):
+        assert logic._monotone(poset, a, variant).tolist() == \
+            [_reference_is_monotone(poset, row, variant) for row in a.tolist()]
+        assert logic._monotone(poset, stack, variant).tolist() == \
+            [[[_reference_is_monotone(poset, row, variant) for row in block] for block in layer]
+             for layer in stack.tolist()]
+        element = logic.ContextFunction
+        assert logic._arrow(poset, variant, a[:, None], b).tolist() == \
+            [[_reference_implication(poset, variant, element(s), element(t)) for t in b.tolist()]
+             for s in a.tolist()]
+
+
 @pytest.mark.parametrize("seed", range(0, 120, 12))
 def test_batched_refinement_matches_per_pair_containment(seed):
     for poset in map(_seeded_poset, range(seed, seed + 12)):
         n = len(poset.contexts)
         for i, j in product(range(n), repeat=2):
             assert poset.refine[i][j] == _reference_refine(poset.contexts, i, j)
-            assert i == j or not (j in poset.super_contexts(i) and i in poset.super_contexts(j))
-            if j in poset.super_contexts(i):
-                masks = range(poset.full_mask(i) + 1)
-                assert [poset.expand_mask(i, j, mask) for mask in masks] == \
-                    [_reference_expand(poset, i, j, mask) for mask in masks]
-                assert poset.expand_mask(i, j, np.array(masks)).tolist() == \
-                    [_reference_expand(poset, i, j, mask) for mask in masks]
-                assert type(poset.expand_mask(i, j, 1)) is int
+            assert i == j or not (j in _supers(poset, i) and i in _supers(poset, j))
+        # the gather tables expand and restrict along every included pair
+        _assert_tables_match_reference(poset, seed)
 
 
 def _svd_containment(atoms):
@@ -731,3 +757,160 @@ def test_context_errors(atoms, message):
     with pytest.raises(ValueError) as caught:
         logic.Context(atoms=atoms, name="c")
     assert str(caught.value) == message
+
+
+# Every poset the tests build, for the gather-table checks below.
+ALL_POSETS = {
+    **EXHAUSTIVE_POSETS,
+    "m2": lambda: logic.poset_from_bases(
+        [np.eye(2, dtype=complex), np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)]),
+    **{f"d3-2-seed{seed}": (lambda seed=seed: logic.poset_from_bases(_random_bases(seed, 3, 2)))
+       for seed in (0, 1, 2, 15)},
+    "near-duplicates": lambda: logic.poset_from_bases(
+        [_rotation_basis(math.acos(math.sqrt(0.3000000005))),
+         _rotation_basis(math.acos(math.sqrt(0.3000000005)) - 2e-12)]),
+    "permuted-repeats": lambda: logic.poset_from_bases(
+        [_random_bases(3, 3, 1)[0], _random_bases(3, 3, 1)[0][[2, 0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("name", ALL_POSETS)
+def test_monotone_and_arrow_match_reference_on_random_masks(name, monkeypatch):
+    poset = ALL_POSETS[name]()
+    for seed in range(3):
+        _assert_tables_match_reference(poset, seed)
+    monkeypatch.setattr(logic, "GATHER_BLOCK", 1)  # one 64-bit word of columns per block
+    _assert_tables_match_reference(poset, 3)
+
+
+def _all_pairs_containment(atoms):
+    """The all-pairs containment test that the Gram product prefilters: every
+    pair's P_b Q_a - Q_a, Frobenius bounds first, the SVD in between."""
+    rows = max(1, logic.CONTAINMENT_BLOCK // len(atoms))
+    bound = 2 * np.sqrt(atoms.shape[-1]) * logic.CONTAINMENT_TOL
+    blocks = []
+    for lo in range(0, len(atoms), rows):
+        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
+        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
+        leq = frobenius <= logic.CONTAINMENT_TOL / 2
+        unsure = ~leq & (frobenius <= bound)
+        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= logic.CONTAINMENT_TOL
+        blocks.append(leq)
+    return np.concatenate(blocks)
+
+
+def _poset_atoms(dim, count, seed):
+    """The atoms ContextPoset stacks for poset_from_bases: the identity, each
+    basis's rank-one projections, and in dim >= 3 each block {P, 1 - P}."""
+    atoms = [np.eye(dim, dtype=complex)]
+    for basis in _random_bases(seed, dim, count):
+        rank_one = [np.outer(v, v.conj()) for v in basis]
+        atoms += rank_one
+        atoms += [x for p in rank_one for x in (p, np.eye(dim) - p)] if dim >= 3 else []
+    return np.array(atoms)
+
+
+@pytest.mark.parametrize("count", [1, 8, 64])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gram_containment_matches_all_pairs_reference(dim, count):
+    atoms = _poset_atoms(dim, count, dim + count)
+    assert np.array_equal(logic._containment(atoms), _all_pairs_containment(atoms))
+
+
+@pytest.mark.parametrize("scale", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gram_containment_matches_all_pairs_on_perturbed_atoms(dim, scale):
+    # each rank-one atom next to a copy tilted by scale * CONTAINMENT_TOL, so
+    # that pair's norm sits at that multiple of the tolerance
+    atoms = list(_poset_atoms(dim, 2, 7))
+    per_basis = 3 * dim if dim > 2 else dim  # rank-one atoms, then the blocks
+    pairs = []  # (tilted copy, its atom)
+    for b, basis in enumerate(_random_bases(7, dim, 2)):
+        for k, (v, w) in enumerate(zip(basis, np.roll(basis, 1, axis=0))):
+            eps = scale * logic.CONTAINMENT_TOL
+            tilted = math.cos(eps) * v + math.sin(eps) * w
+            pairs.append((len(atoms), 1 + b * per_basis + k))
+            atoms += [np.outer(tilted, tilted.conj())]
+    atoms = np.array(atoms)
+    want = _all_pairs_containment(atoms)
+    assert np.array_equal(logic._containment(atoms), want)
+    if scale != 1.0:  # 1.0 sits on the tolerance, where rounding decides
+        assert all(want[copy, atom] == (scale < 1) for copy, atom in pairs)
+
+
+def _all_svd_context_error(atoms, name):
+    """The message Context raised with every residual norm taken by SVD, or None."""
+    mats = np.array(atoms, dtype=complex)
+    count, dim = mats.shape[:2]
+    residual = mats[:, None] @ mats
+    residual[range(count), range(count)] -= mats
+    norms = np.linalg.norm(np.concatenate([[sum(mats) - np.eye(dim)],
+                                           residual.reshape(-1, dim, dim)]), 2, axis=(-2, -1))
+    if norms[0] > STRUCT_TOL:
+        return f"atoms of context {name!r} do not sum to identity"
+    norms = norms[1:].reshape(count, count)
+    hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
+    for i in range(count):
+        if not hermitian[i]:
+            return "projection must be Hermitian"
+        if norms[i, i] > STRUCT_TOL:
+            return "projection must be idempotent within 1e-10"
+        if (norms[i, i + 1 :] > STRUCT_TOL).any():
+            return f"atoms of context {name!r} are not orthogonal"
+    return None
+
+
+def _context_error(atoms, name):
+    try:
+        logic.Context(atoms=tuple(atoms), name=name)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("scale", [0.4, 1.0, 2.5])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_context_checks_match_all_svd_reference(dim, scale):
+    basis = _random_bases(dim, dim, 1)[0]
+    atoms = [np.outer(v, v.conj()) for v in basis]
+    eps = scale * STRUCT_TOL
+    tilted = math.cos(eps) * basis[0] + math.sin(eps) * basis[1]
+    cases = [
+        [(1 + eps) * atoms[0], *atoms[1:]],  # off in the sum and in idempotence
+        [np.outer(tilted, tilted.conj()), *atoms[1:]],  # off in the sum and in orthogonality
+        [atoms[0] + eps * np.eye(dim), atoms[1] - eps * np.eye(dim), *atoms[2:]],  # sum exact
+        [atoms[0] + eps * (atoms[1] + atoms[0]) / 2, atoms[1] - eps * atoms[1] / 2, *atoms[2:]],
+    ]
+    messages = [_context_error(case, "c") for case in cases]
+    assert messages == [_all_svd_context_error(case, "c") for case in cases]
+    if scale != 1.0:  # 1.0 sits on the tolerance, where rounding decides
+        assert (messages == [None] * len(cases)) == (scale < 1)
+
+
+@pytest.mark.parametrize("variant", ["l2", "l3"])
+def test_sampled_report_with_a_late_block_failure_matches_reference(variant, monkeypatch):
+    poset = logic.poset_from_bases(_random_bases(15, 3, 2))
+    elements = _reference_sample(poset, variant, 8, 15)
+    elements = list(dict.fromkeys([*elements, logic.bottom(poset), logic.top(poset)]))
+    bottom, top = logic.bottom(poset), logic.top(poset)
+    step = 2  # s values per block
+    # x: an element past the first block with no other nonzero element below it
+    # before there, so t = top, r = bottom fails the adjunction only past it
+    x = next(el for k, el in enumerate(elements) if k >= step and el != bottom and not any(
+        _leq(other, el) and other != bottom for other in elements[:step]))
+    real = logic._arrow
+
+    def arrow(poset, variant, a, b):
+        out = real(poset, variant, a, b)
+        a, b = np.broadcast_arrays(a, b)
+        at = (a == top.masks).all(axis=-1) & (b == bottom.masks).all(axis=-1)
+        return np.where(at[..., None], x.masks, out)
+
+    monkeypatch.setattr(logic, "_arrow", arrow)
+    monkeypatch.setattr(logic, "TRIPLE_BLOCK", step * len(elements) ** 2)
+    report = logic.check_heyting_laws(poset, variant, exhaustive=False, sample_count=8, seed=15)
+    count, checked, violations = _reference_check_by_s(poset, variant, elements)
+    assert (report.element_count, report.triples_checked) == (count, checked)
+    assert violations and report.violations == violations
+    assert not any(v.startswith(f"adjunction fails at {el}, ")
+                   for v in violations for el in elements[:step])

@@ -3,26 +3,27 @@
 Two structures are implemented: the lattice of closed subspaces with
 span/intersection/orthocomplement connectives, and two lattices of
 context-indexed projection assignments over a finite poset of abelian
-algebras (one monotone along inclusion, one against it).  Within each context everything is an exact
-bitmask over that context's atoms; floating point only enters when
-projections are related across contexts.
+algebras (one monotone along inclusion, one against it).  The poset is
+built from which basis vectors share a ray, and everything else is exact:
+inclusion and refinement follow from the ray ids, and within each context
+an element is a bitmask over that context's atoms.  Floating point only
+enters in deciding which vectors share a ray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quantum import STRUCT_TOL, ProjectionOp, _as_matrix
+from .quantum import MAX_DIM, STRUCT_TOL, ProjectionOp, _as_matrix
 
 CONTAINMENT_TOL = 1e-9
 MAX_SUBSPACE_DIM = 4
 MAX_EXHAUSTIVE_ELEMENTS = 512  # the law check holds (E, E, C) mask tables
-MAX_POSET_BASES = 64  # the poset build compares every pair of contexts
-CONTAINMENT_BLOCK = 1 << 14  # atom pairs per batched containment test
+MAX_POSET_BASES = 64  # refine and inclusion are C x C, with C up to 1 + 5 * 64 at dim 4
 TRIPLE_BLOCK = 1 << 14  # (s, t, r) triples per blocked triple-law test
 GATHER_BLOCK = 1 << 18  # table lookups per block of a grouped reduction
 
@@ -30,58 +31,6 @@ GATHER_BLOCK = 1 << 18  # table lookups per block of a grouped reduction
 def _range_basis(projection: np.ndarray) -> np.ndarray:
     values, vectors = np.linalg.eigh(projection)
     return vectors[:, values > 0.5]
-
-
-def _norm_within(mats: np.ndarray, tol: float) -> np.ndarray:
-    """norm(X, 2) <= tol for every X of a (..., d, d) stack.
-
-    Since ||X||_F / sqrt(d) <= ||X||_2 <= ||X||_F, a matrix whose Frobenius
-    norm is at most tol / 2 passes and one whose Frobenius norm exceeds
-    2 sqrt(d) tol fails, both with a factor 2 to spare for rounding; only
-    the matrices in between take the operator-norm SVD.
-    """
-    frobenius = np.sqrt(np.add.reduce((mats.conj() * mats).real, axis=(-2, -1)))
-    within = frobenius <= tol / 2
-    unsure = ~within & (frobenius <= 2 * np.sqrt(mats.shape[-1]) * tol)
-    if unsure.any():
-        within[unsure] = np.linalg.norm(mats[unsure], 2, axis=(-2, -1)) <= tol
-    return within
-
-
-def _containment(atoms: np.ndarray) -> np.ndarray:
-    """leq[b, a]: whether atom a lies below atom b, decided by the norm
-    norm(P_b Q_a - Q_a, 2) <= CONTAINMENT_TOL on every pair of an (N, d, d)
-    stack of projections.
-
-    One Gram product rules out the far pairs.  For Hermitian idempotent P
-    and Q, ||P Q - Q||_F^2 = tr(Q^H P^H P Q) - 2 Re tr(Q^H P Q) + tr(Q^H Q)
-    = tr Q - tr(P Q^H), and tr(P Q^H) = <P, Q>_F = sum_ij P_ij conj(Q_ij);
-    so one (N, 2 d^2) x (2 d^2, N) real product gives
-    g[b, a] = tr Q_a - Re <P_b, Q_a>_F for every pair.  The atoms are
-    projections within STRUCT_TOL = e: Hermitian to e per entry (so
-    ||A^H - A||_2 <= d e) and idempotent to e in the operator norm, hence
-    ||A||_2 < 2.  Reaching g takes three replacements, P^H P -> P in the
-    first term, Q^H Q -> Q in the last and Q Q^H -> Q^H in the middle one
-    (after the first, -2 Re tr(Q^H P Q) + tr(Q^H P Q) leaves -Re tr(P Q Q^H));
-    each moves a trace of d-by-d matrices by at most d (2 d e + e) times a
-    norm bound of 4, 1 and 2, so |g - ||P Q - Q||_F^2| <= 7 d (2 d + 1) e,
-    and twice that also covers the rounding of g (below 1e-13 for d <= 16).
-    A pair that can pass has ||P Q - Q||_F <= 2 sqrt(d) CONTAINMENT_TOL (see
-    _norm_within), so every pair with g > 4 d CONTAINMENT_TOL^2
-    + 14 d (2 d + 1) e fails.  Only the other, near pairs form P_b Q_a - Q_a
-    and take _norm_within, in blocks of at most CONTAINMENT_BLOCK pairs.
-    """
-    count, dim = atoms.shape[:2]
-    flat = atoms.reshape(count, -1)
-    parts = np.concatenate([flat.real, flat.imag], axis=1)
-    slack = 4 * dim * CONTAINMENT_TOL**2 + 14 * dim * (2 * dim + 1) * STRUCT_TOL
-    gap = np.trace(atoms, axis1=1, axis2=2).real - parts @ parts.T  # g[b, a], tr Q_a by column
-    above, below = np.nonzero(gap <= slack)
-    leq = np.zeros((count, count), dtype=bool)
-    for lo in range(0, len(above), CONTAINMENT_BLOCK):
-        b, a = above[lo : lo + CONTAINMENT_BLOCK], below[lo : lo + CONTAINMENT_BLOCK]
-        leq[b, a] = _norm_within(atoms[b] @ atoms[a] - atoms[a], CONTAINMENT_TOL)
-    return leq
 
 
 class Subspace:
@@ -136,38 +85,11 @@ def ql_ortho(a: Subspace) -> Subspace:
     return Subspace(np.eye(a.dimension) - a.projection)
 
 
-@dataclass(frozen=True)
-class Context:
-    """An abelian algebra given by its atoms (a partition of the identity)."""
+class Context(NamedTuple):
+    """A context of a ContextPoset: its name and its number of atoms."""
 
-    atoms: tuple[np.ndarray, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        # every residual norm in one _norm_within call, then the checks in the
-        # order of one atom at a time: the sum, then each atom's projection
-        # checks before its orthogonality to the later atoms
-        mats = np.array([_as_matrix(p) for p in self.atoms])
-        count, dim = mats.shape[:2]
-        residual = (mats[:, None] @ mats).reshape(-1, dim, dim)  # P_i P_j, 0 off the diagonal
-        residual[:: count + 1] -= mats  # P_i P_i - P_i
-        within = _norm_within(np.concatenate([[mats.sum(axis=0) - np.eye(dim)], residual]),
-                              STRUCT_TOL)
-        if not within[0]:
-            raise ValueError(f"atoms of context {self.name!r} do not sum to identity")
-        within = within[1:].reshape(count, count).tolist()
-        hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
-        for i, row in enumerate(within):
-            if not hermitian[i]:
-                raise ValueError("projection must be Hermitian")
-            if not row[i]:
-                raise ValueError("projection must be idempotent within 1e-10")
-            if not all(row[i + 1 :]):
-                raise ValueError(f"atoms of context {self.name!r} are not orthogonal")
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
+    name: str
+    size: int
 
 
 class _Gather(NamedTuple):
@@ -184,63 +106,66 @@ class _Gather(NamedTuple):
 
 
 class ContextPoset:
-    """A finite poset of contexts ordered by algebra inclusion.
+    """The poset of the abelian algebras of orthonormal bases, ordered by
+    inclusion, built from the ray ids of the bases' vectors alone.
 
-    Inclusion i <= j means every atom of context j refines into (lies below)
-    an atom of context i.  One _containment call over the atoms of the
-    trivial context and of every given context decides it for every pair,
-    and it alone decides algebra identity too: a context included both ways
-    in an earlier kept one is the same algebra and is dropped (the first
-    copy wins).  So the poset always contains the trivial context first and
-    each algebra once, and inclusion is antisymmetric.
+    bases[b] holds the ray ids of basis b's vectors in atom order, one id
+    per ray.  The contexts are the trivial algebra, then each basis's
+    maximal algebra (basis{b}) and, in dimension >= 3, the two-atom algebra
+    {P, 1 - P} of each of its rays (basis{b}:block{k}); an algebra met
+    before is dropped, so the first copy wins.  Inclusion i <= j (every
+    atom of context j lies below an atom of context i) is combinatorial,
+    since a rank-one atom lies below another only on its own ray: the
+    trivial context lies below every context, each context below itself,
+    and the block of ray r below each basis holding r.
 
-    refine[i][j][k] is the index of the atom of context i containing atom k
-    of context j (the first one, in atom order), present only when context
-    i is included in context j.  Two gather tables, built once from these
-    maps over every included pair (each context's own pair among them),
-    make lattice elements pure bitmask data: _expand maps each mask of the
-    coarse context to its expansion into the fine context's atoms, grouped
-    by the fine context; _restrict maps each mask of the fine context to
-    the largest coarse mask whose expansion lies below it (from each coarse
-    atom's expansion), grouped by the coarse context.  _order is a linear
-    extension: contexts by their number of coarser contexts.
+    refine[i][j][k] is the atom of context i above atom k of context j,
+    present only when i <= j: k on a context's own pair, 0 from the trivial
+    context, and from a block 0 for its ray's atom, else 1.  Two gather
+    tables, built once from these maps over every included pair (each
+    context's own pair among them), make lattice elements pure bitmask data:
+    _expand maps each mask of the coarse context to its expansion into the
+    fine context's atoms, grouped by the fine context; _restrict maps each
+    mask of the fine context to the largest coarse mask whose expansion lies
+    below it (from each coarse atom's expansion), grouped by the coarse
+    context.  _order is a linear extension: contexts by their number of
+    coarser contexts.
     """
 
-    def __init__(self, contexts: Iterable[Context]) -> None:
-        contexts = list(contexts)
-        dim = contexts[0].atoms[0].shape[0]
-        contexts.insert(0, Context(atoms=(np.eye(dim, dtype=complex),), name="trivial"))
-        sizes = np.array([ctx.size for ctx in contexts])
-        starts = np.cumsum(sizes) - sizes
-        leq = _containment(np.array([atom for ctx in contexts for atom in ctx.atoms],
-                                    dtype=complex))
-        # parent[i, a]: the first atom of context i above atom a, as widest minus
-        # the reduceat's rank, which is 0 where context i has no atom above a
-        widest = int(sizes.max())
-        rank = widest - (np.arange(len(leq)) - np.repeat(starts, sizes))
-        rank = np.maximum.reduceat(leq * rank[:, None], starts, axis=0)
-        # included[i, j]: every atom of context j lies below an atom of context i
-        included = np.logical_and.reduceat(rank > 0, starts, axis=1)
-        # a context included both ways in an earlier kept one is that algebra
-        # again; only a context with some earlier copy (its first copy, by
-        # argmax, before itself) can be, and in ascending order its earlier
-        # contexts are settled when it is reached
-        same = included & included.T
-        keep = list(range(len(contexts)))
-        for j in np.flatnonzero(same.argmax(axis=0) < np.arange(len(contexts))).tolist():
-            if same[[k for k in keep if k < j], j].any():
-                keep.remove(j)
-        self.contexts = [contexts[k] for k in keep]
-        n = len(keep)
-        fine, coarse = np.nonzero(included[keep][:, keep].T)  # grouped by the fine context
-        sizes, starts, parent = sizes[keep], starts[keep], widest - rank[keep]
+    def __init__(self, bases: Sequence[Sequence[int]]) -> None:
+        dim = len(bases[0])
+        self.contexts = [Context("trivial", 1)]
+        # key[c]: the ray ids of basis context c's atoms; a block's ray, repeated
+        key, seen, block, below = [[-1] * dim], set(), {}, []
+        for b, rays in enumerate(bases):
+            if frozenset(rays) in seen:
+                continue
+            seen.add(frozenset(rays))
+            at = len(self.contexts)
+            self.contexts.append(Context(f"basis{b}", dim))
+            key.append(list(rays))
+            for k, ray in enumerate(rays if dim >= 3 else ()):
+                if ray not in block:
+                    block[ray] = len(self.contexts)
+                    self.contexts.append(Context(f"basis{b}:block{k}", 2))
+                    key.append([ray] * dim)
+                below.append((block[ray], at))
+        n = len(self.contexts)
+        included = np.eye(n, dtype=bool)  # included[i, j]: context i lies below context j
+        included[0] = True
+        below = np.array(below, dtype=np.intp).reshape(-1, 2)
+        included[below[:, 0], below[:, 1]] = True
+        fine, coarse = np.nonzero(included.T)  # grouped by the fine context
+        sizes = np.array([ctx.size for ctx in self.contexts])
+        # parent[p, k]: the atom of pair p's coarse context above atom k of its fine one
+        atom = np.arange(dim)
+        key = np.array(key)
+        parent = np.where((coarse == fine)[:, None], atom,
+                          (coarse[:, None] > 0) & (key[fine] != key[coarse, :1]))
         # the narrowest unsigned dtype holding every mask; mask tables in it
         # move a fraction of the memory an int64 table would
-        self.mask_dtype = np.min_scalar_type((1 << widest) - 1)
+        self.mask_dtype = np.min_scalar_type((1 << dim) - 1)
         self._full = ((1 << sizes) - 1).astype(self.mask_dtype)
-        # parent[p, k]: the atom of pair p's coarse context above atom k of its fine one
-        atom = np.arange(widest)
-        parent = parent[coarse[:, None], np.minimum(starts[fine, None] + atom, len(leq) - 1)]
         self.refine: list[list[Optional[list[int]]]] = [[None] * n for _ in range(n)]
         for i, j, row in zip(coarse.tolist(), fine.tolist(), parent.tolist()):
             self.refine[i][j] = row[: sizes[j]]
@@ -278,22 +203,44 @@ def _blocks(source: np.ndarray, sizes: np.ndarray):
 
 
 def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
-    """Generate a finite poset from a list of orthonormal bases.
+    """The ContextPoset of a list of orthonormal bases of C^d (rows are
+    vectors, 2 <= d <= MAX_DIM), its contexts named after the bases.
 
-    Each basis contributes its maximal abelian algebra; in dimension >= 3
-    the two-block algebras {P_i, 1 - P_i} are included as intermediate
-    contexts.  Duplicate algebras are merged by ContextPoset.
+    Floating point enters only here, in deciding which vectors share a ray:
+    v and w do when sin(v, w) = ||w - v <v, w>|| <= CONTAINMENT_TOL, which
+    for their rank-one projections is norm(P_v Q_w - Q_w, 2) <=
+    CONTAINMENT_TOL.  Only pairs with |<v, w>|^2 > 1/2 can share a ray, so
+    only they take the norm (and never as 1 - |<v, w>|^2, which cancellation
+    leaves ~1e-16 from 0 on one ray, a sine of ~1e-8).  Vectors take ray
+    ids in order: a vector joins the first earlier vector that has its own
+    index as id and shares its ray, else keeps its own index, so the first
+    copy of a ray wins as for the algebras.
     """
-    contexts: list[Context] = []
-    for b_idx, basis in enumerate(bases):
-        basis = np.asarray(basis, dtype=complex)
-        dim = basis.shape[0]
-        atoms = basis[:, :, None] * basis[:, None].conj()  # the projections onto the vectors
-        contexts.append(Context(atoms=tuple(atoms), name=f"basis{b_idx}"))
-        if dim >= 3:
-            for k, rest in enumerate(np.eye(dim) - atoms):
-                contexts.append(Context(atoms=(atoms[k], rest), name=f"basis{b_idx}:block{k}"))
-    return ContextPoset(contexts)
+    if len(bases) == 0:
+        raise ValueError("no bases given")
+    shapes = {np.shape(basis) for basis in bases}
+    if any(len(shape) != 2 or shape[0] != shape[1] for shape in shapes):
+        raise ValueError("each basis must be a square array of its vectors")
+    if len(shapes) > 1:
+        raise ValueError("bases must all have the same dimension")
+    vectors = np.array(bases, dtype=complex)
+    dim = vectors.shape[1]
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"bases must have dimension 2 to {MAX_DIM}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("basis entries must be finite")
+    if np.abs(vectors @ vectors.conj().swapaxes(1, 2) - np.eye(dim)).max() > STRUCT_TOL:
+        raise ValueError("bases must be orthonormal within 1e-10")
+    flat = vectors.reshape(-1, dim)
+    overlap = flat.conj() @ flat.T  # overlap[a, b] = <v_a, v_b>
+    a, b = np.nonzero(np.triu(abs(overlap) ** 2 > 0.5, 1))  # by a, then b
+    shared = np.linalg.norm(flat[b] - flat[a] * overlap[a, b, None], axis=1) <= CONTAINMENT_TOL
+    ray = list(range(len(flat)))
+    for first, later in zip(a[shared].tolist(), b[shared].tolist()):
+        # ray[first] is settled: its pairs with earlier vectors came before
+        if ray[first] == first and ray[later] == later:
+            ray[later] = first
+    return ContextPoset([ray[k : k + dim] for k in range(0, len(ray), dim)])
 
 
 class ContextFunction:

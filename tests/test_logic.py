@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qfoundry import logic
-from qfoundry.quantum import STRUCT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +25,11 @@ def _subs(poset, j):
 def _supers(poset, i):
     """Contexts that include context i (i among them), ascending."""
     return tuple(j for j in range(len(poset.contexts)) if poset.refine[i][j] is not None)
+
+
+def _contained(p, q):
+    """Subspace p lies within subspace q: norm(Q P - P, 2) <= CONTAINMENT_TOL."""
+    return np.linalg.norm(q.projection @ p.projection - p.projection, 2) <= logic.CONTAINMENT_TOL
 
 
 def _random_subspace(rng, dim):
@@ -71,7 +75,7 @@ def test_orthomodular_law_random_pairs():
                 continue
             keep = int(rng.integers(0, basis.shape[1] + 1))
             p = logic.Subspace(basis[:, :keep] @ basis[:, :keep].conj().T)
-            assert logic._containment(np.array([p.projection, q.projection]))[1, 0]
+            assert _contained(p, q)
             # orthomodularity: P <= Q implies Q = P v (Q ^ not-P)
             assert logic.ql_join(p, logic.ql_meet(q, logic.ql_ortho(p))).isclose(q)
 
@@ -109,14 +113,14 @@ def test_l1_double_negation_minimality():
     components = [_random_subspace(rng, 3) for _ in range(3)]
     closure = logic.ql_join(*components)
     for k in components:
-        assert logic._containment(np.array([k.projection, closure.projection]))[1, 0]
+        assert _contained(k, closure)
     # minimal: any other upper bound built from joins contains the closure
     for subset in product([0, 1], repeat=3):
         if not any(subset):
             continue
         chosen = [c for c, flag in zip(components, subset) if flag]
         bound = logic.ql_join(*chosen, closure)
-        assert logic._containment(np.array([closure.projection, bound.projection]))[1, 0]
+        assert _contained(closure, bound)
 
 
 def test_poset_structure(m2_poset):
@@ -182,8 +186,8 @@ def test_l3_self_implication_is_top(m2_poset):
 
 def test_l3_embedding(m2_poset):
     # a projection P embeds as P where a context holds it and the identity
-    # elsewhere: here diag(1, 0), atom 0 of the diagonal basis context
-    assert np.allclose(m2_poset.contexts[1].atoms[0], np.diag([1.0, 0.0]))
+    # elsewhere: here diag(1, 0), atom 0 of basis0, the rows of the identity
+    assert m2_poset.contexts[1] == logic.Context("basis0", 2)
     assert logic.is_monotone(m2_poset, logic.ContextFunction([1, 0b01, 0b11]), "l3")
 
 
@@ -260,16 +264,43 @@ def test_dim3_l3_sampled_laws():
 # element and triple, kept to pin down the mask-array implementations.
 
 
-def _reference_refine(contexts, i, j):
-    """The first atom of context i above each atom of context j, or None."""
-    parents = []
-    for q in contexts[j].atoms:
-        above = [k for k, p in enumerate(contexts[i].atoms)
-                 if logic._containment(np.array([q, p]))[1, 0]]
-        if not above:
-            return None
-        parents.append(above[0])
-    return parents
+def _svd_containment(above, below):
+    """Reference: [b, a] says whether atom a of below lies below atom b of
+    above, by the operator norm of P_b Q_a - Q_a, from an SVD."""
+    norms = np.linalg.norm(above[:, None] @ below - below, 2, axis=(-2, -1))
+    return norms <= logic.CONTAINMENT_TOL
+
+
+def _named_atoms(bases, name):
+    """The projections a context name of poset_from_bases stands for."""
+    dim = len(bases[0])
+    if name == "trivial":
+        return np.eye(dim, dtype=complex)[None]
+    b, _, k = name.removeprefix("basis").partition(":block")
+    basis = np.asarray(bases[int(b)], dtype=complex)
+    atoms = basis[:, :, None] * basis[:, None].conj()
+    return np.array([atoms[int(k)], np.eye(dim) - atoms[int(k)]]) if k else atoms
+
+
+def _reference_refine(bases, coarse, fine):
+    """The first atom of the coarse context above each atom of the fine one,
+    or None, from the SVD containment of every pair of their atoms."""
+    above, below = _named_atoms(bases, coarse), _named_atoms(bases, fine)
+    leq = _svd_containment(above, below)
+    return leq.argmax(axis=0).tolist() if leq.any(axis=0).all() else None
+
+
+def _reference_names(bases):
+    """The contexts poset_from_bases keeps: trivial, then each basis and, in
+    dim >= 3, each of its blocks, unless an earlier kept context is the same
+    algebra (included both ways)."""
+    dim, names = len(bases[0]), ["trivial"]
+    for b in range(len(bases)):
+        for name in [f"basis{b}", *(f"basis{b}:block{k}" for k in range(dim) if dim >= 3)]:
+            if not any(_reference_refine(bases, name, kept) is not None
+                       and _reference_refine(bases, kept, name) is not None for kept in names):
+                names.append(name)
+    return names
 
 
 def _reference_expand(poset, i, j, mask):
@@ -396,13 +427,14 @@ def _reference_check_by_s(poset, variant, elements=None):
     return len(elements), len(elements) ** 3, tuple(violations[:16])
 
 
+def _unitary(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(raw)[0].T
+
+
 def _random_bases(seed, dim, count):
     rng = np.random.default_rng(seed)
-    bases = []
-    for _ in range(count):
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        bases.append(np.linalg.qr(raw)[0].T)
-    return bases
+    return [_unitary(rng, dim) for _ in range(count)]
 
 
 @pytest.mark.parametrize("variant", ["l2", "l3"])
@@ -491,40 +523,34 @@ def test_non_monotone_implication_fails_closure(m2_poset, monkeypatch):
     assert all(v.startswith("closure fails at ") for v in report.violations)
 
 
-def _duplicate_poset():
-    atoms = tuple(np.diag(row).astype(complex) for row in np.eye(2))
-    return logic.ContextPoset([
-        logic.Context(atoms=atoms, name="a"),
-        logic.Context(atoms=atoms[::-1], name="a permuted"),
-        logic.Context(atoms=(np.eye(2, dtype=complex),), name="another trivial"),
-        logic.Context(atoms=atoms, name="a again"),
-    ])
+def _duplicate_bases():
+    return [np.eye(2, dtype=complex), np.eye(2, dtype=complex)[::-1], np.eye(2, dtype=complex)]
 
 
 @pytest.mark.parametrize("variant", ["l2", "l3"])
 def test_duplicate_algebras_are_merged(variant):
-    poset = _duplicate_poset()
-    assert [ctx.name for ctx in poset.contexts] == ["trivial", "a"]
+    poset = logic.poset_from_bases(_duplicate_bases())
+    assert [ctx.name for ctx in poset.contexts] == ["trivial", "basis0"]
     # the coarse-to-fine walk needs antisymmetric inclusion to match the filter
     assert logic.enumerate_elements(poset, variant) == _reference_enumerate(poset, variant)
 
 
-# Every poset the tests above build: exhaustive ones (E from 3 to 96) and the
-# dim-3, two-basis ones they sample.
+# The bases of every poset the tests above build: exhaustive ones (E from 3
+# to 96) and the dim-3, two-basis ones they sample.
 EXHAUSTIVE_POSETS = {
-    "d2-1": lambda: logic.poset_from_bases(_random_bases(3, 2, 1)),
-    "d2-2": lambda: logic.poset_from_bases(_random_bases(4, 2, 2)),
-    "d2-3": lambda: logic.poset_from_bases(_random_bases(5, 2, 3)),
-    "d3-1": lambda: logic.poset_from_bases(_random_bases(4, 3, 1)),
-    "d3-1-seed15": lambda: logic.poset_from_bases(_random_bases(15, 3, 1)),
-    "duplicates": _duplicate_poset,
+    "d2-1": lambda: _random_bases(3, 2, 1),
+    "d2-2": lambda: _random_bases(4, 2, 2),
+    "d2-3": lambda: _random_bases(5, 2, 3),
+    "d3-1": lambda: _random_bases(4, 3, 1),
+    "d3-1-seed15": lambda: _random_bases(15, 3, 1),
+    "duplicates": _duplicate_bases,
 }
 
 
 @pytest.mark.parametrize("name", EXHAUSTIVE_POSETS)
 @pytest.mark.parametrize("variant", ["l2", "l3"])
 def test_pair_decided_report_matches_reference(name, variant):
-    poset = EXHAUSTIVE_POSETS[name]()
+    poset = logic.poset_from_bases(EXHAUSTIVE_POSETS[name]())
     report = logic.check_heyting_laws(poset, variant, exhaustive=True)
     count, checked, violations = _reference_check_by_s(poset, variant)
     assert (report.element_count, report.triples_checked) == (count, checked)
@@ -612,7 +638,7 @@ def test_by_s_reference_matches_per_triple_reference(m2_poset, variant, patch, m
 @pytest.mark.parametrize("name", EXHAUSTIVE_POSETS)
 @pytest.mark.parametrize("variant", ["l2", "l3"])
 def test_monotone_matches_reference_row_by_row(name, variant):
-    poset = EXHAUSTIVE_POSETS[name]()
+    poset = logic.poset_from_bases(EXHAUSTIVE_POSETS[name]())
     rows = list(product(*(range(poset.full_mask(i) + 1) for i in range(len(poset.contexts)))))
     expected = [_reference_is_monotone(poset, row, variant) for row in rows]
     assert logic._monotone(poset, np.array(rows), variant).tolist() == expected
@@ -631,15 +657,74 @@ def test_monotone_rejects_masks_outside_their_context(m2_poset, variant):
         assert not logic.is_monotone(m2_poset, logic.ContextFunction(bad), variant)
 
 
-def _seeded_poset(seed):
+def _sharing_one(rng, basis, k):
+    """A basis holding vector k of the given one, times a phase, and a random
+    unitary mix of its other vectors, in random order."""
+    dim = len(basis)
+    rest = _unitary(rng, dim - 1) @ np.delete(basis, k, axis=0)
+    shared = np.exp(2j * np.pi * rng.random()) * basis[k]
+    return np.vstack([shared, rest])[rng.permutation(dim)]
+
+
+def _shared_vector_bases(dim):
+    """The identity, a basis holding e_0 and one holding e_1 but no other of
+    its vectors, and a random basis."""
+    rng = np.random.default_rng(dim)
+    eye = np.eye(dim, dtype=complex)
+    return [eye, _sharing_one(rng, eye, 0), _sharing_one(rng, eye, 1), _unitary(rng, dim)]
+
+
+def _seeded_bases(seed):
     """Random bases of dimension 2 to 4, some repeated with their vectors
-    permuted (the same algebra, merged), each basis's vectors in random order."""
+    permuted (the same algebra, merged), some sharing one vector with an
+    earlier basis, each basis's vectors in random order."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     bases = _random_bases(seed, dim, int(rng.integers(1, 4)))
     bases = [basis[rng.permutation(dim)] for basis in bases]
     repeats = [bases[k][rng.permutation(dim)] for k in rng.integers(0, len(bases), 2)]
-    return logic.poset_from_bases(bases + repeats[: int(rng.integers(0, 3))])
+    repeats = repeats[: int(rng.integers(0, 3))]
+    shared = [_sharing_one(rng, bases[k], int(rng.integers(dim)))
+              for k in rng.integers(0, len(bases), 2)]
+    return bases + repeats + shared[: int(rng.integers(0, 3))]
+
+
+def _assert_matches_svd_reference(bases):
+    """poset_from_bases(bases) against the SVD containment of the atoms each
+    context name stands for: the contexts kept, refine and so inclusion on
+    every pair, and both gather tables, entry by entry, from those refine
+    maps.  Returns the poset."""
+    poset = logic.poset_from_bases(bases)
+    names = [ctx.name for ctx in poset.contexts]
+    assert names == _reference_names(bases)
+    assert [ctx.size for ctx in poset.contexts] == [len(_named_atoms(bases, n)) for n in names]
+    refine = [[_reference_refine(bases, i, j) for j in names] for i in names]
+    assert poset.refine == refine
+    n = range(len(names))
+    # antisymmetric inclusion: no two contexts are one algebra
+    assert all(i == j or None in (refine[i][j], refine[j][i]) for i, j in product(n, n))
+
+    def expand(i, j, x):  # context i's mask x, in context j's atoms
+        return sum((x >> parent & 1) << k for k, parent in enumerate(refine[i][j]))
+
+    by_fine = [(i, j) for j in n for i in n if refine[i][j] is not None]
+    by_coarse = sorted(by_fine)
+    size = [ctx.size for ctx in poset.contexts]
+    tables = [
+        (poset._expand, [i for i, _ in by_fine], [j for _, j in by_fine],
+         [[expand(i, j, x) for x in range(1 << size[i])] for i, j in by_fine]),
+        # the largest coarse mask whose expansion lies below y
+        (poset._restrict, [j for _, j in by_coarse], [i for i, _ in by_coarse],
+         [[sum(1 << k for k in range(size[i]) if not expand(i, j, 1 << k) & ~y)
+           for y in range(1 << size[j])] for i, j in by_coarse]),
+    ]
+    for table, source, group, values in tables:
+        assert table.source.tolist() == source
+        assert table.full.tolist() == [poset.full_mask(c) for c in source]
+        assert table.groups.tolist() == [sum(g < c for g in group) for c in n]
+        assert [table.values[at : at + len(row)].tolist()
+                for at, row in zip(table.offset.tolist(), values)] == values
+    return poset
 
 
 def _assert_tables_match_reference(poset, seed, rows=6):
@@ -664,51 +749,56 @@ def _assert_tables_match_reference(poset, seed, rows=6):
 
 @pytest.mark.parametrize("seed", range(0, 120, 12))
 def test_batched_refinement_matches_per_pair_containment(seed):
-    for poset in map(_seeded_poset, range(seed, seed + 12)):
-        n = len(poset.contexts)
-        for i, j in product(range(n), repeat=2):
-            assert poset.refine[i][j] == _reference_refine(poset.contexts, i, j)
-            assert i == j or not (j in _supers(poset, i) and i in _supers(poset, j))
+    for bases in map(_seeded_bases, range(seed, seed + 12)):
+        poset = _assert_matches_svd_reference(bases)
         # the gather tables expand and restrict along every included pair
         _assert_tables_match_reference(poset, seed)
 
 
-def _svd_containment(atoms):
-    """Reference: the operator norm of every pair's P_b Q_a - Q_a, by SVD."""
-    norms = np.linalg.norm(atoms[:, None] @ atoms - atoms, 2, axis=(-2, -1))
-    return norms <= logic.CONTAINMENT_TOL
-
-
-def _tilted_atoms(dim, seed):
-    """Rank-1 atoms of random bases, their complements, exact duplicates, and
-    copies whose vector is tilted by 0.5, 1, 2 and 4 times CONTAINMENT_TOL
-    towards another basis vector, so the pair's norm sits at that multiple."""
+def _tilted_bases(dim, seed):
+    """A random basis, then copies of it with its first two vectors rotated
+    in their plane by 0, 0.5, 0.9, 1.1, 2 and 4 times CONTAINMENT_TOL, so a
+    rotated vector's sine to the original, and to the other copies', sits at
+    least 0.1 CONTAINMENT_TOL from the tolerance; each copy's vectors take
+    random phases and a random order."""
     rng = np.random.default_rng((seed, dim))
-    atoms = []
-    for basis in _random_bases(seed, dim, 2):
-        for v, w in zip(basis, np.roll(basis, 1, axis=0)):
-            for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
-                eps = scale * logic.CONTAINMENT_TOL
-                tilted = math.cos(eps) * v + math.sin(eps) * w
-                atoms += [np.outer(tilted, tilted.conj())]
-                atoms += [np.eye(dim) - atoms[-1]] if dim > 2 else []
-    atoms += [atoms[k] for k in rng.integers(0, len(atoms), 4)]
-    return np.array(atoms)
+    basis = _random_bases(seed, dim, 1)[0]
+    bases = [basis]
+    for scale in (0.0, 0.5, 0.9, 1.1, 2.0, 4.0):
+        eps = scale * logic.CONTAINMENT_TOL
+        turned = basis.copy()
+        turned[0] = math.cos(eps) * basis[0] + math.sin(eps) * basis[1]
+        turned[1] = math.cos(eps) * basis[1] - math.sin(eps) * basis[0]
+        phases = np.exp(2j * np.pi * rng.random(dim))[:, None]
+        bases.append((phases * turned)[rng.permutation(dim)])
+    return bases
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_containment_prefilter_matches_svd(dim, seed, monkeypatch):
-    atoms = _tilted_atoms(dim, seed)
-    want = _svd_containment(atoms)
-    assert np.array_equal(logic._containment(atoms), want)
-    assert all(logic._containment(atoms[[a, b]])[1, 0] == want[b, a]
-               for a, b in product(range(len(atoms)), repeat=2))
-    monkeypatch.setattr(logic, "CONTAINMENT_BLOCK", 3 * len(atoms) + 1)  # uneven row blocks
-    assert np.array_equal(logic._containment(atoms), want)
-    # the untilted atom lies below its 0.5-tilted copy and not below the 2-tilted one
-    step = 2 if dim > 2 else 1
-    assert want[step, 0] and not want[3 * step, 0]
+def test_containment_prefilter_matches_svd(dim, seed):
+    # the ray test (|<v, w>|^2 > 1/2, then the sine) decides as the SVD of
+    # P_v Q_w - Q_w does, near the tolerance too: the copies turned by 0, 0.5
+    # and 0.9 tol merge into basis0, the one turned by 1.1 tol is kept and the
+    # one turned by 2 tol merges into it, and the one turned by 4 tol is kept
+    bases = _tilted_bases(dim, seed)
+    poset = _assert_matches_svd_reference(bases)
+    assert [ctx.name for ctx in poset.contexts if ":" not in ctx.name] == \
+        ["trivial", "basis0", "basis4", "basis6"]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_block_of_a_shared_vector_lies_below_both_bases(dim):
+    poset = logic.poset_from_bases(_shared_vector_bases(dim))
+    names = [ctx.name for ctx in poset.contexts]
+    assert len(names) == 3 + 4 * dim  # the trivial context, 4 bases, 4 dim - 2 rays
+
+    def above(name):
+        return [names[j] for j in _supers(poset, names.index(name))]
+
+    assert above("basis0:block0") == ["basis0", "basis0:block0", "basis1"]
+    assert above("basis0:block1") == ["basis0", "basis0:block1", "basis2"]
+    assert all(above(name) == ["basis3", name] for name in names if name.startswith("basis3:"))
 
 
 def _rotation_basis(theta):
@@ -735,156 +825,57 @@ def test_permuted_repeats_are_merged():
         ["trivial", "basis0", *(f"basis0:block{k}" for k in range(3))]
 
 
-_P = np.diag([1.0, 0.0]).astype(complex)
-_I = np.eye(2, dtype=complex)
-
-
-@pytest.mark.parametrize("atoms, message", [
-    ((_P,), "atoms of context 'c' do not sum to identity"),
-    ((0.5 * _I,), "atoms of context 'c' do not sum to identity"),  # before idempotence
-    ((np.array([[1, 1], [0, 0]], dtype=complex), np.array([[0, -1], [0, 1]], dtype=complex)),
-     "projection must be Hermitian"),
-    ((np.array([[1, 1], [0, 0.5]], dtype=complex), np.array([[0, -1], [0, 0.5]], dtype=complex)),
-     "projection must be Hermitian"),  # before idempotence
-    ((0.5 * _I, 0.5 * _I), "projection must be idempotent within 1e-10"),
-    ((_P, _P, _I - 2 * _P), "atoms of context 'c' are not orthogonal"),  # before atom 2's checks
-    ((np.diag([1, 0, 0]), np.diag([0, 0.5, 0.5]), np.diag([0, 0.5, 0.5])),
-     "projection must be idempotent within 1e-10"),  # atom 1's checks before its overlaps
-    ((np.full((2, 2), np.nan),), "matrix entries must be finite"),
-], ids=["sum", "sum-first", "hermitian", "hermitian-first", "idempotent", "orthogonal",
-        "atom-order", "not-finite"])
-def test_context_errors(atoms, message):
+@pytest.mark.parametrize("bases, message", [
+    ([], "no bases given"),
+    ([np.eye(3)[:2]], "each basis must be a square array of its vectors"),
+    ([np.ones(2)], "each basis must be a square array of its vectors"),
+    ([np.eye(2), np.eye(3)], "bases must all have the same dimension"),
+    ([np.eye(1)], "bases must have dimension 2 to 16"),
+    ([np.eye(17)], "bases must have dimension 2 to 16"),
+    ([np.eye(2), np.full((2, 2), np.nan)], "basis entries must be finite"),
+    ([np.eye(2), [[1, 2e-10], [0, 1]]], "bases must be orthonormal within 1e-10"),
+    ([[[1, 0], [0, 1 + 2e-10]]], "bases must be orthonormal within 1e-10"),
+], ids=["empty", "non-square", "one-dimensional-array", "mixed-dimension", "dim-1", "dim-17",
+        "not-finite", "not-orthogonal", "not-normalised"])
+def test_poset_from_bases_refuses_malformed_bases(bases, message):
     with pytest.raises(ValueError) as caught:
-        logic.Context(atoms=atoms, name="c")
+        logic.poset_from_bases(bases)
     assert str(caught.value) == message
 
 
-# Every poset the tests build, for the gather-table checks below.
+def test_poset_from_bases_takes_bases_orthonormal_within_the_tolerance():
+    poset = logic.poset_from_bases([[[1, 0.5e-10], [0, 1]], [[1, 0], [0, 1 + 0.4e-10]]])
+    assert [ctx.name for ctx in poset.contexts] == ["trivial", "basis0"]
+
+
+# The bases of every poset the tests build, and of two whose bases share
+# one vector, for the gather-table checks below.
 ALL_POSETS = {
     **EXHAUSTIVE_POSETS,
-    "m2": lambda: logic.poset_from_bases(
-        [np.eye(2, dtype=complex), np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)]),
-    **{f"d3-2-seed{seed}": (lambda seed=seed: logic.poset_from_bases(_random_bases(seed, 3, 2)))
+    "m2": lambda: [np.eye(2, dtype=complex),
+                   np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)],
+    **{f"d3-2-seed{seed}": (lambda seed=seed: _random_bases(seed, 3, 2))
        for seed in (0, 1, 2, 15)},
-    "near-duplicates": lambda: logic.poset_from_bases(
-        [_rotation_basis(math.acos(math.sqrt(0.3000000005))),
-         _rotation_basis(math.acos(math.sqrt(0.3000000005)) - 2e-12)]),
-    "permuted-repeats": lambda: logic.poset_from_bases(
-        [_random_bases(3, 3, 1)[0], _random_bases(3, 3, 1)[0][[2, 0, 1]]]),
+    "near-duplicates": lambda: [_rotation_basis(math.acos(math.sqrt(0.3000000005))),
+                                _rotation_basis(math.acos(math.sqrt(0.3000000005)) - 2e-12)],
+    "permuted-repeats": lambda: [_random_bases(3, 3, 1)[0], _random_bases(3, 3, 1)[0][[2, 0, 1]]],
+    "shared-d3": lambda: _shared_vector_bases(3),
+    "shared-d4": lambda: _shared_vector_bases(4),
 }
 
 
 @pytest.mark.parametrize("name", ALL_POSETS)
 def test_monotone_and_arrow_match_reference_on_random_masks(name, monkeypatch):
-    poset = ALL_POSETS[name]()
+    poset = logic.poset_from_bases(ALL_POSETS[name]())
     for seed in range(3):
         _assert_tables_match_reference(poset, seed)
     monkeypatch.setattr(logic, "GATHER_BLOCK", 1)  # one 64-bit word of columns per block
     _assert_tables_match_reference(poset, 3)
 
 
-def _all_pairs_containment(atoms):
-    """The all-pairs containment test that the Gram product prefilters: every
-    pair's P_b Q_a - Q_a, Frobenius bounds first, the SVD in between."""
-    rows = max(1, logic.CONTAINMENT_BLOCK // len(atoms))
-    bound = 2 * np.sqrt(atoms.shape[-1]) * logic.CONTAINMENT_TOL
-    blocks = []
-    for lo in range(0, len(atoms), rows):
-        diffs = atoms[lo : lo + rows, None] @ atoms - atoms
-        frobenius = np.linalg.norm(diffs, axis=(-2, -1))
-        leq = frobenius <= logic.CONTAINMENT_TOL / 2
-        unsure = ~leq & (frobenius <= bound)
-        leq[unsure] = np.linalg.norm(diffs[unsure], 2, axis=(-2, -1)) <= logic.CONTAINMENT_TOL
-        blocks.append(leq)
-    return np.concatenate(blocks)
-
-
-def _poset_atoms(dim, count, seed):
-    """The atoms ContextPoset stacks for poset_from_bases: the identity, each
-    basis's rank-one projections, and in dim >= 3 each block {P, 1 - P}."""
-    atoms = [np.eye(dim, dtype=complex)]
-    for basis in _random_bases(seed, dim, count):
-        rank_one = [np.outer(v, v.conj()) for v in basis]
-        atoms += rank_one
-        atoms += [x for p in rank_one for x in (p, np.eye(dim) - p)] if dim >= 3 else []
-    return np.array(atoms)
-
-
-@pytest.mark.parametrize("count", [1, 8, 64])
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_gram_containment_matches_all_pairs_reference(dim, count):
-    atoms = _poset_atoms(dim, count, dim + count)
-    assert np.array_equal(logic._containment(atoms), _all_pairs_containment(atoms))
-
-
-@pytest.mark.parametrize("scale", [0.4, 1.0, 2.5])
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_gram_containment_matches_all_pairs_on_perturbed_atoms(dim, scale):
-    # each rank-one atom next to a copy tilted by scale * CONTAINMENT_TOL, so
-    # that pair's norm sits at that multiple of the tolerance
-    atoms = list(_poset_atoms(dim, 2, 7))
-    per_basis = 3 * dim if dim > 2 else dim  # rank-one atoms, then the blocks
-    pairs = []  # (tilted copy, its atom)
-    for b, basis in enumerate(_random_bases(7, dim, 2)):
-        for k, (v, w) in enumerate(zip(basis, np.roll(basis, 1, axis=0))):
-            eps = scale * logic.CONTAINMENT_TOL
-            tilted = math.cos(eps) * v + math.sin(eps) * w
-            pairs.append((len(atoms), 1 + b * per_basis + k))
-            atoms += [np.outer(tilted, tilted.conj())]
-    atoms = np.array(atoms)
-    want = _all_pairs_containment(atoms)
-    assert np.array_equal(logic._containment(atoms), want)
-    if scale != 1.0:  # 1.0 sits on the tolerance, where rounding decides
-        assert all(want[copy, atom] == (scale < 1) for copy, atom in pairs)
-
-
-def _all_svd_context_error(atoms, name):
-    """The message Context raised with every residual norm taken by SVD, or None."""
-    mats = np.array(atoms, dtype=complex)
-    count, dim = mats.shape[:2]
-    residual = mats[:, None] @ mats
-    residual[range(count), range(count)] -= mats
-    norms = np.linalg.norm(np.concatenate([[sum(mats) - np.eye(dim)],
-                                           residual.reshape(-1, dim, dim)]), 2, axis=(-2, -1))
-    if norms[0] > STRUCT_TOL:
-        return f"atoms of context {name!r} do not sum to identity"
-    norms = norms[1:].reshape(count, count)
-    hermitian = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= STRUCT_TOL
-    for i in range(count):
-        if not hermitian[i]:
-            return "projection must be Hermitian"
-        if norms[i, i] > STRUCT_TOL:
-            return "projection must be idempotent within 1e-10"
-        if (norms[i, i + 1 :] > STRUCT_TOL).any():
-            return f"atoms of context {name!r} are not orthogonal"
-    return None
-
-
-def _context_error(atoms, name):
-    try:
-        logic.Context(atoms=tuple(atoms), name=name)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-@pytest.mark.parametrize("scale", [0.4, 1.0, 2.5])
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_context_checks_match_all_svd_reference(dim, scale):
-    basis = _random_bases(dim, dim, 1)[0]
-    atoms = [np.outer(v, v.conj()) for v in basis]
-    eps = scale * STRUCT_TOL
-    tilted = math.cos(eps) * basis[0] + math.sin(eps) * basis[1]
-    cases = [
-        [(1 + eps) * atoms[0], *atoms[1:]],  # off in the sum and in idempotence
-        [np.outer(tilted, tilted.conj()), *atoms[1:]],  # off in the sum and in orthogonality
-        [atoms[0] + eps * np.eye(dim), atoms[1] - eps * np.eye(dim), *atoms[2:]],  # sum exact
-        [atoms[0] + eps * (atoms[1] + atoms[0]) / 2, atoms[1] - eps * atoms[1] / 2, *atoms[2:]],
-    ]
-    messages = [_context_error(case, "c") for case in cases]
-    assert messages == [_all_svd_context_error(case, "c") for case in cases]
-    if scale != 1.0:  # 1.0 sits on the tolerance, where rounding decides
-        assert (messages == [None] * len(cases)) == (scale < 1)
+@pytest.mark.parametrize("name", ALL_POSETS)
+def test_poset_matches_svd_reference(name):
+    _assert_matches_svd_reference(ALL_POSETS[name]())
 
 
 @pytest.mark.parametrize("variant", ["l2", "l3"])

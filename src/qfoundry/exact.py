@@ -5,8 +5,10 @@ coefficients; there is no field arithmetic on scalars.  Direction vectors
 are kept unnormalized, and each carries a primitive ray key: its entries
 scaled by a nonzero field element to integer coefficients over
 (1, sqrt2, sqrt3, sqrt6).  Ray identity, orthogonality and cross products
-are integer computations on that key under the one product rule `_mul`,
-never floating point.
+are integer computations on that key under the one product rule `_mul`.
+Integer matrix products run on the dtype `product_dtype` picks from a bound
+on their sums: on float64 BLAS while every sum is an integer that float64
+holds exactly, since numpy has no BLAS kernel for integers.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ class QuadScalar:
 
 def _rational(coef) -> Q:
     """coef as a Fraction of Python ints; TypeError unless it is rational."""
+    if type(coef) is int:
+        return Q(coef)
     if not isinstance(coef, numbers.Rational):
         raise TypeError(f"coefficient {coef!r} is not rational")
     # a numpy integer would otherwise stay the Fraction's int64 numerator
@@ -174,9 +178,13 @@ def _ray_key(entries: tuple[QuadScalar, ...]) -> tuple:
     coefs = [e.coefficients() for e in entries]
     denom_lcm = math.lcm(*(c.denominator for row in coefs for c in row))
     ints = [[c.numerator * (denom_lcm // c.denominator) for c in row] for row in coefs]
-    # times its adjugate, the first nonzero entry becomes a nonzero integer
-    adj = _adjugate(next(row for row in ints if any(row)))
-    ints = [_mul(row, adj) for row in ints]
+    first = next(row for row in ints if any(row))
+    # times its adjugate, the first nonzero entry becomes a nonzero integer; a
+    # rational one is one already, and the gcd below would divide its
+    # adjugate a^3 out again
+    if any(first[1:]):
+        adj = _adjugate(first)
+        ints = [_mul(row, adj) for row in ints]
     lead = next(row[0] for row in ints if any(row))
     common = math.gcd(*(x for row in ints for x in row)) * (1 if lead > 0 else -1)
     return tuple(tuple(x // common for x in row) for row in ints)
@@ -198,6 +206,23 @@ def orthogonal(u: ExactVector, v: ExactVector) -> bool:
     return not any(map(sum, zip(*map(_mul, u._key, v._key))))
 
 
+def product_dtype(bound: int):
+    """The dtype of an exact integer matrix product whose every product and
+    partial sum is below bound in absolute value: float64 below 2^53, where
+    float64 holds every integer, so no summation order or fused multiply-add
+    can round, and numpy runs it on BLAS; int64 below 2^63; Python ints
+    (object) above."""
+    if bound < 2**53:
+        return np.float64
+    return np.int64 if bound < 2**63 else object
+
+
+# multiply-adds of one BLAS call at most: OpenBLAS runs a larger product on
+# several threads, whose wake-up and spin-wait cost far more than a product
+# of this size takes on one (E8's Gram product on a shared 2-core host: 4 ms
+# in one call on two threads, 0.1 ms in blocks)
+_GEMM_BLOCK = 1 << 18
+
 # _MUL_TABLE[p, 4q + r]: coefficient r of the product of basis units p and q
 _UNITS = [tuple(int(p == q) for q in range(4)) for p in range(4)]
 _MUL_TABLE = [[c for e_q in _UNITS for c in _mul(e_p, e_q)] for e_p in _UNITS]
@@ -210,9 +235,10 @@ def orthogonality_masks(vectors: Sequence[ExactVector]) -> list[int]:
     j > i orthogonal to it; pair by pair this agrees with `orthogonal`.  The
     keys are stacked into an (n, dim*4) array K, and the four coefficient
     Gram matrices over (1, sqrt2, sqrt3, sqrt6) are (K @ T) against K.T, with
-    T the multiplication table of `_mul`.  Every Gram entry is bounded by
-    12*dim*M^2 for M the largest key coefficient, so the products run on
-    int64 when that bound is below 2^63 and on Python ints otherwise.
+    T the multiplication table of `_mul`, in row blocks of at most
+    _GEMM_BLOCK multiply-adds.  Every partial sum of a Gram entry is bounded
+    by 12*dim*M^2 for M the largest key coefficient, and the products run on
+    the `product_dtype` of that bound.
     """
     n = len(vectors)
     if not n:
@@ -222,13 +248,15 @@ def orthogonality_masks(vectors: Sequence[ExactVector]) -> list[int]:
         _check_dimensions(vectors[0], v)
     keys = [v._key for v in vectors]
     top = max(abs(x) for key in keys for row in key for x in row)
-    dtype = np.int64 if 12 * dim * top * top < 2**63 else object
+    dtype = product_dtype(12 * dim * top * top)
     K = np.array(keys, dtype=dtype).reshape(n * dim, 4)
     table = np.array(_MUL_TABLE, dtype=dtype)
     # KT[i, k, q, r] = sum_p K[i, k, p] * T[p, q, r], regrouped to rows (i, r)
     KT = (K @ table).reshape(n, dim, 4, 4).transpose(0, 3, 1, 2).reshape(n * 4, dim * 4)
-    gram = (KT @ K.reshape(n, dim * 4).T).reshape(n, 4, n)
-    orth = np.triu(~(gram != 0).any(axis=1), 1)
+    Kt = K.reshape(n, dim * 4).T
+    step = max(1, _GEMM_BLOCK // Kt.size)
+    gram = np.concatenate([KT[lo:lo + step] @ Kt for lo in range(0, n * 4, step)])
+    orth = np.triu(~(gram.reshape(n, 4, n) != 0).any(axis=1), 1)
     packed = np.packbits(orth, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

@@ -2,8 +2,9 @@
 
 Every orthogonal pair of a set is found at once, by one integer Gram
 product on the stacked primitive ray keys (`exact.orthogonality_masks`,
-on int64 while its entry bound 12*dim*M^2 stays below 2^63 and on Python
-ints above it), and the bases are grown as cliques on those bitmasks.
+on the `exact.product_dtype` of its entry bound 12*dim*M^2, so on float64
+BLAS while every sum is an integer float64 holds), and the bases are grown
+as cliques on those bitmasks.
 
 A coloring assigns 1 to exactly one vector of every full orthogonal basis
 and at most one vector of every remaining orthogonal pair.  The search is

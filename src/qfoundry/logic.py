@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .exact import product_dtype
 from .quantum import MAX_DIM, STRUCT_TOL, ProjectionOp, _as_matrix
 
 CONTAINMENT_TOL = 1e-9
@@ -482,14 +483,16 @@ def _pair_laws_hold(poset: ContextPoset, m, meet, arrow) -> bool:
     element s, in lexicographic order, meet[:, s, t] = s & t and
     arrow[:, t, r] = t -> r.  Closure holds, so s & t and r | g are
     elements, and their implications are columns of the arrow table, found
-    by the mixed-radix number of each mask tuple, which orders them as m."""
+    by the mixed-radix number of each mask tuple, which orders them as m.
+    Every partial sum of a number is below the product of the radices, and
+    the numbers run on the `product_dtype` of that bound."""
 
     def below(x, y):
         return not (x & ~y).any()
 
     radix = [int(full) + 1 for full in poset._full]
     weights = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))],
-                       dtype=np.int64 if math.prod(radix) < 2**63 else object)
+                       dtype=product_dtype(math.prod(radix)))
     keys = weights @ m
 
     def position(rows):  # the columns of m holding the (C, ...) element masks rows

@@ -4,10 +4,13 @@ Every rational point of S^2 is (x, y, z) / n for a primitive integer triple
 with x^2 + y^2 + z^2 = n^2, so the layer holds the corpus as one sorted
 (R, 4) int64 array of rows [x, y, z, n], from the enumeration to the
 verdict.  The color is decided by the parity of the third coordinate: odd
-maps to 0, even to 1.  Dot and cross products are exact int64 products;
-only the violations come back as tuples.  One table of the 12 residue
-classes mod 4 of primitive triples, and of the class pairs that can be
-orthogonal, drives both the enumeration's sieve and the pair scan.
+maps to 0, even to 1.  Dot and cross products are exact: the pair scan's
+matrix products run on the `exact.product_dtype` of their bound, so on
+float64 BLAS while every sum is an integer float64 holds, and the cross
+products on int64; only the violations come back as tuples.  One table of
+the 12 residue classes mod 4 of primitive triples, and of the class pairs
+that can be orthogonal, drives both the enumeration's sieve and the pair
+scan.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# largest `meyer verify --max-n`; its 32595 rays take about a second, most
-# of it in the pair scan over a third of the R^2 / 2 products
+from .exact import product_dtype
+
+# largest `meyer verify --max-n`; its 32595 rays take about a quarter of a
+# second to check, most of it in the pair scan over a third of the R^2 / 2
+# products
 MAX_N = 200
 # int64 dot and cross products of rays with coordinates up to 2^30 are exact
 MAX_COORDINATE = 1 << 30
@@ -138,14 +144,17 @@ def _orthogonal_pairs(a):
     """The pairs i < j of rows of a with a[i] . a[j] == 0, in lexicographic order.
 
     The rows are primitive Pythagorean rays.  They are grouped by their
-    class in _RESIDUES, and int64 products are formed only between groups
+    class in _RESIDUES, and matrix products are formed only between groups
     that _MEETS marks, in row blocks of about _BLOCK_ENTRIES entries: a
-    third of the upper triangle's products on the corpus.
+    third of the upper triangle's products on the corpus.  Every partial
+    sum of a dot product is at most 3*M^2 for M the largest |coordinate|,
+    and the products run on the `product_dtype` of that bound.
     """
     key = _CLASS[tuple((a % 4).T)]
     counts = np.bincount(key, minlength=len(_RESIDUES))
     order = np.argsort(key, kind="stable")
-    grouped = a[order]
+    top = int(np.abs(a).max(initial=0))
+    grouped = a[order].astype(product_dtype(3 * top * top), copy=False)
     ends = np.cumsum(counts)
     starts = ends - counts
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -214,10 +223,10 @@ def verify_meyer_conditions(rows) -> ConditionReport:
 
     Takes an (R, 4) integer array of rows [x, y, z, n], such as
     enumerate_pyth_points returns; rows on the same axis are merged.
-    Orthogonal pairs come from int64 products between the groups of rays
-    whose classes mod 4 can meet; triads from finding the canonical reduced
-    cross product of each pair among the rays with one sort.  Both are
-    listed in sorted ray order, and an antipodal violation is its input
+    Orthogonal pairs come from exact matrix products between the groups of
+    rays whose classes mod 4 can meet; triads from finding the canonical
+    reduced cross product of each pair among the rays with one sort.  Both
+    are listed in sorted ray order, and an antipodal violation is its input
     row.  Raises ValueError for a row that is not a primitive point of the
     sphere, and when a coordinate of the triple exceeds MAX_COORDINATE,
     where int64 products could overflow.  Why there are no violations: see

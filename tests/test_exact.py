@@ -15,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from qfoundry import exact
 from qfoundry.datasets import load_builtin
 from qfoundry.exact import (
     DegenerateInputError,
@@ -27,6 +28,7 @@ from qfoundry.exact import (
     cross_product,
     orthogonal,
     orthogonality_masks,
+    product_dtype,
 )
 
 R2 = QuadScalar.sqrt2()
@@ -301,6 +303,51 @@ def test_ray_key_matches_division_reference(dim):
         checked += 1
 
 
+def _adjugate_ray_key(vector):
+    """Reference ray key by the full formula: clear denominators, multiply
+    every entry by the adjugate of the first nonzero one, then divide out
+    the common factor, signed so that the lead is positive."""
+    coefs = [e.coefficients() for e in vector.entries]
+    denom_lcm = reduce(math.lcm, (coef.denominator for row in coefs for coef in row), 1)
+    ints = [[coef.numerator * (denom_lcm // coef.denominator) for coef in row] for row in coefs]
+    adj = _adjugate(next(row for row in ints if any(row)))
+    ints = [_mul(row, adj) for row in ints]
+    lead = next(row[0] for row in ints if any(row))
+    common = reduce(math.gcd, (x for row in ints for x in row), 0) * (1 if lead > 0 else -1)
+    return tuple(tuple(x // common for x in row) for row in ints)
+
+
+def _nonzero_rational(rng):
+    return Q(int(rng.choice([-1, 1])) * int(rng.integers(1, 10)), int(rng.integers(1, 7)))
+
+
+def _mixed_entry(rng):
+    """Zero, a random rational times one of 1, sqrt2, sqrt3, sqrt6, or a full scalar."""
+    kind = int(rng.integers(6))
+    if kind == 5:
+        return _random_scalar(rng)
+    coefs = [0] * 4
+    if kind < 4:
+        coefs[kind] = _nonzero_rational(rng)
+    return QuadScalar(*coefs)
+
+
+def test_ray_key_matches_adjugate_formula_on_random_vectors():
+    # a rational lead skips the adjugate; even k gives one, odd k an irrational one
+    rng = np.random.default_rng(30)
+    for k in range(200):
+        dim = int(rng.integers(2, 5))
+        lead = [_nonzero_rational(rng), 0, 0, 0]
+        if k % 2:
+            lead[int(rng.integers(1, 4))] = _nonzero_rational(rng)
+            lead[0] *= int(rng.integers(2))
+        place = int(rng.integers(dim))
+        v = ExactVector([0] * place + [QuadScalar(*lead)]
+                        + [_mixed_entry(rng) for _ in range(dim - place - 1)])
+        assert any(v.entries[place].coefficients()[1:]) == bool(k % 2)
+        assert v.ray_key() == _adjugate_ray_key(v)
+
+
 @pytest.mark.parametrize("name", ["peres33", "cabello18"])
 def test_orthogonal_matches_inner_product_on_builtin_sets(name):
     vectors = load_builtin(name).vectors
@@ -397,11 +444,49 @@ def test_orthogonality_masks_small_sets():
     assert orthogonality_masks([ExactVector([1, 1]), ExactVector([1, -1])]) == [0b10, 0]
 
 
-def test_orthogonality_masks_exact_past_int64():
+def test_product_dtype_edges():
+    assert product_dtype(2**53 - 1) is np.float64
+    assert product_dtype(2**53) is np.int64
+    assert product_dtype(2**63 - 1) is np.int64
+    assert product_dtype(2**63) is object
+
+
+def _spy_product_dtype(monkeypatch, module):
+    """The list of dtypes module's product_dtype returns from now on."""
+    chosen, rule = [], module.product_dtype
+
+    def spy(bound):
+        chosen.append(rule(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(module, "product_dtype", spy)
+    return chosen
+
+
+# a float64 product past its bound can still come out right (with a fused
+# multiply-add, the near-2^28 pair's key dot product 1 does), so the tests
+# below check the dtype each set takes as well as the masks
+@pytest.mark.parametrize("vectors, dtype", [
+    *(pytest.param(lambda name=name: load_builtin(name).vectors, np.float64, id=name)
+      for name in ("peres33", "cabello18")),
+    # 12 * dim * M^2 is about 2^60.6
+    pytest.param(lambda: [ExactVector([2**28, 2**28 - 1]), ExactVector([2**28, -(2**28 + 1)])],
+                 np.int64, id="near-2^28"),
+])
+def test_orthogonality_masks_product_dtype(monkeypatch, vectors, dtype):
+    chosen = _spy_product_dtype(monkeypatch, exact)
+    vectors = vectors()
+    assert orthogonality_masks(vectors) == _pairwise_masks(vectors)
+    assert chosen == [dtype]
+
+
+def test_orthogonality_masks_exact_past_int64(monkeypatch):
     # the key dot product is 2^64, which wraps to 0 in int64
+    chosen = _spy_product_dtype(monkeypatch, exact)
     u, v = ExactVector([2**32, 1, 0]), ExactVector([2**32, 0, 1])
     assert not orthogonal(u, v)
     assert orthogonality_masks([u, v]) == [0, 0]
+    assert chosen == [object]
 
 
 def test_orthogonality_masks_dimension_mismatch():

@@ -20,7 +20,7 @@ from qfoundry.ks import (
     is_valid_coloring,
     search_coloring,
 )
-from test_exact import _scaled
+from test_exact import _adjugate_ray_key, _scaled
 
 REDUCED_PERES_COLORINGS = 48  # frozen from an independent product-enumeration oracle
 # the first coloring the search finds for peres33 without g_2^2 and g_2^3;
@@ -313,6 +313,14 @@ def _e8_rays() -> VectorSet:
     roots += [list(signs) for signs in product((1, -1), repeat=8) if signs.count(-1) % 2 == 0]
     rays = [r for r in roots if next(x for x in r if x) > 0]
     return VectorSet(8, [ExactVector(r, f"e8_{k}") for k, r in enumerate(rays)])
+
+
+def test_ray_key_matches_adjugate_formula_on_ray_sets(peres):
+    sets = [build_peres33(), build_cabello18(), complete_pairs_to_triads(peres), _e8_rays()]
+    assert [len(vset) for vset in sets] == [33, 18, 57, 120]
+    for vset in sets:
+        for v in vset:
+            assert v.ray_key() == _adjugate_ray_key(v)
 
 
 def test_e8_uncolorable():

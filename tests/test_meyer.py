@@ -14,6 +14,8 @@ from qfoundry.meyer import (
     verify_meyer_conditions,
 )
 
+from test_exact import _spy_product_dtype
+
 # frozen counts for the corpus at max_n = 25, cross-checked below by an
 # independent enumeration over non-primitive triples
 RAYS_25 = 543
@@ -317,18 +319,23 @@ def _class_gram(a):
     return classes @ classes.T % 4
 
 
-@pytest.mark.parametrize("rows", [
-    *(pytest.param(lambda n=n: enumerate_pyth_points(n), id=f"corpus-{n}")
+# the dtype is checked as well as the pairs: a float64 product past 2^53 can
+# still come out right, with a fused multiply-add
+@pytest.mark.parametrize("rows, dtype", [
+    *(pytest.param(lambda n=n: enumerate_pyth_points(n), np.float64, id=f"corpus-{n}")
       for n in (1, 5, 25, 40, 60, 100)),
-    pytest.param(lambda: _mixed_points(25, 1), id="mixed-25"),
-    pytest.param(_large_rays, id="large-rays"),
-    pytest.param(_rays_with_cross_product_past_bound, id="cross-product-past-bound"),
+    pytest.param(lambda: _mixed_points(25, 1), np.float64, id="mixed-25"),
+    # 3 * M^2 is about 2^57.6
+    pytest.param(_large_rays, np.int64, id="large-rays"),
+    pytest.param(_rays_with_cross_product_past_bound, np.float64, id="cross-product-past-bound"),
 ])
-def test_residue_sieve_matches_upper_triangle_scan(rows):
+def test_residue_sieve_matches_upper_triangle_scan(monkeypatch, rows, dtype):
+    chosen = _spy_product_dtype(monkeypatch, meyer)
     a = _ray_array(rows())
     i, j = meyer._orthogonal_pairs(a)
     ref_i, ref_j = _upper_triangle_pairs(a)
     assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+    assert chosen == [dtype]
     # the sieve never pairs a class with itself: p . p = n^2 = 1 mod 4
     assert (np.diag(_class_gram(a)) == 1).all()
 

@@ -17,6 +17,10 @@ import time
 from fractions import Fraction as Q
 from typing import Callable, Optional
 
+# Set before numpy loads: OpenBLAS's idle worker threads spin and burn CPU, and
+# no product here is large enough to use them.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import DEFAULT_SEED, __version__

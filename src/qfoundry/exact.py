@@ -217,10 +217,12 @@ def product_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-# multiply-adds of one BLAS call at most: OpenBLAS runs a larger product on
-# several threads, whose wake-up and spin-wait cost far more than a product
-# of this size takes on one (E8's Gram product on a shared 2-core host: 4 ms
-# in one call on two threads, 0.1 ms in blocks)
+# multiply-adds of one BLAS call at most.  The CLI starts OpenBLAS on one
+# thread, but a caller that loaded numpy first (a library user, the tests, an
+# in-process benchmark) may have a thread pool, and OpenBLAS runs a larger
+# product on several threads, whose wake-up and spin-wait cost far more than a
+# product of this size takes on one (E8's Gram product on a shared 2-core
+# host: 4 ms in one call on two threads, 0.1 ms in blocks)
 _GEMM_BLOCK = 1 << 18
 
 # _MUL_TABLE[p, 4q + r]: coefficient r of the product of basis units p and q

@@ -215,6 +215,36 @@ def test_closed_stdout_is_not_an_error(argv):
     assert (run.returncode, run.stderr) == (0, "")
 
 
+def _run_fresh(args, openblas_threads=None):
+    """A fresh interpreter on the qfoundry under test, with OPENBLAS_NUM_THREADS
+    unset or preset to openblas_threads (this process may have set it)."""
+    env = _env_importing_this_qfoundry()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                         env=env, timeout=120, check=False)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_cli_import_sets_one_openblas_thread_unless_preset(preset, expected):
+    script = "import os, qfoundry.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_fresh(["-c", script], openblas_threads=preset) == expected + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_process_runs_one_thread():
+    script = "import os, qfoundry.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _run_fresh(["-c", script]) == "1\n"
+
+
+def test_verify_all_output_does_not_depend_on_openblas_threads():
+    argv = ["-m", "qfoundry.cli", "verify-all", "--json", "--seed", "0xC0FFEE"]
+    assert _run_fresh(argv, openblas_threads="1") == _run_fresh(argv, openblas_threads="2")
+
+
 def test_quantum_generator(capsys):
     payload = run_json(capsys, "quantum", "generator", "--n", "4")
     assert payload["max_residual"] < 1e-8

@@ -27,6 +27,7 @@ from .quantum import (
     DensityOperator,
     STRUCT_TOL,
     _as_matrix,
+    _uniform_blocks,
     categorical,
     collapse,
     normalizable,
@@ -275,7 +276,8 @@ def sample_valuation(rho: DensityOperator, family: BasisFamily, seed: int) -> Va
 def sample_choices(
     rho: DensityOperator, family: BasisFamily, m: int, shots: int, seed: int
 ) -> np.ndarray:
-    """Vectorized draw of the basis-m choice over many valuations."""
+    """Vectorized draw of the basis-m choice over many valuations, one byte
+    (uint8) per draw."""
     probs = family.atom_probabilities(rho, m)
     return categorical(np.random.default_rng((seed, m)), probs, shots)
 
@@ -362,13 +364,15 @@ def simulate_sequence(
     outcome is drawn from the trace-rule weights of the current state, which
     then collapses onto the outcome's eigenspace; this chain has the same
     distribution as the model's valuation re-draws on the collapsed state.
-    The chain is walked one level (step) at a time.  Each level lists its
-    nodes in depth-first order; each node keeps its live (nonzero
-    probability) branches and their cdf, and each shot holds the index of
-    its node in a narrow integer array.  A shot picks its branch by
-    categorical sampling of its uniform for the step against its node's
-    cdf, and moves to that child.  The leaves' exact probabilities are
-    summed in depth-first order and their shots counted by one bincount.
+    The chain's levels (steps) are built once, before any shot is drawn.
+    Each level lists its nodes in depth-first order; each node keeps its
+    live (nonzero probability) branches and their cdf.  The shots are then
+    walked in blocks of quantum._DRAW_BLOCK rows of one row-major
+    (shots, steps) draw of uniforms, each shot holding the index of its node
+    in a narrow integer array.  A shot picks its branch by categorical
+    sampling of its uniform for the step against its node's cdf, and moves
+    to that child.  The leaves' exact probabilities are summed in
+    depth-first order and their shots counted by one bincount per block.
     """
     realized = []
     distances = []
@@ -377,13 +381,11 @@ def simulate_sequence(
         realized.append(spectral_projectors(matrix))
         distances.append(dist)
 
-    rng = np.random.default_rng((seed, 0x5EC))
-    uniforms = rng.random((shots, len(realized)))
     # one level of the chain: (state, exact probability, outcome values) per
-    # node, in depth-first order, and each shot's node as an index into it
+    # node, in depth-first order; each level's table is (cdf, first)
     nodes = [(rho0, 1.0, ())]
-    codes = np.zeros(shots, dtype=np.uint8)
-    for step, groups in enumerate(realized):
+    levels = []
+    for groups in realized:
         cdf = np.full((len(groups) - 1, len(nodes)), np.inf)
         first = np.empty(len(nodes), dtype=np.intp)  # a node's live children are consecutive
         children = []
@@ -402,20 +404,30 @@ def simulate_sequence(
                 children.append(
                     (collapse(state, groups[k][1]), acc * float(probs[k]), values + (value,))
                 )
-        # a shot's live branch is the count of its node's cdf entries <= its
-        # uniform, as in quantum.threshold_counts; the +inf padding never counts
-        u = uniforms[:, step]
-        picks = np.zeros(shots, dtype=np.uint8)
-        for row in cdf:
-            picks += u >= row.take(codes)
-        codes = first.astype(np.min_scalar_type(len(children) - 1)).take(codes) + picks
+        levels.append((cdf, first.astype(np.min_scalar_type(len(children) - 1))))
         nodes = children
+
+    # the shots in blocks of rows of one row-major (shots, steps) draw, each
+    # shot's node as an index into its level
+    rng = np.random.default_rng((seed, 0x5EC))
+    hits = np.zeros(len(nodes), dtype=np.int64)
+    for _, uniforms in _uniform_blocks(rng, shots, (len(levels),)):
+        codes = np.zeros(len(uniforms), dtype=np.uint8)
+        for u, (cdf, first) in zip(uniforms.T, levels):
+            # a shot's live branch is the count of its node's cdf entries <=
+            # its uniform, as in quantum.threshold_counts; the +inf padding
+            # never counts
+            picks = np.zeros(len(u), dtype=np.uint8)
+            for row in cdf:
+                picks += u >= row.take(codes)
+            codes = first.take(codes) + picks
+        hits += np.bincount(codes, minlength=len(nodes))
 
     counts: dict[tuple[float, ...], int] = {}
     exact: dict[tuple[float, ...], float] = {}
-    for (_, acc, values), hits in zip(nodes, np.bincount(codes, minlength=len(nodes)).tolist()):
+    for (_, acc, values), n in zip(nodes, hits.tolist()):
         exact[values] = exact.get(values, 0.0) + acc
-        counts[values] = counts.get(values, 0) + hits
+        counts[values] = counts.get(values, 0) + n
     frequencies = {k: v / shots for k, v in sorted(counts.items()) if v}
 
     return SequenceReport(

@@ -125,42 +125,67 @@ def collapse(rho: DensityOperator, proj: ProjectionOp) -> DensityOperator:
     return DensityOperator(p @ r @ p / weight)
 
 
+# uniforms a sampler draws and bins at a time (512 KiB of float64), so that
+# no sampler holds more than one block of them, however many shots it draws
+_DRAW_BLOCK = 1 << 16
+
+
 def threshold_counts(uniforms: np.ndarray, cdf: Sequence[float]) -> np.ndarray:
-    """For each uniform, how many entries of cdf[:-1] are <= it (int64).
+    """For each uniform, how many entries of cdf[:-1] are <= it, in the
+    narrowest unsigned dtype that holds len(cdf), np.min_scalar_type(len(cdf)).
 
     This is the categorical bin of the uniform: on a nondecreasing cdf it
     is the right-sided insertion index of u in cdf capped at len(cdf) - 1,
     and the cap is never reached when cdf[-1] = 1 > u.  One vectorized
     comparison per entry beats a binary search per uniform on the short
-    cdfs drawn here; the counts accumulate in the narrowest dtype that
-    holds them, which adds faster than int64.
+    cdfs drawn here, and the narrow counts add faster than int64 and take
+    one byte per uniform for up to 255 entries.
     """
     picks = np.zeros(np.shape(uniforms), dtype=np.min_scalar_type(len(cdf)))
     for c in cdf[:-1]:
         picks += uniforms >= c
-    return picks.astype(np.int64)
+    return picks
 
 
-def _cdf_and_uniforms(rng: np.random.Generator, probs, size: int):
-    """Generator.choice's normalized cdf and its uniforms, in its order."""
+def _cdf(probs) -> np.ndarray:
+    """Generator.choice's normalized cdf."""
     cdf = np.cumsum(probs, dtype=float)
     cdf /= cdf[-1]
-    return cdf, rng.random(size)
+    return cdf
+
+
+def _uniform_blocks(rng: np.random.Generator, rows: int, row_shape: tuple = ()):
+    """rng.random((rows, *row_shape)) as (start, block) pairs of at most
+    _DRAW_BLOCK rows: the same uniforms, in the same (row-major) order,
+    leaving the generator in the same state.  Every block is drawn into one
+    buffer, so a block is overwritten by the next one."""
+    buffer = np.empty((min(rows, _DRAW_BLOCK), *row_shape))
+    for start in range(0, rows, _DRAW_BLOCK):
+        yield start, rng.random(out=buffer[:rows - start])
 
 
 def categorical(rng: np.random.Generator, probs, size: int) -> np.ndarray:
-    """size draws of indices into probs: the same int64 draws, from the same
+    """size draws of indices into probs: the same draws, from the same
     uniforms, as numpy's Generator.choice with probabilities probs, leaving
-    the generator in the same state; unlike it, probs are not validated."""
-    cdf, uniforms = _cdf_and_uniforms(rng, probs, size)
-    return threshold_counts(uniforms, cdf)
+    the generator in the same state; unlike it, probs are not validated,
+    and the draws come in the dtype np.min_scalar_type(len(probs)) (uint8
+    up to 255 entries) instead of int64.  The uniforms are drawn and
+    binned one block of _DRAW_BLOCK at a time."""
+    cdf = _cdf(probs)
+    picks = np.empty(size, dtype=np.min_scalar_type(len(cdf)))
+    for start, uniforms in _uniform_blocks(rng, size):
+        picks[start:start + len(uniforms)] = threshold_counts(uniforms, cdf)
+    return picks
 
 
 def categorical_counts(rng: np.random.Generator, probs, size: int) -> np.ndarray:
     """How many of the `categorical` draws hit each index, without holding
-    the draws: the uniforms below each cdf entry, differenced."""
-    cdf, uniforms = _cdf_and_uniforms(rng, probs, size)
-    below = [np.count_nonzero(uniforms < c) for c in cdf[:-1]]
+    the draws or more than one block of uniforms: the uniforms below each
+    cdf entry, added up over the blocks and differenced."""
+    cdf = _cdf(probs)
+    below = [0] * (len(cdf) - 1)
+    for _, uniforms in _uniform_blocks(rng, size):
+        below = [b + np.count_nonzero(uniforms < c) for b, c in zip(below, cdf[:-1])]
     return np.diff([0, *below, size])
 
 

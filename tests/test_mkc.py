@@ -344,6 +344,14 @@ def test_uniform_marginal_dim2():
     assert abs(freq - 0.5) <= 3 * sigma
 
 
+def test_sample_choices_hold_one_byte_per_shot(family3, rho3, traced_peak):
+    """One byte per draw, plus one block of uniforms at a time: 8 bytes per
+    row of the block, and 4 more cover its one-byte temporaries."""
+    shots = 10**6
+    peak = traced_peak(lambda: mkc.sample_choices(rho3, family3, 0, shots, seed=3))
+    assert peak < shots + 12 * qt._DRAW_BLOCK
+
+
 def test_joint_frequencies_factorize(family3, rho3):
     c0 = mkc.sample_choices(rho3, family3, 0, SHOTS, seed=SEED)
     c1 = mkc.sample_choices(rho3, family3, 1, SHOTS, seed=SEED)
@@ -714,7 +722,7 @@ def _sequence_programs(family3, rho3):
     }
 
 
-@pytest.mark.parametrize("shots", [1, 7, SHOTS])
+@pytest.mark.parametrize("shots", [1, 7, SHOTS, 2 * qt._DRAW_BLOCK + 17])
 @pytest.mark.parametrize("seed", [0, 1, 23, SEED])
 def test_level_walk_matches_recursive_walk(family3, rho3, shots, seed):
     for name, (rho, observables, family) in _sequence_programs(family3, rho3).items():
@@ -722,6 +730,15 @@ def test_level_walk_matches_recursive_walk(family3, rho3, shots, seed):
         frequencies, exact = _recursive_walk(rho, observables, family, seed, shots)
         assert repr(list(report.frequencies.items())) == repr(list(frequencies.items())), name
         assert repr(list(report.exact_probabilities.items())) == repr(list(exact.items())), name
+
+
+def test_sequence_holds_blocks_not_shots(family3, rho3, traced_peak):
+    """A million shots of three steps hold blocks of uniforms and node
+    indices, not the 24 MB (shots, steps) draw."""
+    observables = [family3.projector(0, 0), np.diag([1.0, 2.0, 3.0]), family3.projector(5, 2)]
+    peak = traced_peak(
+        lambda: mkc.simulate_sequence(rho3, observables, family3, seed=3, shots=10**6))
+    assert peak < 8e6
 
 
 def test_zero_probability_branches_are_dropped(family3, rho3):

@@ -379,15 +379,19 @@ def _probabilities(n, zero, seed):
 
 
 @pytest.mark.parametrize("zero", [None, "first", "middle", "last"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 300])
 def test_categorical_is_generator_choice(n, zero):
+    """Equal to Generator.choice at every size, across the edges of the
+    blocks the uniforms are drawn in; n = 300 needs uint16 picks, and n = 1
+    leaves categorical_counts no cdf entry to count below."""
+    block = qt._DRAW_BLOCK
     for seed in (0, 7, 0xC0FFEE):
         probs = _probabilities(n, zero, seed)
-        for size in (0, 1, 7, 100_000):
+        for size in (0, 1, 7, 100_000, block - 1, block, block + 1, 2 * block + 1):
             mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
             got = qt.categorical(mine, probs, size)
             want = numpys.choice(n, size, p=probs)
-            assert got.dtype == np.int64 and got.shape == (size,)
+            assert got.dtype == np.min_scalar_type(n) and got.shape == (size,)
             assert np.array_equal(got, want)
             assert mine.bit_generator.state == numpys.bit_generator.state
             mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -395,6 +399,12 @@ def test_categorical_is_generator_choice(n, zero):
             assert np.array_equal(counts, np.bincount(numpys.choice(n, size, p=probs),
                                                       minlength=n))
             assert mine.bit_generator.state == numpys.bit_generator.state
+
+
+def test_categorical_counts_holds_one_block(traced_peak):
+    """A million draws hold one block of uniforms (512 KiB), not 8 MB."""
+    rng = np.random.default_rng(1)
+    assert traced_peak(lambda: qt.categorical_counts(rng, [0.1, 0.2, 0.3, 0.4], 10**6)) < 1.5e6
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -517,15 +517,20 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
         family = mkc.generate_basis_family(3, 16, seed)
         rho = qt.DensityOperator(_ginibre_state(np.random.default_rng((seed, 0xA)), 3))
         worst = 0.0
-        first_two = []  # the draws of bases 0 and 1, kept for the joint below
+        block = qt._DRAW_BLOCK
         for m in range(4):
             choices = mkc.sample_choices(rho, family, m, shots, seed)
-            if m < 2:
-                first_two.append(choices)
+            if m == 0:
+                c0 = choices  # kept for the joint with basis 1 only
+            elif m == 1:
+                both = sum(np.count_nonzero((c0[start:start + block] == 0)
+                                            & (choices[start:start + block] == 0))
+                           for start in range(0, shots, block))
+                del c0
             probs = family.atom_probabilities(rho, m)
             # bincount widens its input to intp, so it counts one block at a time
-            hits = sum(np.bincount(choices[start:start + qt._DRAW_BLOCK], minlength=3)
-                       for start in range(0, shots, qt._DRAW_BLOCK))
+            hits = sum(np.bincount(choices[start:start + block], minlength=3)
+                       for start in range(0, shots, block))
             for j in range(3):
                 empirical = float(hits[j] / shots)
                 sigma = math.sqrt(max(probs[j] * (1 - probs[j]), 1e-12) / shots)
@@ -537,11 +542,11 @@ def _acceptance_checks(seed: int, shots: int) -> list[tuple[str, Callable[[], di
             model = mkc.mkc_probability(rho, p2, family)
             born = qt.born_probability(rho, qt.ProjectionOp(p2))
             assert abs(model - born) <= 1e-12
+        del choices  # so that the sequence below runs beside no draw
         # independence of non-commuting projections across bases
-        c0, c1 = first_two
         p = family.atom_probabilities(rho, 0)[0]
         q = family.atom_probabilities(rho, 1)[0]
-        joint = float(np.mean((c0 == 0) & (c1 == 0)))
+        joint = both / shots
         sigma = math.sqrt(p * q * (1 - p * q) / shots)
         assert abs(joint - p * q) <= 3 * sigma, "joint frequency does not factorize"
         # sequential two-projection experiment at the planted directions

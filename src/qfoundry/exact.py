@@ -8,7 +8,9 @@ scaled by a nonzero field element to integer coefficients over
 are integer computations on that key under the one product rule `_mul`.
 Integer matrix products run on the dtype `product_dtype` picks from a bound
 on their sums: on float64 BLAS while every sum is an integer that float64
-holds exactly, since numpy has no BLAS kernel for integers.
+holds exactly, since numpy has no BLAS kernel for integers.  One generator,
+`product_blocks`, forms the KS Gram and Meyer's pair scan a block at a
+time, and each block is reduced to its zeros before the next is formed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import numbers
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,13 +219,37 @@ def product_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-# multiply-adds of one BLAS call at most.  The CLI starts OpenBLAS on one
-# thread, but a caller that loaded numpy first (a library user, the tests, an
-# in-process benchmark) may have a thread pool, and OpenBLAS runs a larger
-# product on several threads, whose wake-up and spin-wait cost far more than a
-# product of this size takes on one (E8's Gram product on a shared 2-core
-# host: 4 ms in one call on two threads, 0.1 ms in blocks)
+# multiply-adds of one block of `product_blocks` at most.  The CLI starts
+# OpenBLAS on one thread, but a caller that loaded numpy first (a library
+# user, the tests, an in-process benchmark) may have a thread pool, and
+# OpenBLAS runs a larger product on several threads, whose wake-up and
+# spin-wait cost far more than a product of this size takes on one (E8's Gram
+# product on a shared 2-core host: 4 ms in one call on two threads, 0.1 ms in
+# blocks).  A block is reduced to its zeros before the next is formed, so it
+# also bounds the memory of a scan to about 2 MB of float64 products.
 _GEMM_BLOCK = 1 << 18
+
+
+def product_blocks(
+    rows: np.ndarray, cols: np.ndarray, bound: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The exact integer product of a stack of row groups against cols, in blocks.
+
+    rows is an (n, ..., k) integer array of n row groups, cols an (N, k)
+    one, and every product and partial sum is below bound in absolute
+    value.  Both are cast once to `product_dtype(bound)`, and each
+    (first, rows[first:first + b] @ cols.T) is yielded for b groups of at
+    most _GEMM_BLOCK multiply-adds (one group when a group alone is more).
+    """
+    dtype = product_dtype(bound)
+    rows, cols_t = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False).T
+    k, width = cols_t.shape
+    step = max(1, _GEMM_BLOCK // max(1, math.prod(rows.shape[1:]) * width))
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        # one 2-D product per block: numpy would run a stacked one slice by slice
+        yield first, (block.reshape(-1, k) @ cols_t).reshape(*block.shape[:-1], width)
+
 
 # _MUL_TABLE[p, 4q + r]: coefficient r of the product of basis units p and q
 _UNITS = [tuple(int(p == q) for q in range(4)) for p in range(4)]
@@ -237,10 +263,10 @@ def orthogonality_masks(vectors: Sequence[ExactVector]) -> list[int]:
     j > i orthogonal to it; pair by pair this agrees with `orthogonal`.  The
     keys are stacked into an (n, dim*4) array K, and the four coefficient
     Gram matrices over (1, sqrt2, sqrt3, sqrt6) are (K @ T) against K.T, with
-    T the multiplication table of `_mul`, in row blocks of at most
-    _GEMM_BLOCK multiply-adds.  Every partial sum of a Gram entry is bounded
-    by 12*dim*M^2 for M the largest key coefficient, and the products run on
-    the `product_dtype` of that bound.
+    T the multiplication table of `_mul`: one (n, 4, dim*4) stack of row
+    groups for `product_blocks`, each block of which is reduced to the
+    packed bits of its pairs above the diagonal.  Every partial sum of a
+    Gram entry is bounded by 12*dim*M^2 for M the largest key coefficient.
     """
     n = len(vectors)
     if not n:
@@ -250,17 +276,18 @@ def orthogonality_masks(vectors: Sequence[ExactVector]) -> list[int]:
         _check_dimensions(vectors[0], v)
     keys = [v._key for v in vectors]
     top = max(abs(x) for key in keys for row in key for x in row)
-    dtype = product_dtype(12 * dim * top * top)
+    bound = 12 * dim * top * top
+    dtype = product_dtype(bound)
     K = np.array(keys, dtype=dtype).reshape(n * dim, 4)
     table = np.array(_MUL_TABLE, dtype=dtype)
-    # KT[i, k, q, r] = sum_p K[i, k, p] * T[p, q, r], regrouped to rows (i, r)
-    KT = (K @ table).reshape(n, dim, 4, 4).transpose(0, 3, 1, 2).reshape(n * 4, dim * 4)
-    Kt = K.reshape(n, dim * 4).T
-    step = max(1, _GEMM_BLOCK // Kt.size)
-    gram = np.concatenate([KT[lo:lo + step] @ Kt for lo in range(0, n * 4, step)])
-    orth = np.triu(~(gram.reshape(n, 4, n) != 0).any(axis=1), 1)
-    packed = np.packbits(orth, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # KT[i, r, (k, q)] = sum_p K[i, k, p] * T[p, q, r]
+    KT = (K @ table).reshape(n, dim, 4, 4).transpose(0, 3, 1, 2).reshape(n, 4, dim * 4)
+    masks = []
+    for first, gram in product_blocks(KT, K.reshape(n, dim * 4), bound):
+        orth = np.triu((gram == 0).all(axis=1), first + 1)
+        packed = np.packbits(orth, axis=1, bitorder="little")
+        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return masks
 
 
 def cross_product(u: ExactVector, v: ExactVector) -> ExactVector:

@@ -1,10 +1,9 @@
 """Orthogonality structures and exhaustive search for 0/1 colorings.
 
-Every orthogonal pair of a set is found at once, by one integer Gram
-product on the stacked primitive ray keys (`exact.orthogonality_masks`,
-on the `exact.product_dtype` of its entry bound 12*dim*M^2, so on float64
-BLAS while every sum is an integer float64 holds), and the bases are grown
-as cliques on those bitmasks.
+Every orthogonal pair of a set is found by one integer Gram product on
+the stacked primitive ray keys (`exact.orthogonality_masks`, in the
+blocks of `exact.product_blocks`, each reduced to bitmasks before the
+next is formed), and the bases are grown as cliques on those bitmasks.
 
 A coloring assigns 1 to exactly one vector of every full orthogonal basis
 and at most one vector of every remaining orthogonal pair.  The search is

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .quantum import MAX_DIM, STRUCT_TOL, ProjectionOp, _as_matrix
 CONTAINMENT_TOL = 1e-9
 MAX_SUBSPACE_DIM = 4
 MAX_EXHAUSTIVE_ELEMENTS = 512  # the law check holds (E, E, C) mask tables
-MAX_POSET_BASES = 64  # refine and inclusion are C x C, with C up to 1 + 5 * 64 at dim 4
+MAX_POSET_BASES = 64  # inclusion is C x C, with C up to 1 + 5 * 64 at dim 4
 TRIPLE_BLOCK = 1 << 14  # (s, t, r) triples per blocked triple-law test
 GATHER_BLOCK = 1 << 18  # table lookups per block of a grouped reduction
 
@@ -120,11 +120,11 @@ class ContextPoset:
     trivial context lies below every context, each context below itself,
     and the block of ray r below each basis holding r.
 
-    refine[i][j][k] is the atom of context i above atom k of context j,
-    present only when i <= j: k on a context's own pair, 0 from the trivial
-    context, and from a block 0 for its ray's atom, else 1.  Two gather
-    tables, built once from these maps over every included pair (each
-    context's own pair among them), make lattice elements pure bitmask data:
+    On an included pair i <= j, the atom of context i above atom k of
+    context j is k on a context's own pair, 0 from the trivial context, and
+    from a block 0 for its ray's atom, else 1.  Two gather tables, built
+    once from these maps over every included pair (each context's own pair
+    among them), make lattice elements pure bitmask data:
     _expand maps each mask of the coarse context to its expansion into the
     fine context's atoms, grouped by the fine context; _restrict maps each
     mask of the fine context to the largest coarse mask whose expansion lies
@@ -167,9 +167,6 @@ class ContextPoset:
         # move a fraction of the memory an int64 table would
         self.mask_dtype = np.min_scalar_type((1 << dim) - 1)
         self._full = ((1 << sizes) - 1).astype(self.mask_dtype)
-        self.refine: list[list[Optional[list[int]]]] = [[None] * n for _ in range(n)]
-        for i, j, row in zip(coarse.tolist(), fine.tolist(), parent.tolist()):
-            self.refine[i][j] = row[: sizes[j]]
         # every coarse mask x, expanded: bit k is bit parent[p, k] of x
         offset, pair, x = _blocks(coarse, sizes)
         bits = (x[:, None] >> parent[pair] & (atom < sizes[fine, None])[pair]) << atom

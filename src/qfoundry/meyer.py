@@ -5,9 +5,9 @@ with x^2 + y^2 + z^2 = n^2, so the layer holds the corpus as one sorted
 (R, 4) int64 array of rows [x, y, z, n], from the enumeration to the
 verdict.  The color is decided by the parity of the third coordinate: odd
 maps to 0, even to 1.  Dot and cross products are exact: the pair scan's
-matrix products run on the `exact.product_dtype` of their bound, so on
-float64 BLAS while every sum is an integer float64 holds, and the cross
-products on int64; only the violations come back as tuples.  One table of
+matrix products are the blocks of `exact.product_blocks`, on float64 BLAS
+while every sum is an integer float64 holds, and the cross products run
+on int64; only the violations come back as tuples.  One table of
 the 12 residue classes mod 4 of primitive triples, and of the class pairs
 that can be orthogonal, drives both the enumeration's sieve and the pair
 scan.
@@ -19,18 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import product_dtype
+from .exact import product_blocks
 
 # largest `meyer verify --max-n`; its 32595 rays take about a quarter of a
-# second to check, most of it in the pair scan over a third of the R^2 / 2
-# products
+# second to check, most of it in the pair scan: a third of the R^2 / 2
+# products, in about 2100 blocks of `exact.product_blocks`
 MAX_N = 200
 # int64 dot and cross products of rays with coordinates up to 2^30 are exact
 MAX_COORDINATE = 1 << 30
-# entries of one enumeration slab and of one block of the pair scan
+# entries of one enumeration slab
 _BLOCK_ENTRIES = 1 << 15
-# rows of a scan block at least, so that above 2^15 rays a block is not one row
-_MIN_BLOCK_ROWS = 16
 
 # The residue classes mod 4 of primitive triples (Meyer, PRL 83 (1999) 3751).
 # Squares are 0 or 1 mod 4, so the number of odd coordinates of
@@ -144,17 +142,16 @@ def _orthogonal_pairs(a):
     """The pairs i < j of rows of a with a[i] . a[j] == 0, in lexicographic order.
 
     The rows are primitive Pythagorean rays.  They are grouped by their
-    class in _RESIDUES, and matrix products are formed only between groups
-    that _MEETS marks, in row blocks of about _BLOCK_ENTRIES entries: a
-    third of the upper triangle's products on the corpus.  Every partial
-    sum of a dot product is at most 3*M^2 for M the largest |coordinate|,
-    and the products run on the `product_dtype` of that bound.
+    class in _RESIDUES, and `exact.product_blocks` forms products only
+    between groups that _MEETS marks: a third of the upper triangle's
+    products on the corpus.  Every partial sum of a dot product is at most
+    3*M^2 for M the largest |coordinate|.
     """
     key = _CLASS[tuple((a % 4).T)]
     counts = np.bincount(key, minlength=len(_RESIDUES))
     order = np.argsort(key, kind="stable")
     top = int(np.abs(a).max(initial=0))
-    grouped = a[order].astype(product_dtype(3 * top * top), copy=False)
+    grouped = a[order]
     ends = np.cumsum(counts)
     starts = ends - counts
     rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
@@ -163,14 +160,13 @@ def _orthogonal_pairs(a):
         if not len(later):
             continue
         col = np.concatenate([np.arange(starts[d], ends[d]) for d in later])
-        other = grouped[col].T
-        block = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // len(col))
-        for lo in range(starts[c], ends[c], block):
-            # flatnonzero and divmod take half the time of a 2-D nonzero
-            zero = np.flatnonzero(grouped[lo:min(lo + block, ends[c])] @ other == 0)
-            i, j = np.divmod(zero, len(col))
-            rows.append(order[i + lo])
-            cols.append(order[col[j]])
+        # flat zero indices into the class's (rows, len(col)) product: one
+        # divmod per class costs a fraction of a 2-D nonzero per block
+        zero = [np.flatnonzero(dots == 0) + first * len(col) for first, dots in
+                product_blocks(grouped[starts[c]:ends[c]], grouped[col], 3 * top * top)]
+        i, j = np.divmod(np.concatenate(zero), len(col))
+        rows.append(order[i + starts[c]])
+        cols.append(order[col[j]])
     i, j = np.concatenate(rows), np.concatenate(cols)
     i, j = np.minimum(i, j), np.maximum(i, j)
     first = np.lexsort((j, i))

@@ -173,6 +173,13 @@ def test_verify_all_reconstruction_matches_per_trial_calls(capsys, seed):
     assert details["max_entry_error"] == _per_trial_reconstruction_error(int(seed, 0))
 
 
+def test_mkc_statistics_check_holds_two_draws_at_most(traced_peak):
+    # basis 0's draws beside one other basis's and one sampler block (about
+    # 3.4 MB here); three shots-long joint arrays took it to 6 MB before
+    check = dict(cli._acceptance_checks(0xC0FFEE, 10**6))["mkc-statistics"]
+    assert traced_peak(check) < 4.5e6
+
+
 def _env_importing_this_qfoundry():
     src = str(Path(cli.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -451,15 +451,17 @@ def test_product_dtype_edges():
     assert product_dtype(2**63) is object
 
 
-def _spy_product_dtype(monkeypatch, module):
-    """The list of dtypes module's product_dtype returns from now on."""
-    chosen, rule = [], module.product_dtype
+def _spy_product_dtype(monkeypatch):
+    """The list of dtypes exact.product_dtype returns from now on, one per
+    call: orthogonality_masks calls it for its keys and `product_blocks`
+    once per call, so each test checks that every call picked one dtype."""
+    chosen, rule = [], exact.product_dtype
 
     def spy(bound):
         chosen.append(rule(bound))
         return chosen[-1]
 
-    monkeypatch.setattr(module, "product_dtype", spy)
+    monkeypatch.setattr(exact, "product_dtype", spy)
     return chosen
 
 
@@ -474,19 +476,74 @@ def _spy_product_dtype(monkeypatch, module):
                  np.int64, id="near-2^28"),
 ])
 def test_orthogonality_masks_product_dtype(monkeypatch, vectors, dtype):
-    chosen = _spy_product_dtype(monkeypatch, exact)
+    chosen = _spy_product_dtype(monkeypatch)
     vectors = vectors()
     assert orthogonality_masks(vectors) == _pairwise_masks(vectors)
-    assert chosen == [dtype]
+    assert chosen and all(d is dtype for d in chosen)
 
 
 def test_orthogonality_masks_exact_past_int64(monkeypatch):
     # the key dot product is 2^64, which wraps to 0 in int64
-    chosen = _spy_product_dtype(monkeypatch, exact)
+    chosen = _spy_product_dtype(monkeypatch)
     u, v = ExactVector([2**32, 1, 0]), ExactVector([2**32, 0, 1])
     assert not orthogonal(u, v)
     assert orthogonality_masks([u, v]) == [0, 0]
-    assert chosen == [object]
+    assert chosen and all(d is object for d in chosen)
+
+
+def _grid_rays(dim, k):
+    """The primitive integer rays with entries in [-k, k] and a positive
+    first nonzero entry."""
+    return [ExactVector(list(t)) for t in product(range(-k, k + 1), repeat=dim)
+            if any(t) and math.gcd(*t) == 1 and next(x for x in t if x) > 0]
+
+
+def _count_blocks(monkeypatch):
+    """The list of the row groups of each block exact.product_blocks yields from now on."""
+    blocks, kernel = [], exact.product_blocks
+
+    def spy(rows, cols, bound):
+        for first, block in kernel(rows, cols, bound):
+            blocks.append(len(block))
+            yield first, block
+
+    monkeypatch.setattr(exact, "product_blocks", spy)
+    return blocks
+
+
+def test_orthogonality_masks_across_blocks(monkeypatch):
+    blocks = _count_blocks(monkeypatch)
+    vectors = _grid_rays(3, 3)
+    assert len(vectors) == 145
+    assert orthogonality_masks(vectors) == _pairwise_masks(vectors)
+    assert blocks == [37, 37, 37, 34]
+
+
+def test_orthogonality_masks_hold_one_block(traced_peak):
+    vectors = _grid_rays(3, 5)
+    assert len(vectors) == 577
+    # the whole (4n, n) float64 Gram alone would take 10.7 MB
+    assert traced_peak(lambda: orthogonality_masks(vectors)) < 4e6
+
+
+@pytest.mark.parametrize("group, firsts", [((3,), range(0, 50, 3)), ((), range(0, 50, 10)),
+                                           ((30,), range(50))], ids=["groups", "rows", "large"])
+@pytest.mark.parametrize("dtype, top", [(np.float64, 3), (np.int64, 2**27), (object, 2**40)],
+                         ids=["float64", "int64", "object"])
+def test_product_blocks_match_one_product(monkeypatch, group, firsts, dtype, top):
+    # blocks of 5000 multiply-adds: 3 groups of 3 * 8 * 60, 10 rows of
+    # 8 * 60, and one group of 30 * 8 * 60 alone
+    monkeypatch.setattr(exact, "_GEMM_BLOCK", 5000)
+    rng = np.random.default_rng(7)
+    rows = rng.integers(-3, 4, size=(50, *group, 8)).astype(object) * top
+    cols = rng.integers(-3, 4, size=(60, 8)).astype(object) * top
+    bound = 8 * 9 * top * top
+    assert exact.product_dtype(bound) is dtype
+    blocks = list(exact.product_blocks(rows, cols, bound))
+    assert [first for first, _ in blocks] == list(firsts)
+    assert all(block.dtype == dtype for _, block in blocks)
+    whole = np.concatenate([block for _, block in blocks]).astype(object)
+    assert (whole == rows @ cols.T).all()
 
 
 def test_orthogonality_masks_dimension_mismatch():

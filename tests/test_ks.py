@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from qfoundry.datasets import build_cabello18, build_peres33
-from qfoundry.exact import DegenerateInputError, ExactVector, VectorSet, orthogonal
+from qfoundry.exact import (
+    DegenerateInputError,
+    ExactVector,
+    VectorSet,
+    orthogonal,
+    orthogonality_masks,
+)
 from qfoundry.ks import (
     Coloring,
     NotApplicableError,
@@ -20,7 +26,7 @@ from qfoundry.ks import (
     is_valid_coloring,
     search_coloring,
 )
-from test_exact import _adjugate_ray_key, _scaled
+from test_exact import _adjugate_ray_key, _count_blocks, _pairwise_masks, _scaled
 
 REDUCED_PERES_COLORINGS = 48  # frozen from an independent product-enumeration oracle
 # the first coloring the search finds for peres33 without g_2^2 and g_2^3;
@@ -331,6 +337,13 @@ def test_e8_uncolorable():
     result = search_coloring(s)
     assert not result.colorable
     assert result.nodes_explored == 41
+
+
+def test_e8_masks_across_blocks(monkeypatch):
+    blocks = _count_blocks(monkeypatch)
+    vectors = _e8_rays().vectors
+    assert orthogonality_masks(vectors) == _pairwise_masks(vectors)
+    assert len(blocks) == 8
 
 
 def _random_structure(rng) -> VectorSet:

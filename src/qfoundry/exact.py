@@ -38,8 +38,8 @@ class QuadScalar:
     """The coefficients of an element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3).
 
     Each coefficient must be rational (an int, a Fraction or a numpy
-    integer) and is stored as a Fraction of Python ints; a float or a
-    string raises TypeError.
+    integer) and is stored as a Python int when it is integral, else as a
+    Fraction of Python ints; a float or a string raises TypeError.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -65,7 +65,7 @@ class QuadScalar:
     def sqrt6(cls) -> "QuadScalar":
         return cls(0, 0, 0, 1)
 
-    def coefficients(self) -> tuple[Q, Q, Q, Q]:
+    def coefficients(self) -> tuple[RationalLike, ...]:
         return (self.a, self.b, self.c, self.d)
 
     def is_zero(self) -> bool:
@@ -104,14 +104,14 @@ class QuadScalar:
         return "".join(parts) if parts else "0"
 
 
-def _rational(coef) -> Q:
-    """coef as a Fraction of Python ints; TypeError unless it is rational."""
+def _rational(coef) -> RationalLike:
+    """coef as a Python int if integral, else as a Fraction of ints; TypeError if not rational."""
     if type(coef) is int:
-        return Q(coef)
+        return coef
     if not isinstance(coef, numbers.Rational):
         raise TypeError(f"coefficient {coef!r} is not rational")
-    # a numpy integer would otherwise stay the Fraction's int64 numerator
-    return Q(int(coef.numerator), int(coef.denominator))
+    num, den = int(coef.numerator), int(coef.denominator)
+    return num if den == 1 else Q(num, den)
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -374,7 +374,7 @@ class VectorSet:
                     raise ValueError(
                         f"vector {k} entry {i} must be four [num, den] integer pairs, den != 0"
                     )
-                entries.append(QuadScalar(*(Q(num, den) for num, den in coeffs)))
+                entries.append(QuadScalar(*(n if d == 1 else Q(n, d) for n, d in coeffs)))
             vectors.append(ExactVector(entries, label))
         return cls(dimension, vectors)
 

@@ -11,11 +11,11 @@ complete backtracking with unit propagation, so a negative answer is an
 exhaustion certificate.  Its state is two int bitsets over the vectors,
 those fixed to 1 and those fixed to 0, passed down the recursion; each
 basis is one mask, and propagation visits only the bases of a changed
-vector.  One branching rule, `_Search.branches`, lists the decisions at
-a node for both searches: the decision stops at its first coloring, and
-counting, on the same state, splits the free vectors again into connected
-parts after every decision, multiplies the parts' counts and caches each
-part's count by its free-vector mask for one call.
+vector, from a queue that is a third mask.  One branching rule,
+`_Search.branches`, lists the decisions at a node for both searches: the
+decision stops at its first coloring, and counting, on the same state,
+splits the free vectors into connected parts after every decision and
+caches every count by its free-vector mask for one call.
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ class _Search:
     def __init__(self, structure: OrthStructure):
         self.n = len(structure.vectors)
         self.basis_masks = [sum(1 << v for v in basis) for basis in structure.bases]
-        # incident[v]: indices of the bases holding v; orth[v]: v's neighbours
+        # incident[v]: the masks of the bases holding v; orth[v]: v's neighbours
         self.incident: list[list[int]] = [[] for _ in range(self.n)]
         self.orth = [0] * self.n
         for b, basis in enumerate(structure.bases):
             for v in basis:
-                self.incident[v].append(b)
+                self.incident[v].append(self.basis_masks[b])
                 self.orth[v] |= self.basis_masks[b] & ~(1 << v)
         for i, j in structure.pairs:
             self.orth[i] |= 1 << j
@@ -180,32 +180,40 @@ class _Search:
         self.full = (1 << self.n) - 1
         self.neg_degree = [-m.bit_count() for m in self.orth]
 
-    def propagate(self, ones: int, zeros: int, queue: list[int]) -> Optional[tuple[int, int]]:
+    def propagate(self, ones: int, zeros: int, queue: int) -> Optional[tuple[int, int]]:
         """Close (ones, zeros) under the forcing rules; None on contradiction.
 
         A 1 forces its neighbours to 0.  A basis with no 1 forces its only
-        open member to 1, and is violated when it has none.
+        open member to 1, and is violated when it has none.  queue masks the
+        vectors still to visit, lowest first, and each newly fixed vector
+        joins it.  The rules are unit propagation on the clauses "a basis
+        holds a 1" and "two orthogonal vectors are not both 1", which is
+        confluent: every visit order fails, or stops at the same least
+        fixpoint, so the order moves no node count, coloring or count.
         """
+        orth, incident = self.orth, self.incident
         while queue:
-            v = queue.pop()
+            v = (queue & -queue).bit_length() - 1
+            queue &= queue - 1
             if ones >> v & 1:
-                if self.orth[v] & ones:
+                if orth[v] & ones:
                     return None
-                new = self.orth[v] & ~zeros
+                new = orth[v] & ~zeros
                 zeros |= new
-                queue.extend(_bits(new))
-            for b in self.incident[v]:
-                if self.basis_masks[b] & ones:
+                queue |= new
+                continue  # every basis of a 1 holds a 1
+            for basis in incident[v]:
+                if basis & ones:
                     continue
-                open_ = self.basis_masks[b] & ~zeros
+                open_ = basis & ~zeros
                 if not open_:
                     return None
                 if not open_ & (open_ - 1):
                     ones |= open_
-                    queue.append(open_.bit_length() - 1)
+                    queue |= open_
         return ones, zeros
 
-    def branches(self, ones: int, zeros: int) -> list[tuple[int, int, list[int]]]:
+    def branches(self, ones: int, zeros: int) -> list[tuple[int, int, int]]:
         """The decisions at a propagated node, as `propagate` arguments: each
         open member of the first basis with no 1 and the fewest open members
         set to 1, highest degree first, ties by index; when every basis holds
@@ -218,12 +226,12 @@ class _Search:
         basis = min((m & free for m in self.basis_masks if m & free),
                     key=int.bit_count, default=0)
         if basis:
-            return [(ones | 1 << u, zeros, [u])
+            return [(ones | 1 << u, zeros, 1 << u)
                     for u in sorted(_bits(basis), key=self.neg_degree.__getitem__)]
         if not free:
             return []
-        v = (free & -free).bit_length() - 1
-        return [(ones | 1 << v, zeros, [v]), (ones, zeros | 1 << v, [v])]
+        low = free & -free
+        return [(ones | low, zeros, low), (ones, zeros | low, low)]
 
 
 def search_coloring(structure: OrthStructure) -> SearchResult:
@@ -245,22 +253,22 @@ def search_coloring(structure: OrthStructure) -> SearchResult:
                 return found
         return None
 
-    state = search.propagate(0, 0, list(range(search.n)))
+    state = search.propagate(0, 0, search.full)
     found = first(*state) if state else None
     coloring = None if found is None else Coloring(tuple(found >> v & 1 for v in range(search.n)))
     return SearchResult(coloring, nodes)
 
 
 def count_colorings(structure: OrthStructure) -> int:
-    """Exact number of valid colorings, counted by connected parts.
+    """Exact number of valid colorings, by component caching.
 
     After unit propagation the free vectors split into connected parts
     (linked by a shared basis or pair), and the count is the product of
     the parts' counts.  A part is counted over the decisions of
     `_Search.branches`, and each branch is propagated and split again.
-    Part counts are cached by the part's free-vector mask for the length
-    of one call; no coloring is stored, and a vector in no basis and no
-    pair is a factor of 2.
+    Every count, of one part or several, is cached by its free-vector mask
+    for one call (Sang, Bacchus, Beame, Kautz and Pitassi, SAT 2004); no
+    coloring is stored, and a vector in no basis and no pair is a factor of 2.
     """
     if len(structure.vectors) > COUNT_LIMIT:
         raise NotApplicableError(
@@ -274,34 +282,27 @@ def count_colorings(structure: OrthStructure) -> int:
     # part, being mutually linked), and a pair constrains only pairs of free
     # vectors.  The remaining problem depends on nothing but the free
     # vectors, so a part is counted with everything outside it taken as 0.
-    cache: dict[int, int] = {}
+    cache = {0: 1}
 
-    def residual(ones: int, zeros: int) -> int:
-        """Product of the counts of the connected parts of the free vectors."""
-        free = ~(ones | zeros) & search.full
-        total = 1
-        while free and total:
+    def count(free: int) -> int:
+        """The lowest free vector's part times the rest, or its branches' sum."""
+        if free not in cache:
             part, grown = 0, free & -free
             while grown != part:
                 new, part = grown & ~part, grown
-                for v in _bits(new):
-                    grown |= search.orth[v] & free
-            free &= ~part
-            total *= part_count(part)
-        return total
+                while new:
+                    grown |= search.orth[(new & -new).bit_length() - 1] & free
+                    new &= new - 1
+            if part != free:
+                total = count(part)
+                cache[free] = total and total * count(free & ~part)
+            else:
+                states = (search.propagate(*decision) for decision in search.branches(0, ~free))
+                cache[free] = sum(count(~(s[0] | s[1]) & search.full) for s in states if s)
+        return cache[free]
 
-    def part_count(part: int) -> int:
-        if part not in cache:
-            total = 0
-            for decision in search.branches(0, ~part):
-                state = search.propagate(*decision)
-                if state:
-                    total += residual(*state)
-            cache[part] = total
-        return cache[part]
-
-    state = search.propagate(0, 0, list(range(search.n)))
-    return residual(*state) if state else 0
+    state = search.propagate(0, 0, search.full)
+    return count(~(state[0] | state[1]) & search.full) if state else 0
 
 
 def is_valid_coloring(structure: OrthStructure, coloring: Coloring) -> bool:

@@ -212,7 +212,8 @@ def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
     leaves ~1e-16 from 0 on one ray, a sine of ~1e-8).  Vectors take ray
     ids in order: a vector joins the first earlier vector that has its own
     index as id and shares its ray, else keeps its own index, so the first
-    copy of a ray wins as for the algebras.
+    copy of a ray wins as for the algebras; a vector within the tolerance of
+    two distinct rays, which leaves a shared pair with two ray ids, is refused.
     """
     if len(bases) == 0:
         raise ValueError("no bases given")
@@ -238,6 +239,8 @@ def poset_from_bases(bases: Sequence[np.ndarray]) -> ContextPoset:
         # ray[first] is settled: its pairs with earlier vectors came before
         if ray[first] == first and ray[later] == later:
             ray[later] = first
+        elif ray[first] != ray[later]:
+            raise ValueError("a vector lies within CONTAINMENT_TOL of two distinct rays")
     return ContextPoset([ray[k : k + dim] for k in range(0, len(ray), dim)])
 
 

@@ -118,9 +118,15 @@ def test_inverse_random():
 
 
 def test_quad_scalar_coefficients_must_be_rational():
-    s = QuadScalar(np.int64(3), Q(1, 2), np.uint8(2), True)
-    assert s == QuadScalar(3, Q(1, 2), 2, 1)
-    assert all(type(c) is Q and type(c.numerator) is int for c in s.coefficients())
+    # an integral coefficient is stored as a Python int, any other as a
+    # Fraction of Python ints
+    s = QuadScalar(np.int64(3), Q(1, 2), True, Q(6, 3))
+    assert s == QuadScalar(3, Q(1, 2), 1, 2)
+    assert [type(c) for c in s.coefficients()] == [int, Q, int, int]
+    assert s.coefficients() == (3, Q(1, 2), 1, 2)
+    t = QuadScalar(np.uint8(2), Q(np.int64(1), np.int64(2)))
+    assert [type(c) for c in t.coefficients()] == [int, Q, int, int]
+    assert type(t.b.numerator) is type(t.b.denominator) is int
     for value in (0.1, "1/3", np.float64(1.0), 1j, None):
         with pytest.raises(TypeError, match="is not rational"):
             QuadScalar(value)

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from fractions import Fraction as Q
 from itertools import combinations, product
 
 import numpy as np
@@ -19,6 +20,7 @@ from qfoundry.ks import (
     Coloring,
     NotApplicableError,
     OrthStructure,
+    _Search,
     build_orth_structure,
     cabello_parity_witness,
     complete_pairs_to_triads,
@@ -307,6 +309,58 @@ def test_search_matches_trail_reference(peres, cabello):
         assert count_colorings(structure) == _unsplit_count(structure)
 
 
+def _list_queue_propagate(search, ones, zeros, queue):
+    """The rules of `_Search.propagate` in another visit order: a
+    last-in-first-out list of vertices for the queue, each newly zeroed
+    vertex pushed in ascending order, and the bases of a 1 visited too."""
+    queue = list(queue)
+    while queue:
+        v = queue.pop()
+        if ones >> v & 1:
+            if search.orth[v] & ones:
+                return None
+            new = search.orth[v] & ~zeros
+            zeros |= new
+            queue += [u for u in range(search.n) if new >> u & 1]
+        for basis in search.incident[v]:
+            if basis & ones:
+                continue
+            open_ = basis & ~zeros
+            if not open_:
+                return None
+            if not open_ & (open_ - 1):
+                ones |= open_
+                queue.append(open_.bit_length() - 1)
+    return ones, zeros
+
+
+def test_mask_queue_propagate_matches_list_queue(peres, cabello):
+    # propagation is confluent, so visiting the queue lowest vertex first
+    # fails or stops where the list's last-in-first-out order does, from any
+    # partial state and queue: every vertex, a random subset or one vertex,
+    # with the vertices outside the structure fixed to 0 or not
+    rng = np.random.default_rng(35)
+    e8 = _e8_rays().vectors
+    structures = [peres, cabello, build_orth_structure(complete_pairs_to_triads(peres))]
+    structures += [build_orth_structure(VectorSet(8, [e8[i] for i in rng.permutation(120)[:k]]))
+                   for k in (40, 80, 120)]
+    for structure in structures:
+        search = _Search(structure)
+        failed = 0
+        for _ in range(150):
+            kind = rng.integers(0, 3, search.n) * (rng.random(search.n) < rng.uniform(0, 0.4))
+            ones = sum(1 << v for v in np.flatnonzero(kind == 1).tolist())
+            zeros = sum(1 << v for v in np.flatnonzero(kind == 2).tolist())
+            zeros |= ~search.full if rng.random() < 0.5 else 0
+            subset = sum(1 << v for v in np.flatnonzero(rng.random(search.n) < 0.5).tolist())
+            queue = [search.full, subset, 1 << int(rng.integers(search.n))][rng.integers(3)]
+            order = [v for v in range(search.n) if queue >> v & 1]
+            expected = _list_queue_propagate(search, ones, zeros, order)
+            assert search.propagate(ones, zeros, queue) == expected
+            failed += expected is None
+        assert 0 < failed < 150
+
+
 def _e8_rays() -> VectorSet:
     """The 240 E8 roots (±2,±2,0^6) and (±1)^8 with an even number of minus
     signs, taken up to sign: 120 rays in dimension 8."""
@@ -327,6 +381,23 @@ def test_ray_key_matches_adjugate_formula_on_ray_sets(peres):
     for vset in sets:
         for v in vset:
             assert v.ray_key() == _adjugate_ray_key(v)
+
+
+def test_rational_multiples_load_as_the_builtin_sets():
+    # the Fraction path of a loaded set: every exported vector scaled by its
+    # own non-integer rational, (-1)^k (2k + 1)/2, keeps its ray
+    for vset in (build_peres33(), build_cabello18()):
+        payload = vset.to_json_dict()
+        for k, item in enumerate(payload["vectors"]):
+            factor = (-1) ** k * Q(2 * k + 1, 2)
+            scaled = [[Q(num, den) * factor for num, den in entry] for entry in item["entries"]]
+            item["entries"] = [[[c.numerator, c.denominator] for c in e] for e in scaled]
+        loaded = VectorSet.from_json_dict(payload)
+        assert any(type(c) is Q for v in loaded for e in v.entries for c in e.coefficients())
+        assert [v.ray_key() for v in loaded] == [v.ray_key() for v in vset]
+        expected, structure = build_orth_structure(vset), build_orth_structure(loaded)
+        assert (structure.bases, structure.pairs) == (expected.bases, expected.pairs)
+        assert search_coloring(structure).nodes_explored == search_coloring(expected).nodes_explored
 
 
 def test_e8_uncolorable():

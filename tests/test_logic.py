@@ -770,16 +770,17 @@ def test_batched_refinement_matches_per_pair_containment(seed):
         _assert_tables_match_reference(poset, seed)
 
 
-def _tilted_bases(dim, seed):
+def _tilted_bases(dim, seed, scales=(0.0, 0.5, 0.9, 2.0, 2.9, 4.0)):
     """A random basis, then copies of it with its first two vectors rotated
-    in their plane by 0, 0.5, 0.9, 1.1, 2 and 4 times CONTAINMENT_TOL, so a
-    rotated vector's sine to the original, and to the other copies', sits at
-    least 0.1 CONTAINMENT_TOL from the tolerance; each copy's vectors take
+    in their plane by each of scales times CONTAINMENT_TOL; with the default
+    scales a rotated vector's sine to the original, and to the other
+    copies', sits at least 0.1 CONTAINMENT_TOL from the tolerance, and no
+    vector is within it of two distinct rays.  Each copy's vectors take
     random phases and a random order."""
     rng = np.random.default_rng((seed, dim))
     basis = _random_bases(seed, dim, 1)[0]
     bases = [basis]
-    for scale in (0.0, 0.5, 0.9, 1.1, 2.0, 4.0):
+    for scale in scales:
         eps = scale * logic.CONTAINMENT_TOL
         turned = basis.copy()
         turned[0] = math.cos(eps) * basis[0] + math.sin(eps) * basis[1]
@@ -794,12 +795,35 @@ def _tilted_bases(dim, seed):
 def test_containment_prefilter_matches_svd(dim, seed):
     # the ray test (|<v, w>|^2 > 1/2, then the sine) decides as the SVD of
     # P_v Q_w - Q_w does, near the tolerance too: the copies turned by 0, 0.5
-    # and 0.9 tol merge into basis0, the one turned by 1.1 tol is kept and the
-    # one turned by 2 tol merges into it, and the one turned by 4 tol is kept
+    # and 0.9 tol merge into basis0, the one turned by 2 tol is kept and the
+    # one turned by 2.9 tol merges into it, and the one turned by 4 tol is kept
     bases = _tilted_bases(dim, seed)
     poset = _assert_matches_svd_reference(bases)
     assert [ctx.name for ctx in poset.contexts if ":" not in ctx.name] == \
         ["trivial", "basis0", "basis4", "basis6"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_vector_near_two_rays_is_refused(dim, seed):
+    # sharing a ray is not transitive within the tolerance: the copy turned
+    # by 1.1 tol shares a ray with those turned by 0.5 and 0.9 tol, which
+    # share the original's, but not with the original; the first copy of a
+    # ray would keep the 1.1 copy apart and leave its pairs with two ray ids
+    bases = _tilted_bases(dim, seed, (0.0, 0.5, 0.9, 1.1, 2.0, 4.0))
+    with pytest.raises(ValueError, match="^a vector lies within CONTAINMENT_TOL of two "
+                                         "distinct rays$"):
+        logic.poset_from_bases(bases)
+
+
+def test_smallest_vector_near_two_rays_is_refused():
+    # three bases of C^2 turned by 0, 0.6 and 1.2 tol: the middle one's
+    # vectors are within the tolerance of both others', which are not
+    turned = [_rotation_basis(k * 0.6 * logic.CONTAINMENT_TOL) for k in range(3)]
+    with pytest.raises(ValueError, match="two distinct rays"):
+        logic.poset_from_bases(turned)
+    assert [ctx.name for ctx in logic.poset_from_bases(turned[:2]).contexts] == \
+        ["trivial", "basis0"]
 
 
 @pytest.mark.parametrize("dim", [3, 4])
